@@ -52,7 +52,6 @@ class ExperimentConfig:
     out_dir: Path
     scenario: world.Scenario | None
     generator: dict | None
-    constants: engine.RewardConstants
     parallel: int
     execution: str
     dump_json: bool
@@ -189,16 +188,6 @@ def _parse_generate(text: str, alpha: float) -> dict:
     return out
 
 
-def _load_constants(path: str | None) -> engine.RewardConstants:
-    if path is None:
-        return engine.RewardConstants()
-    try:
-        doc = json.loads(Path(path).read_text())
-        return engine.RewardConstants(**doc)
-    except (OSError, json.JSONDecodeError, TypeError, ValueError) as err:
-        raise ConfigError(f"bad reward constants file {path}: {err}") from err
-
-
 # ---------------------------------------------------------------------------
 # Output helpers
 # ---------------------------------------------------------------------------
@@ -285,7 +274,6 @@ def cmd_run(config: ExperimentConfig) -> int:
         generator=config.generator,
         scenario=config.scenario,
         k=config.k,
-        constants=config.constants,
         execution=config.execution,
         parallel=config.parallel,
     )
@@ -314,7 +302,6 @@ def cmd_compare(config: ExperimentConfig) -> int:
             generator=config.generator,
             scenario=config.scenario,
             k=config.k if algo == "online" else None,
-            constants=config.constants,
             execution=config.execution,
             parallel=config.parallel,
         )
@@ -353,7 +340,6 @@ def cmd_sweep_k(config: ExperimentConfig) -> int:
             generator=config.generator,
             scenario=config.scenario,
             k=k,
-            constants=config.constants,
             parallel=config.parallel,
         )
         summaries[k] = batch.summary
@@ -404,7 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--alpha", type=float, default=0.97)
         p.add_argument("--out", default="out", help=f"output dir (env {OUT_DIR_ENV} overrides)")
         p.add_argument("--parallel", type=int, default=1)
-        p.add_argument("--reward-constants", metavar="FILE", default=None)
         p.add_argument(
             "--execution", choices=("scripted", "teleport"), default="scripted"
         )
@@ -495,7 +480,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         out_dir=out_dir,
         scenario=scenario,
         generator=generator,
-        constants=_load_constants(args.reward_constants),
         parallel=args.parallel,
         execution=getattr(args, "execution", "scripted"),
         dump_json=bool(getattr(args, "dump_json", False)),

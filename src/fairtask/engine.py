@@ -1,8 +1,12 @@
-"""Episode orchestration: scripted navigation, rewards, batch running.
+"""Episode orchestration: scripted navigation, rewards, the episode loop, batching.
 
-Centralized baselines solve their assignment once at t=0 with full
-information, then every agent follows a greedy waypoint controller to its
-task and services the workload to completion.  All randomness is owned by
+Every scripted episode runs on one loop, run_episode, over an Episode that
+holds the world state and the agents' commitments.  Assignment modes differ
+only in when they commit agents: centralized baselines discover every task
+and commit their whole assignment at t=0, while the online mode
+(fairtask.online) passes a policy that explores and commits subsets as tasks
+are found.  Committed agents follow a greedy waypoint controller to their
+task and service the workload to completion.  All randomness is owned by
 the caller through seeds; a (root seed, config) pair fully determines every
 emitted number.
 """
@@ -265,17 +269,21 @@ def run_centralized_episode(
 
     execution="teleport" skips kinematics entirely: realized distances equal
     the shortest-path distances, giving the zero-overhead reference point.
-    Returns an EpisodeResult, or (EpisodeResult, PolicyTrace) with with_trace.
+    Returns an EpisodeResult, or (EpisodeResult, PolicyTrace) with with_trace;
+    constants only shape the trace's rewards.
     """
-    constants = constants or RewardConstants()
     grid = pathfind.build_nav_grid(sc, resolution)
     provider = pathfind.DistanceProvider(grid)
     d_star = provider.pairwise(sc.task_positions(), sc.agent_positions())
     prefs = world.preference_matrix(sc)
     weights = world.task_weights(sc)
     u0 = assign.compute_utility(d_star, prefs, sc.alpha)
-    u_star, _ = metrics.centralized_optimum(sc, provider)
-    solution = solve_assignment(rule, u0, prefs, d_star, weights)
+    u_star, optimum = metrics.centralized_optimum(sc, provider)
+    # The optimum is the EG solution of this same utility matrix.
+    if rule == assign.RULE_EG:
+        solution = optimum
+    else:
+        solution = solve_assignment(rule, u0, prefs, d_star, weights)
 
     if execution == EXECUTION_TELEPORT:
         result = _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star)
@@ -283,12 +291,13 @@ def run_centralized_episode(
     if execution != EXECUTION_SCRIPTED:
         raise ValueError(f"unknown execution mode {execution!r}")
 
-    result, trace = _execute_assignment(
-        sc, grid, rule, solution, weights, prefs, constants, step_cap, with_trace
-    )
-    result.u_star = u_star
-    if not result.incomplete:
-        result.u_pi = metrics.realized_value(result)
+    ep = Episode(sc, grid)
+    for task in range(sc.n_tasks):
+        ep.discover(task)  # centralized rules see everything
+    ep.commit(solution.pairs())
+    trace = PolicyTrace() if with_trace else None
+    result = run_episode(ep, rule, u_star, step_cap, trace=trace,
+                         constants=constants or RewardConstants())
     return (result, trace) if with_trace else result
 
 
@@ -323,50 +332,100 @@ def _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star):
     return result
 
 
-def _execute_assignment(sc, grid, rule, solution, weights, prefs, constants, step_cap, with_trace):
-    n, m = sc.n_agents, sc.n_tasks
-    state = world.initial_state(sc)
-    state = world.discover(state, range(m))  # centralized rules see everything
-    task_of = {a: t for a, t in solution.pairs()}
-    task_pos = {a: np.array(sc.tasks[t].position) for a, t in task_of.items()}
-    navs: dict[int, Navigator] = {}
-    for a, t in task_of.items():
-        nav = Navigator(grid)
-        nav.set_goal(state.agent_positions[a], task_pos[a])
-        navs[a] = nav
+# ---------------------------------------------------------------------------
+# The episode loop
+# ---------------------------------------------------------------------------
 
-    arrived = np.zeros(n, dtype=bool)
+
+class Episode:
+    """A running episode: world state, one navigator per agent, commitments.
+
+    Assignment modes differ only in when they commit agents, so all of them
+    drive this one object through discover() and commit().
+    """
+
+    def __init__(self, sc: world.Scenario, grid: pathfind.NavGrid):
+        self.sc = sc
+        self.state = world.initial_state(sc)
+        self.navs = [Navigator(grid) for _ in range(sc.n_agents)]
+        self.task_of: dict[int, int] = {}
+        self.dist_at_assign = np.zeros(sc.n_agents)
+        self.discovery_times = np.full(sc.n_tasks, math.nan)
+        self.assignment_log: list[tuple[float, int, int]] = []
+
+    def discover(self, task: int) -> None:
+        self.state.discovered[task] = True
+        self.discovery_times[task] = self.state.time
+
+    def commit(self, pairs) -> None:
+        """Bind (agent, task) pairs for good and steer each agent to its task."""
+        for agent, task in pairs:
+            self.task_of[agent] = task
+            self.dist_at_assign[agent] = float(self.state.cumulative_distance[agent])
+            self.assignment_log.append((self.state.time, agent, task))
+            self.navs[agent].set_goal(
+                self.state.agent_positions[agent], self.sc.tasks[task].position
+            )
+
+
+def run_episode(
+    ep: Episode,
+    rule: str,
+    u_star: float,
+    step_cap: int,
+    *,
+    policy=None,
+    trace: PolicyTrace | None = None,
+    constants: RewardConstants | None = None,
+) -> metrics.EpisodeResult:
+    """Step an episode until every task is served or step_cap runs out.
+
+    Committed agents follow their navigators and brake once their task is
+    done.  An uncommitted agent takes policy.free_action(ep, agent), or
+    brakes without a policy; policy.observe(ep) runs after each dynamics
+    step, before arrival and service.  Realized distances run from an
+    agent's commitment to its first arrival.  A trace records every step's
+    rewards under `constants` and needs every agent committed.
+    """
+    sc = ep.sc
+    n, m = sc.n_agents, sc.n_tasks
+    task_pos = sc.task_positions()
     realized_distance = np.full(m, math.nan)
     completion_time = 0.0
     collisions = 0
-    trace = PolicyTrace() if with_trace else None
 
     for _step in range(step_cap):
+        state = ep.state
         if np.all(state.completed):
             break
         actions = []
         for i in range(n):
-            t = task_of[i]
-            if state.completed[t]:
+            t = ep.task_of.get(i)
+            if t is None and policy is not None:
+                actions.append(policy.free_action(ep, i))
+            elif t is None or state.completed[t]:
                 actions.append(
                     brake_action(state.agent_velocities[i], sc.agents[i].max_speed / ACCEL_STEPS)
                 )
             else:
-                actions.append(navs[i].action(state, sc, i))
-        state, events = world.step_dynamics_events(state, actions, sc)
+                actions.append(ep.navs[i].action(state, sc, i))
+        ep.state, events = world.step_dynamics_events(state, actions, sc)
         collisions += len(events)
+        if policy is not None:
+            policy.observe(ep)
 
+        state = ep.state
         arrived_now = np.zeros(n, dtype=bool)
         served_amount = np.zeros(n)
         completed_by: list[int] = []
         for i in range(n):
-            t = task_of[i]
-            d_task = float(np.hypot(*(state.agent_positions[i] - task_pos[i])))
-            if d_task <= ARRIVAL_RADIUS:
-                if not arrived[i]:
-                    arrived[i] = True
+            t = ep.task_of.get(i)
+            if t is None:
+                continue
+            if float(np.hypot(*(state.agent_positions[i] - task_pos[t]))) <= ARRIVAL_RADIUS:
+                if math.isnan(realized_distance[t]):  # first arrival
                     arrived_now[i] = True
-                    realized_distance[t] = state.cumulative_distance[i]
+                    realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
                 if not state.completed[t]:
                     before = float(state.remaining_workloads[t])
                     state = world.service_tick(state, sc, i, t)
@@ -374,40 +433,46 @@ def _execute_assignment(sc, grid, rule, solution, weights, prefs, constants, ste
                     if state.completed[t]:
                         completed_by.append(i)
                         completion_time = state.time
+        ep.state = state
         if trace is not None:
             trace.records.append(
-                _trace_step(sc, state, actions, task_of, task_pos, arrived_now,
-                            served_amount, events, completed_by, constants)
+                _trace_step(ep, actions, task_pos, arrived_now, served_amount,
+                            events, completed_by, constants)
             )
 
+    state = ep.state
     incomplete = not bool(np.all(state.completed))
+    prefs = world.preference_matrix(sc)
     realized = np.zeros(m)
-    for a, t in task_of.items():
+    for a, t in ep.task_of.items():
         if np.isfinite(realized_distance[t]):
             realized[t] = (sc.alpha ** realized_distance[t]) * prefs[t, a]
     result = metrics.EpisodeResult(
         realized_utilities=realized,
-        weights=weights,
+        weights=world.task_weights(sc),
         completion_time=completion_time if not incomplete else state.time,
         total_distance=float(state.cumulative_distance.sum()),
         per_agent_distance=state.cumulative_distance.copy(),
         collision_count=collisions,
-        discovery_times=np.zeros(m),
-        assignment_log=tuple((0.0, a, t) for a, t in solution.pairs()),
+        discovery_times=ep.discovery_times,
+        assignment_log=tuple(ep.assignment_log),
         incomplete=incomplete,
         rule=rule,
+        u_star=u_star,
         seed=sc.seed,
     )
-    return result, trace
+    if not incomplete:
+        result.u_pi = metrics.realized_value(result)
+    return result
 
 
-def _trace_step(sc, state, actions, task_of, task_pos, arrived_now, served_amount,
-                events, completed_by, constants):
-    n = sc.n_agents
+def _trace_step(ep, actions, task_pos, arrived_now, served_amount, events, completed_by,
+                constants):
+    n = ep.sc.n_agents
     rewards = np.zeros(n)
     for i in range(n):
         rewards[i] += fairness_shaping(
-            state.agent_positions[i], task_pos[i], bool(arrived_now[i]), constants
+            ep.state.agent_positions[i], task_pos[ep.task_of[i]], bool(arrived_now[i]), constants
         )
         rewards[i] += constants.kappa * served_amount[i]
     # A completion credits the agent whose tick finished the task; collision
@@ -443,7 +508,7 @@ class BatchResult:
 
 
 def _run_one_episode(args) -> metrics.EpisodeResult:
-    (index, root_seed, algorithm, k, generator, scenario, constants,
+    (index, root_seed, algorithm, k, generator, scenario,
      execution, step_cap, resolution) = args
     seed = episode_seed(root_seed, index)
     sc = scenario if scenario is not None else world.generate_scenario(seed=seed, **generator)
@@ -452,12 +517,11 @@ def _run_one_episode(args) -> metrics.EpisodeResult:
 
         rng = np.random.default_rng([seed, 1])
         result = online.run_online_episode(
-            sc, k, rng, step_cap=step_cap, resolution=resolution, constants=constants
+            sc, k, rng, step_cap=step_cap, resolution=resolution
         )
     else:
         result = run_centralized_episode(
-            sc, algorithm, execution=execution, constants=constants,
-            step_cap=step_cap, resolution=resolution,
+            sc, algorithm, execution=execution, step_cap=step_cap, resolution=resolution
         )
         result.k = k
     result.episode = index
@@ -473,7 +537,6 @@ def batch_run(
     generator: dict | None = None,
     scenario: world.Scenario | None = None,
     k: int | None = None,
-    constants: RewardConstants | None = None,
     execution: str = EXECUTION_SCRIPTED,
     step_cap: int = DEFAULT_STEP_CAP,
     resolution: float = pathfind.DEFAULT_RESOLUTION,
@@ -495,7 +558,7 @@ def batch_run(
         if k is None or not 1 <= k <= n:
             raise ValueError(f"online runs need 1 <= k <= {n}")
     jobs = [
-        (i, root_seed, algorithm, k, generator, scenario, constants,
+        (i, root_seed, algorithm, k, generator, scenario,
          execution, step_cap, resolution)
         for i in range(episodes)
     ]

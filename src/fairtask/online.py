@@ -4,7 +4,8 @@ Free agents sweep a shared lattice (spacing = half the smallest sensing
 radius), sampling targets with a distance softmax.  Whenever the pool of
 discovered-but-unassigned tasks reaches k (or everything is discovered),
 the best k-agent subset by weighted-log objective is committed to those
-tasks, and the loop continues until every task is served.
+tasks.  Episodes run on engine.run_episode; ExplorationPolicy is the hook
+that steers uncommitted agents, discovers tasks and triggers commitments.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairtask import assign, engine, metrics, pathfind, world
-from fairtask.world import ARRIVAL_RADIUS
 
 _TARGET_RADIUS = 0.05  # lattice target capture distance
 
@@ -33,13 +33,6 @@ class ExplorationMap:
     points: np.ndarray        # (P, 2)
     explored: np.ndarray      # (P,) bool
     grid_width: float
-
-    def copy(self) -> "ExplorationMap":
-        return ExplorationMap(self.points.copy(), self.explored.copy(), self.grid_width)
-
-    @property
-    def n_unexplored(self) -> int:
-        return int((~self.explored).sum())
 
 
 def init_lattice(sc: world.Scenario, grid: pathfind.NavGrid | None = None) -> ExplorationMap:
@@ -86,19 +79,6 @@ def mark_swept(emap: ExplorationMap, agent_pos, radius: float) -> ExplorationMap
     deltas = emap.points - np.asarray(agent_pos, dtype=float)
     emap.explored |= np.hypot(deltas[:, 0], deltas[:, 1]) <= radius
     return emap
-
-
-@dataclass
-class OnlineEpisodeState:
-    discovered_tasks: set[int]
-    assigned_tasks: set[int]
-    free_agents: set[int]
-    agent_targets: dict[int, np.ndarray]
-    k: int
-
-    @property
-    def pending_tasks(self) -> list[int]:
-        return sorted(self.discovered_tasks - self.assigned_tasks)
 
 
 @dataclass(frozen=True)
@@ -178,6 +158,66 @@ def _next_reachable_target(emap, nav, pos, rng):
             return target
 
 
+class ExplorationPolicy:
+    """engine.run_episode policy: free agents explore, discoveries trigger commits."""
+
+    def __init__(self, sc, grid, provider, k: int, rng: np.random.Generator):
+        self.emap = init_lattice(sc, grid)
+        self.provider = provider
+        self.k = k
+        self.rng = rng
+        self.targets: dict[int, np.ndarray] = {}
+        self.triggers: list[TriggerRecord] = []
+
+    def free_action(self, ep: engine.Episode, agent: int) -> int:
+        """Head for the agent's lattice target; brake once the lattice is spent."""
+        pos = ep.state.agent_positions[agent]
+        target = self.targets.get(agent)
+        if target is None or float(np.hypot(*(pos - target))) <= _TARGET_RADIUS:
+            target = _next_reachable_target(self.emap, ep.navs[agent], pos, self.rng)
+            if target is None:
+                self.targets.pop(agent, None)
+                return engine.brake_action(
+                    ep.state.agent_velocities[agent],
+                    ep.sc.agents[agent].max_speed / world.ACCEL_STEPS,
+                )
+            self.targets[agent] = target
+        return ep.navs[agent].action(ep.state, ep.sc, agent)
+
+    def observe(self, ep: engine.Episode) -> None:
+        """Sweep around free agents, then discover new tasks one by one.
+
+        A subset is committed whenever k tasks are pending or every task has
+        been found.
+        """
+        sc, state = ep.sc, ep.state
+        for i in range(sc.n_agents):
+            if i not in ep.task_of:
+                mark_swept(self.emap, state.agent_positions[i], sc.agents[i].sensing_radius)
+        # One task at a time so the pending pool triggers at exactly k.
+        for j in world.newly_visible_tasks(state, sc):
+            ep.discover(j)
+            assigned = set(ep.task_of.values())
+            pending = [t for t in range(sc.n_tasks) if state.discovered[t] and t not in assigned]
+            if len(pending) < self.k and not state.discovered.all():
+                continue
+            free = [i for i in range(sc.n_agents) if i not in ep.task_of]
+            partial = select_subset_and_assign(
+                free, pending, self.k, sc, self.provider, state.agent_positions
+            )
+            self.triggers.append(
+                TriggerRecord(
+                    time=state.time,
+                    free_agents=tuple(free),
+                    pending_tasks=tuple(pending),
+                    agent_positions=state.agent_positions.copy(),
+                    pairs=partial.pairs,
+                    objective=partial.objective,
+                )
+            )
+            ep.commit(partial.pairs)
+
+
 def run_online_episode(
     sc: world.Scenario,
     k: int,
@@ -185,149 +225,22 @@ def run_online_episode(
     *,
     step_cap: int = engine.DEFAULT_STEP_CAP,
     resolution: float = pathfind.DEFAULT_RESOLUTION,
-    constants: engine.RewardConstants | None = None,
 ) -> metrics.EpisodeResult:
     """Alternate exploration and assignment until every task is served.
 
     Discoveries commit one task at a time, so the pending pool never
     overshoots k.  Assigned agents are redirected immediately and stop
-    sweeping the lattice; only free agents explore.  constants is accepted
-    for batch-interface parity; online episodes do not trace rewards.
+    sweeping the lattice; only free agents explore.
     """
     if not 1 <= k <= sc.n_agents:
         raise ValueError(f"k must lie in [1, {sc.n_agents}], got {k}")
     grid = pathfind.build_nav_grid(sc, resolution)
     provider = pathfind.DistanceProvider(grid)
     u_star, _ = metrics.centralized_optimum(sc, provider)
-    prefs = world.preference_matrix(sc)
-    weights = world.task_weights(sc)
-    n, m = sc.n_agents, sc.n_tasks
-
-    emap = init_lattice(sc, grid)
-    state = world.initial_state(sc)
-    ep = OnlineEpisodeState(
-        discovered_tasks=set(), assigned_tasks=set(),
-        free_agents=set(range(n)), agent_targets={}, k=k,
-    )
-    navs = {i: engine.Navigator(grid) for i in range(n)}
-    task_of: dict[int, int] = {}
-    task_pos_all = sc.task_positions()
-    discovery_times = np.full(m, math.nan)
-    dist_at_assign = np.zeros(n)
-    realized_distance = np.full(m, math.nan)
-    arrived = np.zeros(n, dtype=bool)
-    assignment_log: list[tuple[float, int, int]] = []
-    triggers: list[TriggerRecord] = []
-    collisions = 0
-    completion_time = 0.0
-
-    def _commit(partial: PartialAssignment) -> None:
-        triggers.append(
-            TriggerRecord(
-                time=state.time,
-                free_agents=tuple(sorted(ep.free_agents)),
-                pending_tasks=tuple(ep.pending_tasks),
-                agent_positions=state.agent_positions.copy(),
-                pairs=partial.pairs,
-                objective=partial.objective,
-            )
-        )
-        for agent, task in partial.pairs:
-            task_of[agent] = task
-            ep.free_agents.discard(agent)
-            ep.assigned_tasks.add(task)
-            ep.agent_targets.pop(agent, None)
-            dist_at_assign[agent] = float(state.cumulative_distance[agent])
-            assignment_log.append((state.time, agent, task))
-            navs[agent].set_goal(state.agent_positions[agent], task_pos_all[task])
-
-    def _process_discoveries() -> None:
-        # One task at a time so the pending pool triggers at exactly k.
-        for j in world.newly_visible_tasks(state, sc):
-            state.discovered[j] = True
-            discovery_times[j] = state.time
-            ep.discovered_tasks.add(j)
-            pending = ep.pending_tasks
-            if len(pending) == k or len(ep.discovered_tasks) == m:
-                _commit(
-                    select_subset_and_assign(
-                        ep.free_agents, pending, k, sc, provider, state.agent_positions
-                    )
-                )
-
-    # Initial sensing before any motion.
-    for i in sorted(ep.free_agents):
-        mark_swept(emap, state.agent_positions[i], sc.agents[i].sensing_radius)
-    _process_discoveries()
-
-    for _step in range(step_cap):
-        if np.all(state.completed):
-            break
-        actions = []
-        for i in range(n):
-            if i in task_of:
-                t = task_of[i]
-                if state.completed[t]:
-                    actions.append(engine.brake_action(
-                        state.agent_velocities[i], sc.agents[i].max_speed / world.ACCEL_STEPS
-                    ))
-                else:
-                    actions.append(navs[i].action(state, sc, i))
-                continue
-            # Free agent: keep an exploration target while any point remains.
-            target = ep.agent_targets.get(i)
-            if target is None or float(np.hypot(*(state.agent_positions[i] - target))) <= _TARGET_RADIUS:
-                target = _next_reachable_target(emap, navs[i], state.agent_positions[i], rng)
-                if target is None:
-                    ep.agent_targets.pop(i, None)
-                    actions.append(engine.brake_action(
-                        state.agent_velocities[i], sc.agents[i].max_speed / world.ACCEL_STEPS
-                    ))
-                    continue
-                ep.agent_targets[i] = target
-            actions.append(navs[i].action(state, sc, i))
-
-        state, events = world.step_dynamics_events(state, actions, sc)
-        collisions += len(events)
-        for i in sorted(ep.free_agents):
-            mark_swept(emap, state.agent_positions[i], sc.agents[i].sensing_radius)
-        _process_discoveries()
-
-        for i in range(n):
-            t = task_of.get(i)
-            if t is None:
-                continue
-            d_task = float(np.hypot(*(state.agent_positions[i] - task_pos_all[t])))
-            if d_task <= ARRIVAL_RADIUS:
-                if not arrived[i]:
-                    arrived[i] = True
-                    realized_distance[t] = state.cumulative_distance[i] - dist_at_assign[i]
-                if not state.completed[t]:
-                    state = world.service_tick(state, sc, i, t)
-                    if state.completed[t]:
-                        completion_time = state.time
-
-    incomplete = not bool(np.all(state.completed))
-    realized = np.zeros(m)
-    for agent, task in task_of.items():
-        if np.isfinite(realized_distance[task]):
-            realized[task] = (sc.alpha ** realized_distance[task]) * prefs[task, agent]
-    result = metrics.EpisodeResult(
-        realized_utilities=realized,
-        weights=weights,
-        completion_time=completion_time if not incomplete else state.time,
-        total_distance=float(state.cumulative_distance.sum()),
-        per_agent_distance=state.cumulative_distance.copy(),
-        collision_count=collisions,
-        discovery_times=discovery_times,
-        assignment_log=tuple(assignment_log),
-        incomplete=incomplete,
-        rule="online",
-        k=k,
-        u_star=u_star,
-        seed=sc.seed,
-        online_triggers=tuple(triggers),
-    )
-    if not incomplete:
-        result.u_pi = metrics.realized_value(result)
+    ep = engine.Episode(sc, grid)
+    policy = ExplorationPolicy(sc, grid, provider, k, rng)
+    policy.observe(ep)  # initial sensing before any motion
+    result = engine.run_episode(ep, "online", u_star, step_cap, policy=policy)
+    result.k = k
+    result.online_triggers = tuple(policy.triggers)
     return result

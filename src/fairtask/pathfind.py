@@ -128,64 +128,19 @@ def shortest_path_distance(grid: NavGrid, a, b) -> float:
     """Octile A* distance between the snapped endpoint cells.
 
     Returns math.inf when the endpoints are disconnected.  Path lengths are
-    rebuilt from (straight, diagonal) step counts, so any two optimal paths
-    produce bit-identical values.
+    rebuilt from the path's (straight, diagonal) step counts, so any two
+    optimal paths produce bit-identical values.
     """
-    counts = _astar_counts(grid, a, b)
-    if counts is None:
+    cells = _astar_cells(grid, a, b)
+    if cells is None:
         return math.inf
-    straight, diag = counts
+    diag = sum(p[0] != q[0] and p[1] != q[1] for p, q in zip(cells, cells[1:]))
+    straight = len(cells) - 1 - diag
     return straight * grid.resolution + diag * (grid.resolution * _SQRT2)
 
 
-def _astar_counts(grid: NavGrid, a, b) -> tuple[int, int] | None:
-    start = grid.cell_of(a)
-    goal = grid.cell_of(b)
-    if grid.blocked[start] or grid.blocked[goal]:
-        raise ValueError("shortest path endpoints must lie in free cells")
-    if start == goal:
-        return (0, 0)
-    nx, ny = grid.dims
-    res = grid.resolution
-    blocked = grid.blocked
-
-    def h(cell):
-        dx = abs(cell[0] - goal[0])
-        dy = abs(cell[1] - goal[1])
-        return res * (max(dx, dy) + (_SQRT2 - 1.0) * min(dx, dy))
-
-    g_best: dict[tuple[int, int], float] = {start: 0.0}
-    counts: dict[tuple[int, int], tuple[int, int]] = {start: (0, 0)}
-    # Tie-break: lower f, then lower heuristic, then lower flat cell index.
-    frontier = [(h(start), h(start), grid.flat_index(start), start)]
-    closed: set[tuple[int, int]] = set()
-
-    while frontier:
-        f, _, _, cell = heapq.heappop(frontier)
-        if cell in closed:
-            continue
-        if cell == goal:
-            return counts[cell]
-        closed.add(cell)
-        cg = g_best[cell]
-        cs, cd = counts[cell]
-        for dx, dy, diag in _NEIGHBORS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny):
-                continue
-            if blocked[nxt] or (diag and not _diagonal_ok(blocked, cell, nxt)):
-                continue
-            ng = cg + (res * _SQRT2 if diag else res)
-            if ng < g_best.get(nxt, math.inf):
-                g_best[nxt] = ng
-                counts[nxt] = (cs, cd + 1) if diag else (cs + 1, cd)
-                hh = h(nxt)
-                heapq.heappush(frontier, (ng + hh, hh, grid.flat_index(nxt), nxt))
-    return None
-
-
 def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
-    """A* with parent tracking, for waypoint extraction."""
+    """Octile A* cell path from a's cell to b's cell, or None when disconnected."""
     start = grid.cell_of(a)
     goal = grid.cell_of(b)
     if grid.blocked[start] or grid.blocked[goal]:
@@ -361,7 +316,7 @@ class DistanceProvider:
 
     Sources are snapped to cells; one field per distinct source cell is
     computed on the grid graph (same 8-connected topology and octile costs
-    as the A* routines) and reused for every query against it.
+    as the A* routine) and reused for every query against it.
     """
 
     def __init__(self, grid: NavGrid):

@@ -80,10 +80,6 @@ class Scenario:
     def n_tasks(self) -> int:
         return len(self.tasks)
 
-    @property
-    def n_agent_types(self) -> int:
-        return max(a.agent_type for a in self.agents) + 1
-
     def agent_positions(self) -> np.ndarray:
         return np.array([a.start_position for a in self.agents], dtype=float)
 
@@ -161,17 +157,6 @@ def task_weights(sc: Scenario) -> np.ndarray:
     return np.array([t.weight for t in sc.tasks], dtype=float)
 
 
-def type_preference_column(sc: Scenario, task: int) -> np.ndarray:
-    """Per-agent-type service rate for one task (mean over agents of a type)."""
-    tt = sc.tasks[task].task_type
-    col = np.zeros(sc.n_agent_types)
-    for g in range(sc.n_agent_types):
-        rates = [a.preference_row[tt] for a in sc.agents if a.agent_type == g]
-        if rates:
-            col[g] = float(np.mean(rates))
-    return col
-
-
 # ---------------------------------------------------------------------------
 # World state and dynamics
 # ---------------------------------------------------------------------------
@@ -224,16 +209,13 @@ class CollisionEvent:
     agents: tuple[int, ...]   # one index for geometry hits, a pair for contacts
 
 
-def step_dynamics(state: WorldState, joint_action, sc: Scenario) -> WorldState:
-    """Advance one timestep: accelerate, clamp speed, integrate, clip geometry."""
-    new_state, _ = step_dynamics_events(state, joint_action, sc)
-    return new_state
-
-
 def step_dynamics_events(
     state: WorldState, joint_action, sc: Scenario
 ) -> tuple[WorldState, list[CollisionEvent]]:
-    """step_dynamics plus the collision events needed for rewards/accounting."""
+    """Advance one timestep: accelerate, clamp speed, integrate, clip geometry.
+
+    Returns the new state and the collision events of the step.
+    """
     n = sc.n_agents
     actions = np.asarray(joint_action, dtype=int)
     if actions.shape != (n,):
@@ -355,31 +337,6 @@ def _circle_hit(p, disp, center, radius):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VisibleSet:
-    agents: tuple[int, ...]
-    tasks: tuple[int, ...]
-    obstacles: tuple[int, ...]
-
-
-def sense(state: WorldState, sc: Scenario, agent: int) -> VisibleSet:
-    """Entities within the agent's closed sensing ball (self excluded)."""
-    p = state.agent_positions[agent]
-    r = sc.agents[agent].sensing_radius
-    agents = tuple(
-        i
-        for i in range(sc.n_agents)
-        if i != agent and float(np.hypot(*(state.agent_positions[i] - p))) <= r
-    )
-    tasks = tuple(
-        j for j in range(sc.n_tasks) if math.dist(sc.tasks[j].position, tuple(p)) <= r
-    )
-    obstacles = tuple(
-        k for k, ((cx, cy), _) in enumerate(sc.obstacles) if math.dist((cx, cy), tuple(p)) <= r
-    )
-    return VisibleSet(agents=agents, tasks=tasks, obstacles=obstacles)
-
-
 def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
     """Undiscovered tasks currently inside some agent's sensing ball."""
     found = []
@@ -425,49 +382,6 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
         out.remaining_workloads[task] = 0.0
         out.completed[task] = True
     return out
-
-
-def occupancy(state: WorldState, sc: Scenario, task: int) -> float:
-    """1 minus the nearest agent distance; unclamped outside [0, 1]."""
-    tp = np.array(sc.tasks[task].position)
-    dists = np.hypot(*(state.agent_positions - tp).T)
-    return 1.0 - float(dists.min())
-
-
-def observation_block_size(sc: Scenario) -> int:
-    # rel pos (2) + utility (1) + per-type preference column + eta + h + weight
-    return 2 + 1 + sc.n_agent_types + 3
-
-
-def build_observation(state: WorldState, sc: Scenario, agent: int) -> np.ndarray:
-    """Egocentric task feature vector, zero-padded for unseen tasks.
-
-    One fixed-size block per task: [rel_x, rel_y, u_ji, pref column over
-    agent types, eta_j, h_j, w_j].  Utility uses the straight-line distance
-    per the utility model in `assign`.
-    """
-    from fairtask import assign  # local import: assign is pure math below world
-
-    block = observation_block_size(sc)
-    obs = np.zeros(sc.n_tasks * block)
-    p = state.agent_positions[agent]
-    r = sc.agents[agent].sensing_radius
-    dists = np.array(
-        [[math.dist(tuple(state.agent_positions[i]), t.position) for i in range(sc.n_agents)]
-         for t in sc.tasks]
-    )
-    u = assign.compute_utility(dists, preference_matrix(sc), sc.alpha)
-    for j, t in enumerate(sc.tasks):
-        if math.dist(tuple(p), t.position) > r:
-            continue
-        rel = np.array(t.position) - p
-        col = type_preference_column(sc, j)
-        h_j = float(state.last_server[j])
-        blk = np.concatenate(
-            [rel, [u.values[j, agent]], col, [occupancy(state, sc, j), h_j, t.weight]]
-        )
-        obs[j * block:(j + 1) * block] = blk
-    return obs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from fairtask import cli, world
@@ -110,14 +109,23 @@ def test_run_online_end_to_end(tmp_path):
     assert rows[0]["k"] == 2
 
 
-def test_run_golden_reference(tmp_path):
+@pytest.mark.parametrize(
+    "golden,extra",
+    [
+        ("golden_run.csv", ["--algorithm", "eg"]),
+        ("golden_run_online_k2.csv", ["--algorithm", "online", "--k", "2"]),
+        ("golden_run_eg_teleport.csv", ["--algorithm", "eg", "--execution", "teleport"]),
+    ],
+    ids=["eg", "online-k2", "eg-teleport"],
+)
+def test_run_golden_reference(tmp_path, golden, extra):
     out = tmp_path / "golden"
     rc = run_cli([
-        "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
+        "run", "--generate", "N=3,map=2.5", *extra,
         "--episodes", "2", "--seed", "2024", "--out", str(out),
     ])
     assert rc == 0
-    assert (out / "results.csv").read_bytes() == (DATA / "golden_run.csv").read_bytes()
+    assert (out / "results.csv").read_bytes() == (DATA / golden).read_bytes()
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):
@@ -130,25 +138,6 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     assert rc == 0
     assert (target / "results.csv").exists()
     assert not (tmp_path / "ignored").exists()
-
-
-def test_reward_constants_file(tmp_path):
-    consts = tmp_path / "rewards.json"
-    consts.write_text(json.dumps({"kappa": 2.0, "collision_penalty": -1.0}))
-    rc = run_cli([
-        "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
-        "--episodes", "1", "--seed", "3", "--out", str(tmp_path / "o"),
-        "--reward-constants", str(consts),
-    ])
-    assert rc == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"collision_penalty": 5.0}))
-    rc = run_cli([
-        "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
-        "--episodes", "1", "--out", str(tmp_path / "o2"),
-        "--reward-constants", str(bad),
-    ])
-    assert rc == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fairtask import engine, metrics, pathfind, world
+from fairtask import cli, engine, metrics, pathfind, world
 from fairtask.engine import RewardConstants, StepEvents
 from fairtask.world import ACTION_IDLE
 
@@ -238,12 +238,16 @@ def test_batch_reruns_identically():
         assert np.array_equal(ra.realized_utilities, rb.realized_utilities)
 
 
-def test_batch_parallel_matches_serial():
-    kw = dict(algorithm="eg", episodes=4, root_seed=19,
+@pytest.mark.parametrize(
+    "algorithm,k", [("eg", None), ("online", 2)], ids=["eg", "online-k2"]
+)
+def test_batch_parallel_matches_serial(algorithm, k):
+    kw = dict(algorithm=algorithm, k=k, episodes=4, root_seed=19,
               generator=dict(n_agents=3, map_size=2.5))
     serial = engine.batch_run(**kw, parallel=1)
     parallel = engine.batch_run(**kw, parallel=2)
     assert serial.summary == parallel.summary
+    assert cli.format_result_rows(serial.rows) == cli.format_result_rows(parallel.rows)
 
 
 def test_batch_online_requires_k():

@@ -204,6 +204,24 @@ def test_all_visible_k_equals_n_matches_centralized():
     assert sorted(trig.pairs) == sorted(solution.pairs())
 
 
+def test_all_visible_k_equals_n_episode_equals_centralized_eg():
+    # Everything visible at t=0 and k=N: the one trigger commits the
+    # centralized EG assignment before any motion, so both modes run the
+    # same episode step for step.
+    for n, size, seed in ((3, 2.5, 11), (3, 2.5, 12), (4, 2.5, 13), (4, 2.5, 14),
+                          (7, 2.7, 15), (7, 2.7, 16)):
+        sc = world.generate_scenario(n, size, sensing_radius=4.0, seed=seed)
+        on = online.run_online_episode(sc, n, np.random.default_rng(seed))
+        eg = engine.run_centralized_episode(sc, "eg")
+        assert on.completion_time == eg.completion_time
+        assert on.total_distance == eg.total_distance
+        assert np.array_equal(on.realized_utilities, eg.realized_utilities)
+        assert np.array_equal(on.per_agent_distance, eg.per_agent_distance)
+        assert on.assignment_log == eg.assignment_log
+        assert on.u_star == eg.u_star
+        assert on.u_pi == eg.u_pi
+
+
 def test_phase_trigger_boundaries():
     sc = world.generate_scenario(5, 2.6, seed=8)
     rng = np.random.default_rng(4)

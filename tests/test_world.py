@@ -1,4 +1,4 @@
-"""World dynamics, sensing, service, and observation tests."""
+"""World dynamics, sensing, service, and scenario tests."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from fairtask import world
 from fairtask.world import (
     ACTION_ACCEL_NX,
     ACTION_ACCEL_PX,
-    ACTION_ACCEL_PY,
     ACTION_IDLE,
     ARRIVAL_RADIUS,
 )
@@ -28,7 +27,7 @@ from conftest import make_scenario
 
 def test_idle_zero_velocity_is_fixed_point(empty_scenario):
     state = world.initial_state(empty_scenario)
-    nxt = world.step_dynamics(state, [ACTION_IDLE], empty_scenario)
+    nxt = world.step_dynamics_events(state, [ACTION_IDLE], empty_scenario)[0]
     assert np.array_equal(nxt.agent_positions, state.agent_positions)
     assert nxt.cumulative_distance[0] == 0.0
     assert nxt.time == pytest.approx(empty_scenario.dt)
@@ -38,7 +37,7 @@ def test_single_accel_step_kinematics(empty_scenario):
     sc = empty_scenario
     quantum = sc.agents[0].max_speed / world.ACCEL_STEPS
     state = world.initial_state(sc)
-    nxt = world.step_dynamics(state, [ACTION_ACCEL_PX], sc)
+    nxt = world.step_dynamics_events(state, [ACTION_ACCEL_PX], sc)[0]
     assert nxt.agent_velocities[0] == pytest.approx([min(quantum, 1.0), 0.0])
     expected = state.agent_positions[0] + [quantum * sc.dt, 0.0]
     assert nxt.agent_positions[0] == pytest.approx(expected)
@@ -49,7 +48,7 @@ def test_speed_clamped_to_max(empty_scenario):
     sc = empty_scenario
     state = world.initial_state(sc)
     for _ in range(20):
-        state = world.step_dynamics(state, [ACTION_ACCEL_PX], sc)
+        state = world.step_dynamics_events(state, [ACTION_ACCEL_PX], sc)[0]
     assert float(np.hypot(*state.agent_velocities[0])) == pytest.approx(
         sc.agents[0].max_speed
     )
@@ -61,7 +60,7 @@ def test_wall_clip_stops_at_surface():
     sc = make_scenario([(1.0, 1.0)], [(2.0, 2.0)], walls=[((1.05, 0.5), (1.05, 1.5))])
     state = world.initial_state(sc)
     state.agent_velocities[0] = np.array([1.0, 0.0])
-    nxt = world.step_dynamics(state, [ACTION_IDLE], sc)
+    nxt = world.step_dynamics_events(state, [ACTION_IDLE], sc)[0]
     assert nxt.agent_positions[0] == pytest.approx([1.05, 1.0], abs=1e-6)
     assert nxt.agent_velocities[0] == pytest.approx([0.0, 0.0])
     assert nxt.agent_positions[0][0] < 1.05  # backed off, not penetrating
@@ -71,7 +70,7 @@ def test_wall_clip_keeps_tangential_velocity():
     sc = make_scenario([(1.0, 1.0)], [(2.0, 2.0)], walls=[((1.05, 0.5), (1.05, 1.5))])
     state = world.initial_state(sc)
     state.agent_velocities[0] = np.array([0.8, 0.5])  # below the speed clamp
-    nxt = world.step_dynamics(state, [ACTION_IDLE], sc)
+    nxt = world.step_dynamics_events(state, [ACTION_IDLE], sc)[0]
     assert nxt.agent_velocities[0] == pytest.approx([0.0, 0.5])
 
 
@@ -79,7 +78,7 @@ def test_obstacle_clip_stops_at_disc():
     sc = make_scenario([(1.0, 1.0)], [(2.0, 2.0)], obstacles=[((1.2, 1.0), 0.1)])
     state = world.initial_state(sc)
     state.agent_velocities[0] = np.array([1.0, 0.0])
-    nxt = world.step_dynamics(state, [ACTION_IDLE], sc)
+    nxt = world.step_dynamics_events(state, [ACTION_IDLE], sc)[0]
     # entry point of the ray into the disc is x = 1.2 - 0.1
     assert nxt.agent_positions[0] == pytest.approx([1.1, 1.0], abs=1e-6)
     assert nxt.agent_velocities[0][0] == pytest.approx(0.0)
@@ -89,7 +88,7 @@ def test_boundary_contains_agents(empty_scenario):
     sc = empty_scenario
     state = world.initial_state(sc)
     for _ in range(100):
-        state = world.step_dynamics(state, [ACTION_ACCEL_NX], sc)
+        state = world.step_dynamics_events(state, [ACTION_ACCEL_NX], sc)[0]
     assert state.agent_positions[0][0] >= 0.0
     assert float(np.hypot(*state.agent_velocities[0])) <= sc.agents[0].max_speed
 
@@ -116,7 +115,7 @@ def test_random_walk_invariants(seed):
     state = world.initial_state(sc)
     for _ in range(60):
         actions = rng.integers(0, 5, size=2)
-        state = world.step_dynamics(state, actions, sc)
+        state = world.step_dynamics_events(state, actions, sc)[0]
         for i in range(2):
             speed = float(np.hypot(*state.agent_velocities[i]))
             assert speed <= sc.agents[i].max_speed + 1e-12
@@ -134,7 +133,7 @@ def test_trajectory_determinism():
     def run():
         state = world.initial_state(sc)
         for a in actions:
-            state = world.step_dynamics(state, a, sc)
+            state = world.step_dynamics_events(state, a, sc)[0]
         return state
 
     s1, s2 = run(), run()
@@ -151,22 +150,23 @@ def test_trajectory_determinism():
 def test_sense_closed_ball_boundary():
     sc = make_scenario([(1.0, 1.0)], [(1.5, 1.0)], sensing_radius=0.5)
     state = world.initial_state(sc)
-    assert world.sense(state, sc, 0).tasks == (0,)
+    assert world.newly_visible_tasks(state, sc) == [0]
 
     sc2 = make_scenario([(1.0, 1.0)], [(1.5001, 1.0)], sensing_radius=0.5)
     state2 = world.initial_state(sc2)
-    assert world.sense(state2, sc2, 0).tasks == ()
+    assert world.newly_visible_tasks(state2, sc2) == []
 
 
 def test_sense_selective_visibility():
-    # Agent 0 sees only task 1 by direct distance computation.
+    # Agent 0 sees only task 1 and agent 1 only task 2; agent 2 sees nothing,
+    # so task 0 stays hidden.
     sc = make_scenario(
         [(0.5, 0.5), (2.0, 2.0), (0.5, 2.0)],
         [(2.0, 0.5), (0.8, 0.5), (2.2, 2.2)],
         sensing_radius=0.5,
     )
     state = world.initial_state(sc)
-    assert world.sense(state, sc, 0).tasks == (1,)
+    assert world.newly_visible_tasks(state, sc) == [1, 2]
 
 
 def test_discovery_flags_monotone():
@@ -255,59 +255,6 @@ def test_workload_conservation_identity():
         state = world.service_tick(state, sc, 0, 0)
         total = state.progress[0] + state.remaining_workloads[0]
         assert total == pytest.approx(1.3, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Occupancy and observations
-# ---------------------------------------------------------------------------
-
-
-def test_occupancy_values():
-    sc = make_scenario([(1.0, 1.0)], [(1.0, 1.0)])
-    state = world.initial_state(sc)
-    assert world.occupancy(state, sc, 0) == pytest.approx(1.0)
-
-    sc2 = make_scenario([(1.0, 1.0)], [(1.3, 1.0)])
-    assert world.occupancy(world.initial_state(sc2), sc2, 0) == pytest.approx(0.7)
-
-    sc3 = make_scenario([(0.3, 1.0)], [(1.7, 1.0)])
-    assert world.occupancy(world.initial_state(sc3), sc3, 0) == pytest.approx(-0.4)
-
-
-def test_observation_zero_when_nothing_visible():
-    sc = make_scenario([(0.3, 0.3)], [(2.2, 2.2)], sensing_radius=0.5)
-    obs = world.build_observation(world.initial_state(sc), sc, 0)
-    assert obs.shape == (world.observation_block_size(sc),)
-    assert np.all(obs == 0.0)
-
-
-def test_observation_block_fields():
-    sc = make_scenario(
-        [(1.0, 1.0)], [(1.5, 1.0)], preference_rows=[(0.8,)], weights=[2.5]
-    )
-    state = world.initial_state(sc)
-    obs = world.build_observation(state, sc, 0)
-    u = 0.97 ** 0.5 * 0.8
-    expected = [0.5, 0.0, u, 0.8, 1.0 - 0.5, -1.0, 2.5]
-    assert obs == pytest.approx(expected)
-
-
-def test_observation_padding_independent_of_hidden_order():
-    base = dict(sensing_radius=0.5, preference_rows=[(1.0,)] * 3)
-    a = make_scenario(
-        [(1.0, 1.0), (0.3, 2.2), (2.2, 0.3)],
-        [(1.2, 1.0), (0.3, 1.9), (2.2, 0.6)],
-        **base,
-    )
-    b = make_scenario(
-        [(1.0, 1.0), (0.3, 2.2), (2.2, 0.3)],
-        [(1.2, 1.0), (2.2, 0.6), (0.3, 1.9)],
-        **base,
-    )
-    block = world.observation_block_size(a)
-    obs_a = world.build_observation(world.initial_state(a), a, 0)
-    obs_b = world.build_observation(world.initial_state(b), b, 0)
-    assert np.array_equal(obs_a[:block], obs_b[:block])
 
 
 # ---------------------------------------------------------------------------
