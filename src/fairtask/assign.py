@@ -1,11 +1,13 @@
 """One-to-one assignment solvers and their brute-force oracles.
 
 Conventions: matrices are task-major with shape (m, n) = (tasks, agents);
-assignments map agents to tasks.  The weighted-log objective
-sum_j w_j * log(u[j, pi(j)]) is concave in utilities but reduces to a linear
-assignment over the score matrix s[j, i] = w_j * log(u[j, i] + eps) under
-one-to-one constraints, because each task's inner sum selects exactly one
-utility.  That reduction is what solve_eg exploits.
+assignments map agents to tasks.  solve_hungarian_max and solve_eg accept
+m <= n (every task served, n - m agents left idle); solve_minmax is square.
+The weighted-log objective sum_j w_j * log(u[j, pi(j)]) is concave in
+utilities but reduces to a linear assignment over the score matrix
+s[j, i] = w_j * log(u[j, i] + eps) under one-to-one constraints, because
+each task's inner sum selects exactly one utility.  That reduction is what
+solve_eg exploits.
 """
 
 from __future__ import annotations
@@ -46,25 +48,14 @@ class UtilityMatrix:
 
 
 @dataclass(eq=False)
-class ScoreMatrix:
-    scores: np.ndarray
-    epsilon: float
-
-
-@dataclass(eq=False)
 class Assignment:
-    task_of_agent: np.ndarray  # (n,) ints; a permutation when square
+    task_of_agent: np.ndarray  # (n,) ints; -1 marks an agent left unassigned
     objective: float
     rule: str
 
-    @property
-    def agent_of_task(self) -> np.ndarray:
-        inv = np.empty_like(self.task_of_agent)
-        inv[self.task_of_agent] = np.arange(len(self.task_of_agent))
-        return inv
-
     def pairs(self) -> list[tuple[int, int]]:
-        return [(i, int(j)) for i, j in enumerate(self.task_of_agent)]
+        """(agent, task) for every assigned agent, in ascending agent order."""
+        return [(i, int(j)) for i, j in enumerate(self.task_of_agent) if j >= 0]
 
 
 def _discounted(distances: np.ndarray, preferences: np.ndarray, alpha: float) -> np.ndarray:
@@ -92,26 +83,28 @@ def compute_utility(distances, preferences, alpha: float) -> UtilityMatrix:
     )
 
 
-def eg_score_matrix(u: UtilityMatrix, weights) -> ScoreMatrix:
+def eg_score_matrix(u: UtilityMatrix, weights) -> np.ndarray:
     """Linear scores s[j, i] = w_j * log(u[j, i] + eps) for the reduction."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
     if weights.shape[0] != u.values.shape[0]:
         raise ValueError("one weight per task required")
-    scores = weights[:, None] * np.log(u.values + EPSILON)
-    return ScoreMatrix(scores=scores, epsilon=EPSILON)
+    return weights[:, None] * np.log(u.values + EPSILON)
 
 
 def solve_hungarian_max(scores) -> Assignment:
-    """Exact max-total-score one-to-one assignment (square inputs only)."""
+    """Exact max-total-score assignment of every task to a distinct agent.
+
+    Takes m tasks by n agents with m <= n; the n - m agents left over get -1.
+    """
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ValueError(f"one-to-one assignment needs a square matrix, got {scores.shape}")
+    if scores.ndim != 2 or scores.shape[0] > scores.shape[1]:
+        raise ValueError(f"assignment needs no more tasks than agents, got {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
     rows, cols = linear_sum_assignment(scores, maximize=True)
-    task_of_agent = np.empty(scores.shape[1], dtype=int)
+    task_of_agent = np.full(scores.shape[1], -1, dtype=int)
     task_of_agent[cols] = rows
     return Assignment(
         task_of_agent=task_of_agent,
@@ -123,11 +116,12 @@ def solve_hungarian_max(scores) -> Assignment:
 def solve_eg(u: UtilityMatrix, weights) -> Assignment:
     """Maximize sum_j w_j log(u[j, pi(j)]) via the linear score reduction.
 
-    The reported objective is the exact weighted-log value of the chosen
-    permutation (no epsilon); it is -inf when some selected utility is zero.
+    Accepts m tasks by n agents with m <= n.  The reported objective is the
+    exact weighted-log value of the chosen assignment (no epsilon); it is
+    -inf when some selected utility is zero.
     """
     weights = np.asarray(weights, dtype=float)
-    base = solve_hungarian_max(eg_score_matrix(u, weights).scores)
+    base = solve_hungarian_max(eg_score_matrix(u, weights))
     asn = Assignment(task_of_agent=base.task_of_agent, objective=0.0, rule=RULE_EG)
     asn.objective = eg_objective(asn, u, weights)
     return asn

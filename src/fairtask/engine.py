@@ -274,12 +274,9 @@ def run_centralized_episode(
     """
     grid = pathfind.build_nav_grid(sc, resolution)
     provider = pathfind.DistanceProvider(grid)
-    d_star = provider.pairwise(sc.task_positions(), sc.agent_positions())
-    prefs = world.preference_matrix(sc)
+    u_star, optimum, u0 = metrics.centralized_optimum(sc, provider)
+    d_star, prefs = u0.distances, u0.preferences
     weights = world.task_weights(sc)
-    u0 = assign.compute_utility(d_star, prefs, sc.alpha)
-    u_star, optimum = metrics.centralized_optimum(sc, provider)
-    # The optimum is the EG solution of this same utility matrix.
     if rule == assign.RULE_EG:
         solution = optimum
     else:

@@ -84,16 +84,19 @@ def jain(values) -> float:
     return total * total / (values.size * sq)
 
 
-def centralized_optimum(sc: world.Scenario, provider) -> tuple[float, assign.Assignment]:
-    """Full-information optimum of the weighted-log objective.
+def centralized_optimum(
+    sc: world.Scenario, provider
+) -> tuple[float, assign.Assignment, assign.UtilityMatrix]:
+    """Full-information optimum U* of the weighted-log objective.
 
     Utilities come from shortest-path distances at initial positions with
     the scenario's alpha; the provider supplies pairwise(task_pos, agent_pos).
+    Returns U*, the EG solution and the utility matrix it was solved on.
     """
     d = provider.pairwise(sc.task_positions(), sc.agent_positions())
     u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
     solution = assign.solve_eg(u, world.task_weights(sc))
-    return solution.objective, solution
+    return solution.objective, solution, u
 
 
 def realized_value(result: EpisodeResult) -> float:

@@ -3,14 +3,14 @@
 Free agents sweep a shared lattice (spacing = half the smallest sensing
 radius), sampling targets with a distance softmax.  Whenever the pool of
 discovered-but-unassigned tasks reaches k (or everything is discovered),
-the best k-agent subset by weighted-log objective is committed to those
-tasks.  Episodes run on engine.run_episode; ExplorationPolicy is the hook
-that steers uncommitted agents, discovers tasks and triggers commitments.
+one rectangular weighted-log solve over the pending tasks and all free
+agents picks the agent subset and its tasks together, and commits them.
+Episodes run on engine.run_episode; ExplorationPolicy is the hook that
+steers uncommitted agents, discovers tasks and triggers commitments.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,11 +110,14 @@ def select_subset_and_assign(
 ) -> PartialAssignment:
     """Best agent subset for the pending tasks by weighted-log objective.
 
-    Enumerates every |pending|-sized subset of the free agents, solves the
-    one-to-one weighted-log assignment on each (shortest-path distances from
-    current positions), and commits the argmax.  Ties go to the earliest
-    subset in lexicographic agent order.  The C(t, k) enumeration is exact
-    and unpruned; practical up to roughly t <= 20, k <= 7.
+    Choosing which |pending| free agents serve and which task each takes is
+    one rectangular linear assignment over the |pending| x |free| EG scores
+    (shortest-path distances from current positions), so a single solve_eg
+    picks both.  Among equal scores the choice is whatever scipy's
+    linear_sum_assignment returns; with one pending task and two agents at
+    equal scores, the lower agent index wins.  When every choice serves some
+    task at zero utility (objective -inf), the solve still commits the
+    assignment with the highest eps-smoothed score.
     """
     pending = sorted(pending_tasks)
     free = sorted(free_agents)
@@ -122,23 +125,14 @@ def select_subset_and_assign(
         raise RuntimeError(f"{len(pending)} pending tasks exceed the threshold {k}")
     if len(pending) == k and len(free) < k:
         raise RuntimeError("fewer free agents than the subset size")
-    size = len(pending)
-    prefs = world.preference_matrix(sc)
-    weights = world.task_weights(sc)
-    task_pos = sc.task_positions()[pending]
-
-    best: PartialAssignment | None = None
-    for subset in itertools.combinations(free, size):
-        d = provider.pairwise(task_pos, agent_positions[list(subset)])
-        u = assign.compute_utility(d, prefs[np.ix_(pending, list(subset))], sc.alpha)
-        solution = assign.solve_eg(u, weights[pending])
-        if best is None or solution.objective > best.objective:
-            pairs = tuple(
-                (subset[i], pending[int(solution.task_of_agent[i])]) for i in range(size)
-            )
-            best = PartialAssignment(pairs=pairs, agents=subset, objective=solution.objective)
-    assert best is not None
-    return best
+    d = provider.pairwise(sc.task_positions()[pending], agent_positions[free])
+    prefs = world.preference_matrix(sc)[np.ix_(pending, free)]
+    u = assign.compute_utility(d, prefs, sc.alpha)
+    solution = assign.solve_eg(u, world.task_weights(sc)[pending])
+    pairs = tuple((free[i], pending[j]) for i, j in solution.pairs())
+    return PartialAssignment(
+        pairs=pairs, agents=tuple(a for a, _ in pairs), objective=solution.objective
+    )
 
 
 def _next_reachable_target(emap, nav, pos, rng):
@@ -236,7 +230,7 @@ def run_online_episode(
         raise ValueError(f"k must lie in [1, {sc.n_agents}], got {k}")
     grid = pathfind.build_nav_grid(sc, resolution)
     provider = pathfind.DistanceProvider(grid)
-    u_star, _ = metrics.centralized_optimum(sc, provider)
+    u_star, _, _ = metrics.centralized_optimum(sc, provider)
     ep = engine.Episode(sc, grid)
     policy = ExplorationPolicy(sc, grid, provider, k, rng)
     policy.observe(ep)  # initial sensing before any motion

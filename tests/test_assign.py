@@ -55,20 +55,20 @@ def test_utility_rebuild_invariant(rng):
 def test_score_matrix_values():
     u = assign.compute_utility([[0.0]], [[1.0]], 0.97)  # utility exactly 1
     s = assign.eg_score_matrix(u, [1.0])
-    assert 0.0 < s.scores[0, 0] < 2e-12  # log(1 + eps) ~ eps
+    assert 0.0 < s[0, 0] < 2e-12  # log(1 + eps) ~ eps
 
     u0 = assign.compute_utility([[math.inf]], [[1.0]], 0.97)  # utility 0
     s0 = assign.eg_score_matrix(u0, [2.0])
-    assert s0.scores[0, 0] == pytest.approx(2.0 * math.log(assign.EPSILON))
-    assert math.isfinite(s0.scores[0, 0])
+    assert s0[0, 0] == pytest.approx(2.0 * math.log(assign.EPSILON))
+    assert math.isfinite(s0[0, 0])
 
 
 def test_score_rows_linear_in_weight(rng):
     u, w = random_instance(rng, 4)
-    s1 = assign.eg_score_matrix(u, w).scores
+    s1 = assign.eg_score_matrix(u, w)
     w2 = w.copy()
     w2[2] *= 2.0
-    s2 = assign.eg_score_matrix(u, w2).scores
+    s2 = assign.eg_score_matrix(u, w2)
     assert np.array_equal(s2[2], 2.0 * s1[2])
     assert np.array_equal(s2[0], s1[0])
 
@@ -115,9 +115,42 @@ def test_hungarian_constant_shift_invariance(rng):
 
 def test_hungarian_rejects_bad_input():
     with pytest.raises(ValueError):
-        assign.solve_hungarian_max(np.ones((2, 3)))
+        assign.solve_hungarian_max(np.ones((3, 2)))  # more tasks than agents
     with pytest.raises(ValueError):
         assign.solve_hungarian_max(np.array([[1.0, math.inf], [0.0, 1.0]]))
+
+
+def _best_injective_sum(scores):
+    """Exhaustive max of sum_j scores[j, a_j] over distinct agents a_j (m <= n)."""
+    m, n = scores.shape
+    return max(
+        float(scores[np.arange(m), list(agents)].sum())
+        for agents in itertools.permutations(range(n), m)
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(1, 6), st.integers(1, 6)).map(sorted),
+)
+@settings(max_examples=60, deadline=None)
+def test_rectangular_solvers_match_exhaustive_oracle(seed, dims):
+    m, n = dims
+    rng = np.random.default_rng(seed)
+    scores = rng.normal(size=(m, n))
+    u = assign.compute_utility(
+        rng.uniform(0.0, 3.0, size=(m, n)), rng.uniform(0.2, 1.0, size=(m, n)), 0.97
+    )
+    w = rng.uniform(0.5, 2.0, size=m)
+    for res, best in (
+        (assign.solve_hungarian_max(scores), _best_injective_sum(scores)),
+        (assign.solve_eg(u, w), _best_injective_sum(w[:, None] * np.log(u.values))),
+    ):
+        served = res.task_of_agent[res.task_of_agent >= 0]
+        assert sorted(served.tolist()) == list(range(m))  # one-to-one, every task served
+        assert np.count_nonzero(res.task_of_agent == -1) == n - m
+        assert [t for _, t in res.pairs()] == served.tolist()
+        assert res.objective == pytest.approx(best, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +216,7 @@ def test_reduction_soundness(rng):
     for _ in range(50):
         u, w = random_instance(rng, 4)
         assert np.all(u.values > 1e-6)
-        perm_lin, _ = assign.brute_force_max_sum(assign.eg_score_matrix(u, w).scores)
+        perm_lin, _ = assign.brute_force_max_sum(assign.eg_score_matrix(u, w))
         perm_log, _ = assign.brute_force_eg(u, w)
         assert np.array_equal(perm_lin, perm_log)
 

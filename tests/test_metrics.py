@@ -129,7 +129,7 @@ def test_centralized_optimum_single_pair():
                        weights=[2.0])
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
-    u_star, solution = metrics.centralized_optimum(sc, provider)
+    u_star, solution, _ = metrics.centralized_optimum(sc, provider)
     d = provider.distance(sc.tasks[0].position, sc.agents[0].start_position)
     assert u_star == pytest.approx(2.0 * math.log(0.97**d * 0.8))
     assert solution.task_of_agent.tolist() == [0]
@@ -141,7 +141,7 @@ def test_centralized_optimum_near_euclidean_on_empty_map(rng):
     sc = world.generate_scenario(4, 2.5, n_obstacles=0, n_walls=0, seed=31)
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
-    u_star, _ = metrics.centralized_optimum(sc, provider)
+    u_star, _, _ = metrics.centralized_optimum(sc, provider)
 
     deltas = sc.task_positions()[:, None, :] - sc.agent_positions()[None, :, :]
     d_euc = np.hypot(deltas[..., 0], deltas[..., 1])

@@ -156,6 +156,55 @@ def test_subset_choice_matches_exhaustive_oracle():
     assert pa.objective == pytest.approx(obj, abs=1e-9)
 
 
+def _random_triggers(count, seed):
+    """Random triggers on generated N <= 8 scenarios, agents on free cells."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 9))
+        sc = world.generate_scenario(n, 2.7, seed=int(rng.integers(2**31)))
+        grid = pathfind.build_nav_grid(sc)
+        cells = np.argwhere(~grid.blocked)
+        positions = np.array(
+            [grid.center(tuple(c)) for c in cells[rng.choice(len(cells), n)]]
+        )
+        free = sorted(rng.choice(n, int(rng.integers(1, n + 1)), replace=False).tolist())
+        pending = sorted(
+            rng.choice(n, int(rng.integers(1, len(free) + 1)), replace=False).tolist()
+        )
+        k = int(rng.integers(len(pending), n + 1))
+        yield sc, pathfind.DistanceProvider(grid), free, pending, k, positions
+
+
+def test_subset_choice_matches_oracle_on_random_triggers():
+    for sc, provider, free, pending, k, positions in _random_triggers(40, seed=5):
+        pa = online.select_subset_and_assign(free, pending, k, sc, provider, positions)
+        subset, obj = _subset_oracle(free, pending, sc, provider, positions)
+        assert pa.agents == subset
+        assert pa.objective == pytest.approx(obj, abs=1e-9)
+        assert sorted(t for _, t in pa.pairs) == pending
+
+
+def test_one_solve_and_one_distance_matrix_per_trigger(monkeypatch):
+    calls = {"solve_eg": 0, "pairwise": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(assign, "solve_eg", counted("solve_eg", assign.solve_eg))
+    monkeypatch.setattr(
+        pathfind.DistanceProvider,
+        "pairwise",
+        counted("pairwise", pathfind.DistanceProvider.pairwise),
+    )
+    for sc, provider, free, pending, k, positions in _random_triggers(10, seed=6):
+        calls.update(solve_eg=0, pairwise=0)
+        online.select_subset_and_assign(free, pending, k, sc, provider, positions)
+        assert calls == {"solve_eg": 1, "pairwise": 1}
+
+
 def test_subset_tie_breaks_lexicographically():
     # Two agents mirror-symmetric about the task column: identical distances
     # and preferences give exactly equal objectives; the lower index wins.
@@ -200,7 +249,7 @@ def test_all_visible_k_equals_n_matches_centralized():
     assert trig.time == 0.0
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
-    _, solution = metrics.centralized_optimum(sc, provider)
+    _, solution, _ = metrics.centralized_optimum(sc, provider)
     assert sorted(trig.pairs) == sorted(solution.pairs())
 
 
