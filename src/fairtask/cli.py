@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fairtask import engine, world
+from fairtask import engine, pathfind, world
 
 SCENARIO_FORMAT_VERSION = 1
 OUT_DIR_ENV = "FAIRTASK_OUT_DIR"
@@ -41,26 +41,18 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    command: str
     algorithm: str | None
     algorithms: tuple[str, ...]
     k: int | None
     k_values: tuple[int, ...]
     episodes: int
     root_seed: int
-    alpha: float
     out_dir: Path
     scenario: world.Scenario | None
     generator: dict | None
     parallel: int
     execution: str
     dump_json: bool
-
-    @property
-    def n_agents(self) -> int:
-        if self.scenario is not None:
-            return self.scenario.n_agents
-        return int(self.generator["n_agents"])
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +145,7 @@ def load_scenario(path: Path | str, alpha_override: float | None = None) -> worl
     return sc
 
 
-def _parse_generate(text: str, alpha: float) -> dict:
+def _parse_generate(text: str, alpha: float | None) -> dict:
     """Parse 'N=7,map=2.7,...' generator shorthand into generator kwargs."""
     keymap = {
         "N": ("n_agents", int),
@@ -182,9 +174,19 @@ def _parse_generate(text: str, alpha: float) -> dict:
             raise ConfigError(f"--generate: bad value for {key}: {value!r}") from err
     if "n_agents" not in out:
         raise ConfigError("--generate requires N=<count>")
+    if out["n_agents"] < 1:
+        raise ConfigError("--generate: N must be >= 1")
     if "map_size" not in out and out["n_agents"] not in world.DEFAULT_MAP_SIZES:
         raise ConfigError("--generate requires map=<size> for this N")
-    out["alpha"] = alpha
+    for key, name in (("map", "map_size"), ("speed", "max_speed"), ("dt", "dt")):
+        if name in out and not out[name] > 0:
+            raise ConfigError(f"--generate: {key} must be positive")
+    if "sensing_radius" in out and not out["sensing_radius"] >= pathfind.DEFAULT_RESOLUTION:
+        raise ConfigError(
+            f"--generate: sensing must be >= the grid resolution {pathfind.DEFAULT_RESOLUTION}"
+        )
+    if alpha is not None:
+        out["alpha"] = alpha
     return out
 
 
@@ -387,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--episodes", type=int, default=100)
         p.add_argument("--seed", type=int, default=0, help="root seed")
-        p.add_argument("--alpha", type=float, default=0.97)
+        p.add_argument("--alpha", type=float,
+                       help="overrides a scenario file's alpha (generated: 0.97)")
         p.add_argument("--out", default="out", help=f"output dir (env {OUT_DIR_ENV} overrides)")
         p.add_argument("--parallel", type=int, default=1)
         p.add_argument(
@@ -419,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if not 0.0 < args.alpha < 1.0:
+    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
         raise ConfigError(f"alpha must lie in (0, 1), got {args.alpha}")
     if args.episodes < 1:
         raise ConfigError("episodes must be >= 1")
@@ -442,6 +445,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         bad = [a for a in algorithms if a not in _ALGORITHMS]
         if bad:
             raise ConfigError(f"unknown algorithms: {', '.join(bad)}")
+    runs_online = args.command == "sweep-k" or "online" in (algorithm, *algorithms)
+    if runs_online and args.execution == engine.EXECUTION_TELEPORT:
+        raise ConfigError("--execution teleport applies to centralized rules only, not online")
 
     k = getattr(args, "k", None)
     k_values: tuple[int, ...] = ()
@@ -469,19 +475,17 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
     out_dir = Path(os.environ.get(OUT_DIR_ENV) or args.out)
     return ExperimentConfig(
-        command=args.command,
         algorithm=algorithm,
         algorithms=algorithms,
         k=k,
         k_values=k_values,
         episodes=args.episodes,
         root_seed=args.seed,
-        alpha=args.alpha,
         out_dir=out_dir,
         scenario=scenario,
         generator=generator,
         parallel=args.parallel,
-        execution=getattr(args, "execution", "scripted"),
+        execution=args.execution,
         dump_json=bool(getattr(args, "dump_json", False)),
     )
 

@@ -261,8 +261,6 @@ def run_centralized_episode(
     *,
     execution: str = EXECUTION_SCRIPTED,
     constants: RewardConstants | None = None,
-    step_cap: int = DEFAULT_STEP_CAP,
-    resolution: float = pathfind.DEFAULT_RESOLUTION,
     with_trace: bool = False,
 ):
     """Solve the chosen rule at t=0, execute, and summarize the episode.
@@ -272,9 +270,7 @@ def run_centralized_episode(
     Returns an EpisodeResult, or (EpisodeResult, PolicyTrace) with with_trace;
     constants only shape the trace's rewards.
     """
-    grid = pathfind.build_nav_grid(sc, resolution)
-    provider = pathfind.DistanceProvider(grid)
-    u_star, optimum, u0 = metrics.centralized_optimum(sc, provider)
+    u_star, optimum, u0 = metrics.centralized_optimum(sc, sc.distances)
     d_star, prefs = u0.distances, u0.preferences
     weights = world.task_weights(sc)
     if rule == assign.RULE_EG:
@@ -288,12 +284,12 @@ def run_centralized_episode(
     if execution != EXECUTION_SCRIPTED:
         raise ValueError(f"unknown execution mode {execution!r}")
 
-    ep = Episode(sc, grid)
+    ep = Episode(sc)
     for task in range(sc.n_tasks):
         ep.discover(task)  # centralized rules see everything
     ep.commit(solution.pairs())
     trace = PolicyTrace() if with_trace else None
-    result = run_episode(ep, rule, u_star, step_cap, trace=trace,
+    result = run_episode(ep, rule, u_star, DEFAULT_STEP_CAP, trace=trace,
                          constants=constants or RewardConstants())
     return (result, trace) if with_trace else result
 
@@ -341,10 +337,10 @@ class Episode:
     drive this one object through discover() and commit().
     """
 
-    def __init__(self, sc: world.Scenario, grid: pathfind.NavGrid):
+    def __init__(self, sc: world.Scenario):
         self.sc = sc
         self.state = world.initial_state(sc)
-        self.navs = [Navigator(grid) for _ in range(sc.n_agents)]
+        self.navs = [Navigator(sc.distances.grid) for _ in range(sc.n_agents)]
         self.task_of: dict[int, int] = {}
         self.dist_at_assign = np.zeros(sc.n_agents)
         self.discovery_times = np.full(sc.n_tasks, math.nan)
@@ -505,21 +501,16 @@ class BatchResult:
 
 
 def _run_one_episode(args) -> metrics.EpisodeResult:
-    (index, root_seed, algorithm, k, generator, scenario,
-     execution, step_cap, resolution) = args
+    index, root_seed, algorithm, k, generator, scenario, execution = args
     seed = episode_seed(root_seed, index)
     sc = scenario if scenario is not None else world.generate_scenario(seed=seed, **generator)
     if algorithm == "online":
         from fairtask import online  # deferred: online builds on this module
 
         rng = np.random.default_rng([seed, 1])
-        result = online.run_online_episode(
-            sc, k, rng, step_cap=step_cap, resolution=resolution
-        )
+        result = online.run_online_episode(sc, k, rng)
     else:
-        result = run_centralized_episode(
-            sc, algorithm, execution=execution, step_cap=step_cap, resolution=resolution
-        )
+        result = run_centralized_episode(sc, algorithm, execution=execution)
         result.k = k
     result.episode = index
     result.seed = seed
@@ -535,8 +526,6 @@ def batch_run(
     scenario: world.Scenario | None = None,
     k: int | None = None,
     execution: str = EXECUTION_SCRIPTED,
-    step_cap: int = DEFAULT_STEP_CAP,
-    resolution: float = pathfind.DEFAULT_RESOLUTION,
     parallel: int = 1,
 ) -> BatchResult:
     """Run a seeded episode family and aggregate summary statistics.
@@ -555,8 +544,7 @@ def batch_run(
         if k is None or not 1 <= k <= n:
             raise ValueError(f"online runs need 1 <= k <= {n}")
     jobs = [
-        (i, root_seed, algorithm, k, generator, scenario,
-         execution, step_cap, resolution)
+        (i, root_seed, algorithm, k, generator, scenario, execution)
         for i in range(episodes)
     ]
     if parallel > 1:

@@ -155,9 +155,8 @@ def _next_reachable_target(emap, nav, pos, rng):
 class ExplorationPolicy:
     """engine.run_episode policy: free agents explore, discoveries trigger commits."""
 
-    def __init__(self, sc, grid, provider, k: int, rng: np.random.Generator):
-        self.emap = init_lattice(sc, grid)
-        self.provider = provider
+    def __init__(self, sc: world.Scenario, k: int, rng: np.random.Generator):
+        self.emap = init_lattice(sc, sc.distances.grid)
         self.k = k
         self.rng = rng
         self.targets: dict[int, np.ndarray] = {}
@@ -197,7 +196,7 @@ class ExplorationPolicy:
                 continue
             free = [i for i in range(sc.n_agents) if i not in ep.task_of]
             partial = select_subset_and_assign(
-                free, pending, self.k, sc, self.provider, state.agent_positions
+                free, pending, self.k, sc, sc.distances, state.agent_positions
             )
             self.triggers.append(
                 TriggerRecord(
@@ -216,9 +215,6 @@ def run_online_episode(
     sc: world.Scenario,
     k: int,
     rng: np.random.Generator,
-    *,
-    step_cap: int = engine.DEFAULT_STEP_CAP,
-    resolution: float = pathfind.DEFAULT_RESOLUTION,
 ) -> metrics.EpisodeResult:
     """Alternate exploration and assignment until every task is served.
 
@@ -228,13 +224,11 @@ def run_online_episode(
     """
     if not 1 <= k <= sc.n_agents:
         raise ValueError(f"k must lie in [1, {sc.n_agents}], got {k}")
-    grid = pathfind.build_nav_grid(sc, resolution)
-    provider = pathfind.DistanceProvider(grid)
-    u_star, _, _ = metrics.centralized_optimum(sc, provider)
-    ep = engine.Episode(sc, grid)
-    policy = ExplorationPolicy(sc, grid, provider, k, rng)
+    u_star, _, _ = metrics.centralized_optimum(sc, sc.distances)
+    ep = engine.Episode(sc)
+    policy = ExplorationPolicy(sc, k, rng)
     policy.observe(ep)  # initial sensing before any motion
-    result = engine.run_episode(ep, "online", u_star, step_cap, policy=policy)
+    result = engine.run_episode(ep, "online", u_star, engine.DEFAULT_STEP_CAP, policy=policy)
     result.k = k
     result.online_triggers = tuple(policy.triggers)
     return result

@@ -8,6 +8,7 @@ states and never mutate their input.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,6 +80,23 @@ class Scenario:
     @property
     def n_tasks(self) -> int:
         return len(self.tasks)
+
+    @functools.cached_property
+    def distances(self):
+        """pathfind.DistanceProvider on the default-resolution grid (`.grid`).
+
+        Built once per object: the generator's connectivity check, U* and
+        every assignment solve share its grid and cached distance fields.
+        Raises pathfind.GridPlacementError if an entity is in a blocked cell.
+        """
+        from fairtask import pathfind  # deferred: pathfind depends on this module
+
+        return pathfind.DistanceProvider(pathfind.build_nav_grid(self))
+
+    def __getstate__(self) -> dict:
+        # Pickles (one per job of a parallel batch) leave out the distance
+        # cache, ~6 MB for a generated N=40 scenario; it is rebuilt on demand.
+        return {k: v for k, v in self.__dict__.items() if k != "distances"}
 
     def agent_positions(self) -> np.ndarray:
         return np.array([a.start_position for a in self.agents], dtype=float)
@@ -443,21 +461,13 @@ def generate_scenario(
         if sc is None:
             continue
         try:
-            grid = pathfind.build_nav_grid(sc, pathfind.DEFAULT_RESOLUTION)
+            d = sc.distances.pairwise(sc.task_positions(), sc.agent_positions())
         except pathfind.GridPlacementError as err:
             last_err = err
             continue
-        if _fully_connected(sc, grid):
+        if np.all(np.isfinite(d)):
             return sc
     raise ScenarioError(f"could not generate a usable scenario (last: {last_err})")
-
-
-def _fully_connected(sc: Scenario, grid) -> bool:
-    from fairtask import pathfind
-
-    provider = pathfind.DistanceProvider(grid)
-    d = provider.pairwise(sc.task_positions(), sc.agent_positions())
-    return bool(np.all(np.isfinite(d)))
 
 
 def _sample_candidate(

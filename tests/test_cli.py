@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fairtask import cli, world
+from fairtask import cli, metrics, world
 
 DATA = Path(__file__).parent / "data"
 
@@ -46,6 +46,24 @@ def test_scenario_alpha_override(tmp_path):
     cli.save_scenario(sc, path)
     loaded = cli.load_scenario(path, alpha_override=0.9)
     assert loaded.alpha == 0.9
+
+
+@pytest.mark.parametrize("flag,alpha", [([], 0.9), (["--alpha", "0.97"], 0.97)],
+                         ids=["file-alpha", "flag-overrides"])
+def test_run_scenario_file_keeps_its_alpha_unless_flagged(tmp_path, flag, alpha):
+    sc = world.generate_scenario(3, 2.5, seed=123, alpha=0.9)
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(sc, path)
+    out = tmp_path / "out"
+    rc = run_cli([
+        "run", "--scenario", str(path), "--algorithm", "eg", "--execution", "teleport",
+        "--episodes", "1", "--out", str(out), "--dump-json", *flag,
+    ])
+    assert rc == 0
+    u_star, _, _ = metrics.centralized_optimum(
+        cli.load_scenario(path, alpha_override=alpha), sc.distances
+    )
+    assert json.loads((out / "results.json").read_text())[0]["U_star"] == u_star
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +257,44 @@ def test_exit_code_runtime_failure(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--algorithm", "online", "--k", "2"],
+        ["compare", "--algorithms", "eg,online", "--k", "2"],
+        ["sweep-k", "--k-values", "1,2"],
+    ],
+    ids=["run-online", "compare-with-online", "sweep-k"],
+)
+def test_teleport_rejected_for_online_runs(tmp_path, command):
+    out = tmp_path / "never"
+    rc = run_cli([
+        *command, "--generate", "N=3,map=2.5", "--execution", "teleport",
+        "--episodes", "1", "--out", str(out),
+    ])
+    assert rc == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ("N=0,map=2.5", "N"),
+        ("N=3,map=-1", "map"),
+        ("N=3,map=2.5,speed=0", "speed"),
+        ("N=3,map=2.5,dt=0", "dt"),
+        ("N=3,map=2.5,sensing=0.01", "sensing"),
+    ],
+)
+def test_bad_generator_values_are_config_errors(tmp_path, capsys, spec, key):
+    rc = run_cli([
+        "run", "--generate", spec, "--algorithm", "eg",
+        "--episodes", "1", "--out", str(tmp_path / "x"),
+    ])
+    assert rc == 1
+    assert f"--generate: {key} " in capsys.readouterr().err
+
+
 def test_generate_spec_parsing():
     with pytest.raises(cli.ConfigError):
         cli._parse_generate("N=3,bogus=1", 0.97)
@@ -248,3 +304,4 @@ def test_generate_spec_parsing():
     assert parsed == dict(
         n_agents=7, map_size=2.7, n_obstacles=2, n_walls=1, alpha=0.9
     )
+    assert "alpha" not in cli._parse_generate("N=7", None)  # generator default applies

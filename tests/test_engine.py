@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from fairtask import cli, engine, metrics, pathfind, world
+from fairtask import cli, engine, metrics, online, pathfind, world
 from fairtask.engine import RewardConstants, StepEvents
 from fairtask.world import ACTION_IDLE
 
@@ -211,6 +211,36 @@ def test_minmax_optimizes_its_own_metric():
         assert bottlenecks["minmax"] <= bottlenecks["hungarian"] + 1e-12
 
 
+@pytest.mark.parametrize("mode", ["eg-scripted", "eg-teleport", "online-k3"])
+def test_episode_reuses_the_generated_grid_and_task_fields(monkeypatch, mode):
+    # The generator's connectivity check builds the scenario's grid and a
+    # Dijkstra field per task; the episode runs on those same objects.
+    sc = world.generate_scenario(7, 2.7, seed=42)
+    grid = pathfind.build_nav_grid(sc)
+    task_cells = {
+        grid.flat_index(pathfind.nearest_free_cell(grid, p)) for p in sc.task_positions()
+    }
+    builds, sources = [], []
+    build_nav_grid, sp_dijkstra = pathfind.build_nav_grid, pathfind._sp_dijkstra
+
+    def counted_build(*args, **kwargs):
+        builds.append(args)
+        return build_nav_grid(*args, **kwargs)
+
+    def counted_dijkstra(graph, *, indices, **kwargs):
+        sources.append(int(indices))
+        return sp_dijkstra(graph, indices=indices, **kwargs)
+
+    monkeypatch.setattr(pathfind, "build_nav_grid", counted_build)
+    monkeypatch.setattr(pathfind, "_sp_dijkstra", counted_dijkstra)
+    if mode == "online-k3":
+        online.run_online_episode(sc, 3, np.random.default_rng(0))
+    else:
+        engine.run_centralized_episode(sc, "eg", execution=mode.split("-")[1])
+    assert builds == []
+    assert task_cells.isdisjoint(sources)
+
+
 # ---------------------------------------------------------------------------
 # Batch running
 # ---------------------------------------------------------------------------
@@ -239,11 +269,18 @@ def test_batch_reruns_identically():
 
 
 @pytest.mark.parametrize(
-    "algorithm,k", [("eg", None), ("online", 2)], ids=["eg", "online-k2"]
+    "algorithm,k,fixed_scenario",
+    [("eg", None, False), ("online", 2, False), ("online", 2, True)],
+    ids=["eg", "online-k2", "online-k2-scenario"],
 )
-def test_batch_parallel_matches_serial(algorithm, k):
-    kw = dict(algorithm=algorithm, k=k, episodes=4, root_seed=19,
-              generator=dict(n_agents=3, map_size=2.5))
+def test_batch_parallel_matches_serial(algorithm, k, fixed_scenario):
+    if fixed_scenario:
+        # Serial episodes share the scenario's distance cache; each worker
+        # unpickles a copy without it and builds its own.
+        source = dict(scenario=world.generate_scenario(3, 2.5, seed=19))
+    else:
+        source = dict(generator=dict(n_agents=3, map_size=2.5))
+    kw = dict(algorithm=algorithm, k=k, episodes=4, root_seed=19, **source)
     serial = engine.batch_run(**kw, parallel=1)
     parallel = engine.batch_run(**kw, parallel=2)
     assert serial.summary == parallel.summary

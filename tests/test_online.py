@@ -243,7 +243,7 @@ def test_all_visible_k_equals_n_matches_centralized():
     # must equal the centralized weighted-log solve of the initial scenario.
     sc = world.generate_scenario(4, 2.5, sensing_radius=4.0, seed=51)
     rng = np.random.default_rng(0)
-    res = online.run_online_episode(sc, 4, rng, resolution=0.05)
+    res = online.run_online_episode(sc, 4, rng)
     assert len(res.online_triggers) == 1
     trig = res.online_triggers[0]
     assert trig.time == 0.0

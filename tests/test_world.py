@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -294,3 +295,14 @@ def test_generate_scenario_default_map_sizes():
     assert world.generate_scenario(3, seed=1).workspace_size == 2.5
     with pytest.raises(ValueError):
         world.generate_scenario(4, seed=1)
+
+
+def test_scenario_pickle_leaves_out_the_distance_cache():
+    sc = world.generate_scenario(3, 2.5, seed=1)  # the connectivity check fills the cache
+    assert "distances" in vars(sc)
+    copy = pickle.loads(pickle.dumps(sc))
+    assert copy == sc
+    assert "distances" not in vars(copy)
+    tasks, agents = sc.task_positions(), sc.agent_positions()
+    assert np.array_equal(copy.distances.pairwise(tasks, agents),
+                          sc.distances.pairwise(tasks, agents))
