@@ -10,7 +10,17 @@ Subpackage map:
     cli       -- command-line experiment front end
 """
 
-from fairtask import assign, cli, engine, metrics, online, pathfind, world
+import importlib
+
+from fairtask import assign, engine, metrics, online, pathfind, world
 
 __all__ = ["assign", "cli", "engine", "metrics", "online", "pathfind", "world"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    # `cli` loads on first use: importing it with the package would make
+    # `python -m fairtask.cli` find it in sys.modules before running it.
+    if name == "cli":
+        return importlib.import_module("fairtask.cli")
+    raise AttributeError(f"module 'fairtask' has no attribute {name!r}")

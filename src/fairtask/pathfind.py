@@ -9,6 +9,7 @@ they slightly overestimate Euclidean lengths -- uniformly for every caller.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ from fairtask import world
 
 DEFAULT_RESOLUTION = 0.05
 _SQRT2 = math.sqrt(2.0)
+_OCTILE = _SQRT2 - 1.0
 
 # 8-neighborhood: (dx, dy, diagonal?)
 _NEIGHBORS = (
@@ -62,6 +64,11 @@ class NavGrid:
 
     def flat_index(self, cell: tuple[int, int]) -> int:
         return cell[0] * self.dims[1] + cell[1]
+
+    @functools.cached_property
+    def blocked_flat(self) -> list[bool]:
+        """`blocked` as a Python list indexed by flat_index, for the A* loop."""
+        return self.blocked.ravel().tolist()
 
 
 def build_nav_grid(sc: world.Scenario, resolution: float = DEFAULT_RESOLUTION) -> NavGrid:
@@ -118,12 +125,6 @@ def _segment_distance_field(cx, cy, x1, y1, x2, y2):
     return np.hypot(cx - (x1 + t * vx), cy - (y1 + t * vy))
 
 
-def _diagonal_ok(blocked, a: tuple[int, int], b: tuple[int, int]) -> bool:
-    # Forbid corner cutting: both orthogonal companions of a diagonal move
-    # must be free, otherwise a zero-width wall could be crossed.
-    return not blocked[a[0], b[1]] and not blocked[b[0], a[1]]
-
-
 def shortest_path_distance(grid: NavGrid, a, b) -> float:
     """Octile A* distance between the snapped endpoint cells.
 
@@ -140,7 +141,11 @@ def shortest_path_distance(grid: NavGrid, a, b) -> float:
 
 
 def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
-    """Octile A* cell path from a's cell to b's cell, or None when disconnected."""
+    """Octile A* cell path from a's cell to b's cell, or None when disconnected.
+
+    Cells are flat indices ix * ny + iy; the heap key (f, h, flat index)
+    breaks ties the same way a key ending in the (ix, iy) tuple would.
+    """
     start = grid.cell_of(a)
     goal = grid.cell_of(b)
     if grid.blocked[start] or grid.blocked[goal]:
@@ -149,40 +154,54 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
         return [start]
     nx, ny = grid.dims
     res = grid.resolution
-    blocked = grid.blocked
+    blocked = grid.blocked_flat
+    gx, gy = goal
+    goal_flat = grid.flat_index(goal)
+    start_flat = grid.flat_index(start)
+    # (dx, dy, flat offset, diagonal?, step cost) in _NEIGHBORS order.
+    moves = [
+        (dx, dy, dx * ny + dy, diag, res * _SQRT2 if diag else res)
+        for dx, dy, diag in _NEIGHBORS
+    ]
+    hx, hy = abs(start[0] - gx), abs(start[1] - gy)
+    h0 = res * (max(hx, hy) + _OCTILE * min(hx, hy))
 
-    def h(cell):
-        dx = abs(cell[0] - goal[0])
-        dy = abs(cell[1] - goal[1])
-        return res * (max(dx, dy) + (_SQRT2 - 1.0) * min(dx, dy))
-
-    g_best = {start: 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    frontier = [(h(start), h(start), grid.flat_index(start), start)]
-    closed: set[tuple[int, int]] = set()
+    g_best = {start_flat: 0.0}
+    parent: dict[int, int] = {}
+    frontier = [(h0, h0, start_flat)]
+    closed: set[int] = set()
+    heappop, heappush = heapq.heappop, heapq.heappush
+    inf = math.inf
     while frontier:
-        _, _, _, cell = heapq.heappop(frontier)
-        if cell in closed:
+        cur = heappop(frontier)[2]
+        if cur in closed:
             continue
-        if cell == goal:
-            path = [cell]
-            while path[-1] != start:
+        if cur == goal_flat:
+            path = [cur]
+            while path[-1] != start_flat:
                 path.append(parent[path[-1]])
-            return path[::-1]
-        closed.add(cell)
-        cg = g_best[cell]
-        for dx, dy, diag in _NEIGHBORS:
-            nxt = (cell[0] + dx, cell[1] + dy)
-            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny):
+            return [divmod(f, ny) for f in reversed(path)]
+        closed.add(cur)
+        cg = g_best[cur]
+        cx, cy = divmod(cur, ny)
+        for dx, dy, offset, diag, cost in moves:
+            x, y = cx + dx, cy + dy
+            if not (0 <= x < nx and 0 <= y < ny):
                 continue
-            if blocked[nxt] or (diag and not _diagonal_ok(blocked, cell, nxt)):
+            nxt = cur + offset
+            # A diagonal move needs both orthogonal companions free, or it
+            # could cut a corner across a zero-width wall.
+            if blocked[nxt] or (diag and (blocked[cur + dy] or blocked[cur + dx * ny])):
                 continue
-            ng = cg + (res * _SQRT2 if diag else res)
-            if ng < g_best.get(nxt, math.inf):
+            ng = cg + cost
+            if ng < g_best.get(nxt, inf):
                 g_best[nxt] = ng
-                parent[nxt] = cell
-                hh = h(nxt)
-                heapq.heappush(frontier, (ng + hh, hh, grid.flat_index(nxt), nxt))
+                parent[nxt] = cur
+                # res * (max + (sqrt2 - 1) * min) of the cell offsets to the goal.
+                hx = x - gx if x >= gx else gx - x
+                hy = y - gy if y >= gy else gy - y
+                hh = res * (hx + _OCTILE * hy) if hx >= hy else res * (hy + _OCTILE * hx)
+                heappush(frontier, (ng + hh, hh, nxt))
     return None
 
 
@@ -269,10 +288,14 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
             if _segment_hits_disc(a, b, cx, cy, r):
                 return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
-    for k in range(steps + 1):
-        if not grid.is_free(a + (b - a) * (k / steps)):
-            return False
-    return True
+    t = np.arange(steps + 1) / steps
+    pts = a + (b - a) * t[:, None]
+    # astype truncates toward zero, as int() does in NavGrid.cell_of.
+    cells = ((pts - grid.origin) / grid.resolution).astype(np.int64)
+    nx, ny = grid.dims
+    ix = np.clip(cells[:, 0], 0, nx - 1)
+    iy = np.clip(cells[:, 1], 0, ny - 1)
+    return not grid.blocked[ix, iy].any()
 
 
 def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:

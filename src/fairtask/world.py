@@ -27,6 +27,7 @@ MIN_CLEARANCE = 0.1      # rejection-sampling clearance used by the generator
 
 _WALL_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _SURFACE_BACKOFF = 1e-9  # stop just short of a hit surface to avoid re-penetration
+_BOX_PAD = 1e-9          # broad-phase slack around wall and disc boxes
 
 
 class ScenarioError(ValueError):
@@ -93,10 +94,16 @@ class Scenario:
 
         return pathfind.DistanceProvider(pathfind.build_nav_grid(self))
 
+    @functools.cached_property
+    def motion(self) -> "MotionGeometry":
+        """Walls (boundary included) and discs with their boxes, for motion clipping."""
+        return MotionGeometry(self)
+
     def __getstate__(self) -> dict:
-        # Pickles (one per job of a parallel batch) leave out the distance
-        # cache, ~6 MB for a generated N=40 scenario; it is rebuilt on demand.
-        return {k: v for k, v in self.__dict__.items() if k != "distances"}
+        # Pickles (one per job of a parallel batch) leave out every cached
+        # property: the distance cache alone is ~6 MB for a generated N=40
+        # scenario.  Each is rebuilt on demand.
+        return {k: v for k, v in self.__dict__.items() if k not in _CACHED_PROPERTIES}
 
     def agent_positions(self) -> np.ndarray:
         return np.array([a.start_position for a in self.agents], dtype=float)
@@ -118,6 +125,38 @@ class Scenario:
         if not segs:
             return np.zeros((0, 2, 2))
         return np.array(segs, dtype=float)
+
+
+_CACHED_PROPERTIES = frozenset(
+    name for name, attr in vars(Scenario).items()
+    if isinstance(attr, functools.cached_property)
+)
+
+
+class MotionGeometry:
+    """A scenario's clipping geometry, built once per Scenario (`Scenario.motion`).
+
+    Boxes are (xmin, xmax, ymin, ymax) in Python floats, padded by
+    _BOX_PAD.  A wall or disc hit needs a contact point on both the motion
+    segment and the shape, so a shape whose box misses the segment's box
+    cannot be hit and the exact test may skip it.
+    """
+
+    def __init__(self, sc: Scenario) -> None:
+        self.walls = sc.wall_segments(include_boundary=True)
+        self.wall_boxes = [
+            _padded_box(min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
+            for (x1, y1), (x2, y2) in self.walls.tolist()
+        ]
+        self.discs = [
+            (np.array([cx, cy]), r, _padded_box(cx - r, cx + r, cy - r, cy + r))
+            for (cx, cy), r in sc.obstacles
+        ]
+        self.pairs = np.triu_indices(sc.n_agents, 1)  # agent pairs (i, k), i < k
+
+
+def _padded_box(x0, x1, y0, y1) -> tuple[float, float, float, float]:
+    return (x0 - _BOX_PAD, x1 + _BOX_PAD, y0 - _BOX_PAD, y1 + _BOX_PAD)
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -239,7 +278,7 @@ def step_dynamics_events(
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
     out = state.copy()
-    walls = sc.wall_segments(include_boundary=True)
+    geom = sc.motion
     events: list[CollisionEvent] = []
 
     for i in range(n):
@@ -251,7 +290,7 @@ def step_dynamics_events(
             v = v * (spec.max_speed / speed)
         p = out.agent_positions[i]
         disp = v * sc.dt
-        new_p, normal = _clip_motion(p, disp, walls, sc.obstacles)
+        new_p, normal = _clip_motion(p, disp, geom)
         if normal is not None:
             kind, n_hat = normal
             v = v - np.dot(v, n_hat) * n_hat
@@ -261,17 +300,19 @@ def step_dynamics_events(
         out.agent_velocities[i] = v
 
     # Agent-agent contacts never block motion; they are only counted.
-    for i in range(n):
-        for k in range(i + 1, n):
-            gap = out.agent_positions[i] - out.agent_positions[k]
-            if float(np.hypot(gap[0], gap[1])) < 2.0 * AGENT_RADIUS:
-                events.append(CollisionEvent(kind="agent", agents=(i, k)))
+    first, second = geom.pairs
+    gaps = out.agent_positions[first] - out.agent_positions[second]
+    close = np.hypot(gaps[:, 0], gaps[:, 1]) < 2.0 * AGENT_RADIUS
+    events.extend(
+        CollisionEvent(kind="agent", agents=(i, k))
+        for i, k in zip(first[close].tolist(), second[close].tolist())
+    )
 
     out.time = state.time + sc.dt
     return out, events
 
 
-def _clip_motion(p, disp, walls, obstacles, allow_slide: bool = True):
+def _clip_motion(p, disp, geom: MotionGeometry, allow_slide: bool = True):
     """First contact of the motion segment p -> p+disp against walls/discs.
 
     Returns (final_position, hit) where hit is None or (kind, outward_normal).
@@ -279,20 +320,30 @@ def _clip_motion(p, disp, walls, obstacles, allow_slide: bool = True):
     not start in penetration.  An agent already pressed on a surface (contact
     at the very start of the step) keeps the tangential part of its motion,
     sliding along the surface; a mid-step hit stops dead at the contact.
+    Shapes whose boxes miss the segment's box are skipped; the rest get the
+    exact hit tests, walls first, so the result is the exhaustive one.
     """
     dx, dy = float(disp[0]), float(disp[1])
     if dx == 0.0 and dy == 0.0:
         return p.copy(), None
+    px, py = float(p[0]), float(p[1])
+    lo_x, hi_x = (px, px + dx) if dx >= 0.0 else (px + dx, px)
+    lo_y, hi_y = (py, py + dy) if dy >= 0.0 else (py + dy, py)
     best_t = math.inf
     best = None  # (kind, normal)
 
-    for w in range(walls.shape[0]):
+    walls = geom.walls
+    for w, (x0, x1, y0, y1) in enumerate(geom.wall_boxes):
+        if x1 < lo_x or hi_x < x0 or y1 < lo_y or hi_y < y0:
+            continue
         hit = _segment_hit(p, disp, walls[w, 0], walls[w, 1])
         if hit is not None and hit[0] < best_t:
             best_t, best = hit[0], ("wall", hit[1])
 
-    for (cx, cy), r in obstacles:
-        hit = _circle_hit(p, disp, np.array([cx, cy]), r)
+    for center, r, (x0, x1, y0, y1) in geom.discs:
+        if x1 < lo_x or hi_x < x0 or y1 < lo_y or hi_y < y0:
+            continue
+        hit = _circle_hit(p, disp, center, r)
         if hit is not None and hit[0] < best_t:
             best_t, best = hit[0], ("obstacle", hit[1])
 
@@ -303,7 +354,7 @@ def _clip_motion(p, disp, walls, obstacles, allow_slide: bool = True):
         n_hat = best[1]
         tangential = disp - np.dot(disp, n_hat) * n_hat
         if math.hypot(tangential[0], tangential[1]) > 1e-12:
-            slid, _ = _clip_motion(p, tangential, walls, obstacles, allow_slide=False)
+            slid, _ = _clip_motion(p, tangential, geom, allow_slide=False)
             return slid, best
         return p.copy(), best
     t_stop = max(best_t - _SURFACE_BACKOFF / length, 0.0)

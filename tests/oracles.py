@@ -1,0 +1,199 @@
+"""Reference implementations the fast navigation routines are compared against.
+
+Each function is the straightforward version of a routine in `src/`:
+tuple-keyed A*, the per-sample line-of-sight loop, and the motion clip that
+tests every wall and disc.  The differential tests require the fast
+routines to return exactly what these return.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+
+import numpy as np
+
+from fairtask import pathfind
+from fairtask.pathfind import _NEIGHBORS, _SQRT2, NavGrid
+from fairtask.world import (
+    _SURFACE_BACKOFF,
+    ACCEL_STEPS,
+    ACTION_VECTORS,
+    AGENT_RADIUS,
+    CollisionEvent,
+    Scenario,
+    WorldState,
+    _circle_hit,
+    _segment_hit,
+)
+
+# ---------------------------------------------------------------------------
+# pathfind
+# ---------------------------------------------------------------------------
+
+
+def _diagonal_ok(blocked, a: tuple[int, int], b: tuple[int, int]) -> bool:
+    # Forbid corner cutting: both orthogonal companions of a diagonal move
+    # must be free, otherwise a zero-width wall could be crossed.
+    return not blocked[a[0], b[1]] and not blocked[b[0], a[1]]
+
+
+def astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
+    """Octile A* cell path from a's cell to b's cell, or None when disconnected."""
+    start = grid.cell_of(a)
+    goal = grid.cell_of(b)
+    if grid.blocked[start] or grid.blocked[goal]:
+        raise ValueError("path endpoints must lie in free cells")
+    if start == goal:
+        return [start]
+    nx, ny = grid.dims
+    res = grid.resolution
+    blocked = grid.blocked
+
+    def h(cell):
+        dx = abs(cell[0] - goal[0])
+        dy = abs(cell[1] - goal[1])
+        return res * (max(dx, dy) + (_SQRT2 - 1.0) * min(dx, dy))
+
+    g_best = {start: 0.0}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    frontier = [(h(start), h(start), grid.flat_index(start), start)]
+    closed: set[tuple[int, int]] = set()
+    while frontier:
+        _, _, _, cell = heapq.heappop(frontier)
+        if cell in closed:
+            continue
+        if cell == goal:
+            path = [cell]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        closed.add(cell)
+        cg = g_best[cell]
+        for dx, dy, diag in _NEIGHBORS:
+            nxt = (cell[0] + dx, cell[1] + dy)
+            if not (0 <= nxt[0] < nx and 0 <= nxt[1] < ny):
+                continue
+            if blocked[nxt] or (diag and not _diagonal_ok(blocked, cell, nxt)):
+                continue
+            ng = cg + (res * _SQRT2 if diag else res)
+            if ng < g_best.get(nxt, math.inf):
+                g_best[nxt] = ng
+                parent[nxt] = cell
+                hh = h(nxt)
+                heapq.heappush(frontier, (ng + hh, hh, grid.flat_index(nxt), nxt))
+    return None
+
+
+def line_of_sight(grid: NavGrid, a, b) -> bool:
+    """True when the straight segment a-b is traversable.
+
+    Combines a conservative free-cell sampling pass (keeps legs clear of the
+    inflated blocked band) with exact segment tests against walls and discs;
+    sampling alone can miss a diagonal wall slipping between cell centers.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    length = float(np.hypot(*(b - a)))
+    if length == 0.0:
+        return grid.is_free(a)
+    if pathfind._segment_crosses_wall(grid, a, b):
+        return False
+    if grid.obstacles is not None:
+        for cx, cy, r in grid.obstacles:
+            if pathfind._segment_hits_disc(a, b, cx, cy, r):
+                return False
+    steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
+    for k in range(steps + 1):
+        if not grid.is_free(a + (b - a) * (k / steps)):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# world
+# ---------------------------------------------------------------------------
+
+
+def step_dynamics_events(
+    state: WorldState, joint_action, sc: Scenario
+) -> tuple[WorldState, list[CollisionEvent]]:
+    """Advance one timestep: accelerate, clamp speed, integrate, clip geometry.
+
+    Returns the new state and the collision events of the step.
+    """
+    n = sc.n_agents
+    actions = np.asarray(joint_action, dtype=int)
+    if actions.shape != (n,):
+        raise ValueError(f"expected {n} actions, got shape {actions.shape}")
+    out = state.copy()
+    walls = sc.wall_segments(include_boundary=True)
+    events: list[CollisionEvent] = []
+
+    for i in range(n):
+        spec = sc.agents[i]
+        quantum = spec.max_speed / ACCEL_STEPS
+        v = out.agent_velocities[i] + quantum * ACTION_VECTORS[actions[i]]
+        speed = float(np.hypot(v[0], v[1]))
+        if speed > spec.max_speed:
+            v = v * (spec.max_speed / speed)
+        p = out.agent_positions[i]
+        disp = v * sc.dt
+        new_p, normal = clip_motion(p, disp, walls, sc.obstacles)
+        if normal is not None:
+            kind, n_hat = normal
+            v = v - np.dot(v, n_hat) * n_hat
+            events.append(CollisionEvent(kind=kind, agents=(i,)))
+        out.cumulative_distance[i] += float(np.hypot(*(new_p - p)))
+        out.agent_positions[i] = new_p
+        out.agent_velocities[i] = v
+
+    # Agent-agent contacts never block motion; they are only counted.
+    for i in range(n):
+        for k in range(i + 1, n):
+            gap = out.agent_positions[i] - out.agent_positions[k]
+            if float(np.hypot(gap[0], gap[1])) < 2.0 * AGENT_RADIUS:
+                events.append(CollisionEvent(kind="agent", agents=(i, k)))
+
+    out.time = state.time + sc.dt
+    return out, events
+
+
+def clip_motion(p, disp, walls, obstacles, allow_slide: bool = True):
+    """First contact of the motion segment p -> p+disp against walls/discs.
+
+    Returns (final_position, hit) where hit is None or (kind, outward_normal).
+    The final position backs off the surface by a hair so the next step does
+    not start in penetration.  An agent already pressed on a surface (contact
+    at the very start of the step) keeps the tangential part of its motion,
+    sliding along the surface; a mid-step hit stops dead at the contact.
+    """
+    dx, dy = float(disp[0]), float(disp[1])
+    if dx == 0.0 and dy == 0.0:
+        return p.copy(), None
+    best_t = math.inf
+    best = None  # (kind, normal)
+
+    for w in range(walls.shape[0]):
+        hit = _segment_hit(p, disp, walls[w, 0], walls[w, 1])
+        if hit is not None and hit[0] < best_t:
+            best_t, best = hit[0], ("wall", hit[1])
+
+    for (cx, cy), r in obstacles:
+        hit = _circle_hit(p, disp, np.array([cx, cy]), r)
+        if hit is not None and hit[0] < best_t:
+            best_t, best = hit[0], ("obstacle", hit[1])
+
+    if best is None or best_t > 1.0:
+        return p + disp, None
+    length = math.hypot(dx, dy)
+    if allow_slide and best_t * length < 10.0 * _SURFACE_BACKOFF:
+        n_hat = best[1]
+        tangential = disp - np.dot(disp, n_hat) * n_hat
+        if math.hypot(tangential[0], tangential[1]) > 1e-12:
+            slid, _ = clip_motion(p, tangential, walls, obstacles, allow_slide=False)
+            return slid, best
+        return p.copy(), best
+    t_stop = max(best_t - _SURFACE_BACKOFF / length, 0.0)
+    return p + disp * t_stop, best
+

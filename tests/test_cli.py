@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +13,7 @@ import pytest
 from fairtask import cli, metrics, world
 
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(args):
@@ -255,6 +259,26 @@ def test_exit_code_runtime_failure(tmp_path):
         "--episodes", "1", "--out", str(blocker / "sub"),
     ])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        ["-m", "fairtask.cli", "--help"],
+        ["-c", "import sys, fairtask; assert 'fairtask.cli' not in sys.modules; "
+               "assert callable(fairtask.cli.format_result_rows)"],
+    ],
+    ids=["module-entry", "lazy-attribute"],
+)
+def test_package_loads_cli_lazily_without_runtime_warning(code):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", *code],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 @pytest.mark.parametrize(

@@ -7,9 +7,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtask import pathfind, world
 
+import oracles
 from conftest import make_scenario
 
 SQRT2 = math.sqrt(2.0)
@@ -182,6 +185,63 @@ def test_metric_sanity(rng):
             dcb = pathfind.shortest_path_distance(grid, c, b)
             assert dab <= dac + dcb + 2 * res
             assert dab >= math.hypot(*(np.asarray(a) - np.asarray(b))) - 2 * res
+
+
+# ---------------------------------------------------------------------------
+# Differential tests: flat-index A* and array line-of-sight vs tests/oracles.py
+# ---------------------------------------------------------------------------
+
+
+def _generated_grid(seed):
+    # N=3 and N=7 at their default map sizes; the generator caches the grid.
+    return world.generate_scenario(3 + 4 * (seed % 2), seed=seed).distances.grid
+
+
+def _split_grid():
+    # A full-width wall cuts the map in two, so pairs across it are disconnected.
+    sc = make_scenario(
+        [(0.5, 0.5)], [(2.0, 0.5)],
+        walls=[((0.0, 1.25), (2.5, 1.25))], obstacles=[((1.8, 1.9), 0.15)],
+    )
+    return pathfind.build_nav_grid(sc)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_astar_matches_oracle_on_generated_scenarios(seed):
+    rng = np.random.default_rng(seed)
+    split = _split_grid()
+    for grid in (_generated_grid(seed), split):
+        pts = _free_random_points(grid, rng, 12)
+        for a, b in zip(pts[::2], pts[1::2]):
+            assert pathfind._astar_cells(grid, a, b) == oracles.astar_cells(grid, a, b)
+        blocked = np.argwhere(grid.blocked)
+        wall_cell = grid.center(tuple(blocked[rng.integers(len(blocked))]))
+        for fn in (pathfind._astar_cells, oracles.astar_cells):
+            for a, b in ((wall_cell, pts[0]), (pts[0], wall_cell)):
+                with pytest.raises(ValueError, match="free cells"):
+                    fn(grid, a, b)
+    across = ((0.5, 0.5), (0.5, 2.0))
+    assert pathfind._astar_cells(split, *across) is None
+    assert oracles.astar_cells(split, *across) is None
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_line_of_sight_matches_oracle_on_generated_scenarios(seed):
+    rng = np.random.default_rng(seed)
+    grid = _generated_grid(seed)
+    size = grid.dims[0] * grid.resolution
+    for _ in range(40):
+        # Endpoints may leave the workspace, where cells are clamped.
+        a = rng.uniform(-0.1, size + 0.1, size=2)
+        far = rng.uniform(-0.1, size + 0.1, size=2)
+        near = a + rng.normal(scale=0.15, size=2)
+        for b in (far, near, a):
+            assert pathfind.line_of_sight(grid, a, b) == oracles.line_of_sight(grid, a, b)
+    pts = _free_random_points(grid, rng, 20)
+    for a, b in zip(pts, pts[1:]):
+        assert pathfind.line_of_sight(grid, a, b) == oracles.line_of_sight(grid, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtask import world
+from fairtask import pathfind, world
 from fairtask.world import (
     ACTION_ACCEL_NX,
     ACTION_ACCEL_PX,
@@ -18,6 +18,7 @@ from fairtask.world import (
     ARRIVAL_RADIUS,
 )
 
+import oracles
 from conftest import make_scenario
 
 
@@ -106,18 +107,15 @@ def test_collision_events_counted():
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=25, deadline=None)
 def test_random_walk_invariants(seed):
-    sc = make_scenario(
-        [(0.5, 0.5), (2.0, 2.0)],
-        [(1.0, 2.0), (2.0, 0.5)],
-        walls=[((1.25, 0.3), (1.25, 1.8))],
-        obstacles=[((1.8, 1.2), 0.15)],
-    )
+    sc = world.generate_scenario(7, seed=seed)
+    grid = sc.distances.grid
     rng = np.random.default_rng(seed)
     state = world.initial_state(sc)
     for _ in range(60):
-        actions = rng.integers(0, 5, size=2)
+        actions = rng.integers(0, 5, size=sc.n_agents)
+        before = state.agent_positions
         state = world.step_dynamics_events(state, actions, sc)[0]
-        for i in range(2):
+        for i in range(sc.n_agents):
             speed = float(np.hypot(*state.agent_velocities[i]))
             assert speed <= sc.agents[i].max_speed + 1e-12
             x, y = state.agent_positions[i]
@@ -125,6 +123,27 @@ def test_random_walk_invariants(seed):
             assert -1e-9 <= y <= sc.workspace_size + 1e-9
             for (cx, cy), r in sc.obstacles:
                 assert math.hypot(x - cx, y - cy) >= r - 1e-9
+            assert not pathfind._segment_crosses_wall(grid, before[i], state.agent_positions[i])
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_dynamics_match_exhaustive_clip_oracle(seed):
+    sc = world.generate_scenario(7, seed=seed)
+    rng = np.random.default_rng(seed)
+    fast = slow = world.initial_state(sc)
+    actions = rng.integers(0, 5, size=sc.n_agents)
+    for _ in range(120):
+        # Agents hold an action for several steps, so they run into walls and
+        # discs and then press on them: the slide branch of the clip runs.
+        change = rng.random(sc.n_agents) < 0.15
+        actions = np.where(change, rng.integers(0, 5, size=sc.n_agents), actions)
+        fast, fast_events = world.step_dynamics_events(fast, actions, sc)
+        slow, slow_events = oracles.step_dynamics_events(slow, actions, sc)
+        assert np.array_equal(fast.agent_positions, slow.agent_positions)
+        assert np.array_equal(fast.agent_velocities, slow.agent_velocities)
+        assert np.array_equal(fast.cumulative_distance, slow.cumulative_distance)
+        assert fast_events == slow_events
 
 
 def test_trajectory_determinism():
@@ -298,11 +317,21 @@ def test_generate_scenario_default_map_sizes():
 
 
 def test_scenario_pickle_leaves_out_the_distance_cache():
-    sc = world.generate_scenario(3, 2.5, seed=1)  # the connectivity check fills the cache
-    assert "distances" in vars(sc)
+    sc = world.generate_scenario(3, 2.5, seed=1)  # the connectivity check fills `distances`
+    actions = np.random.default_rng(1).integers(0, 5, size=(40, sc.n_agents))
+    world.step_dynamics_events(world.initial_state(sc), actions[0], sc)  # fills `motion`
+    assert {"distances", "motion"} <= set(vars(sc))
     copy = pickle.loads(pickle.dumps(sc))
     assert copy == sc
     assert "distances" not in vars(copy)
+    assert "motion" not in vars(copy)
     tasks, agents = sc.task_positions(), sc.agent_positions()
     assert np.array_equal(copy.distances.pairwise(tasks, agents),
                           sc.distances.pairwise(tasks, agents))
+    a = b = world.initial_state(sc)
+    for step in actions:
+        a, a_events = world.step_dynamics_events(a, step, sc)
+        b, b_events = world.step_dynamics_events(b, step, copy)
+        assert np.array_equal(a.agent_positions, b.agent_positions)
+        assert np.array_equal(a.agent_velocities, b.agent_velocities)
+        assert a_events == b_events
