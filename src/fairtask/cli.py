@@ -181,6 +181,12 @@ def _parse_generate(text: str, alpha: float | None) -> dict:
     for key, name in (("map", "map_size"), ("speed", "max_speed"), ("dt", "dt")):
         if name in out and not out[name] > 0:
             raise ConfigError(f"--generate: {key} must be positive")
+    if "map_size" in out:
+        counts = {k: out[k] for k in ("n_obstacles", "n_walls") if k in out}
+        try:
+            world.check_map_size(out["map_size"], **counts)
+        except world.ScenarioError as err:
+            raise ConfigError(f"--generate: {err}") from err
     if "sensing_radius" in out and not out["sensing_radius"] >= pathfind.DEFAULT_RESOLUTION:
         raise ConfigError(
             f"--generate: sensing must be >= the grid resolution {pathfind.DEFAULT_RESOLUTION}"

@@ -5,6 +5,9 @@ whose centers come within clearance (resolution/2) of a wall, or inside an
 obstacle inflated by the same clearance, are blocked.  Distances are
 8-connected A* path lengths with octile edge costs (res, res*sqrt(2)), so
 they slightly overestimate Euclidean lengths -- uniformly for every caller.
+Batch distances come from Dijkstra fields on a CSR graph with exactly A*'s
+moves and costs; `DistanceProvider.pairwise` computes all its uncached
+source fields in one multi-source call.
 """
 
 from __future__ import annotations
@@ -338,8 +341,10 @@ class DistanceProvider:
     """Batch shortest-path distances via cached per-source Dijkstra fields.
 
     Sources are snapped to cells; one field per distinct source cell is
-    computed on the grid graph (same 8-connected topology and octile costs
-    as the A* routine) and reused for every query against it.
+    computed on the grid graph and reused for every query against it.  The
+    graph has exactly the moves and octile step costs of `_astar_cells`.
+    `pairwise` computes the fields of all its uncached source cells in one
+    multi-source Dijkstra call; each row equals the single-source field.
     """
 
     def __init__(self, grid: NavGrid):
@@ -348,29 +353,38 @@ class DistanceProvider:
         self._fields: dict[int, np.ndarray] = {}
 
     def _build_graph(self) -> csr_matrix:
+        """CSR grid graph, built straight from shifted free-cell masks.
+
+        The free mask is padded by a blocked ring, so every shift is a plain
+        slice.  Moves are taken in (dx, dy) order, which is the order of
+        their target flat indices, so each row's columns come out sorted.
+        """
         if self._graph is not None:
             return self._graph
         nx, ny = self.grid.dims
         res = self.grid.resolution
-        blocked = self.grid.blocked
-        rows, cols, data = [], [], []
-        for dx, dy, diag in _NEIGHBORS:
-            sl_x = slice(max(0, -dx), nx - max(0, dx))
-            sl_y = slice(max(0, -dy), ny - max(0, dy))
-            src_x, src_y = np.meshgrid(
-                np.arange(nx)[sl_x], np.arange(ny)[sl_y], indexing="ij"
-            )
-            dst_x, dst_y = src_x + dx, src_y + dy
-            ok = ~blocked[src_x, src_y] & ~blocked[dst_x, dst_y]
-            if diag:
-                ok &= ~blocked[src_x, dst_y] & ~blocked[dst_x, src_y]
-            rows.append((src_x[ok] * ny + src_y[ok]).ravel())
-            cols.append((dst_x[ok] * ny + dst_y[ok]).ravel())
-            data.append(np.full(int(ok.sum()), res * _SQRT2 if diag else res))
-        n = nx * ny
+        free = np.zeros((nx + 2, ny + 2), dtype=bool)
+        free[1:-1, 1:-1] = ~self.grid.blocked
+
+        def shifted(dx, dy):
+            return free[1 + dx:nx + 1 + dx, 1 + dy:ny + 1 + dy]
+
+        moves = sorted(_NEIGHBORS)
+        ok = np.empty((nx, ny, len(moves)), dtype=bool)  # edge (cell, move) exists
+        for k, (dx, dy, diag) in enumerate(moves):
+            edge = shifted(0, 0) & shifted(dx, dy)
+            if diag:  # both orthogonal companions free, as in _astar_cells
+                edge &= shifted(0, dy) & shifted(dx, 0)
+            ok[:, :, k] = edge
+        ok = ok.reshape(nx * ny, len(moves))
+        indptr = np.zeros(nx * ny + 1, dtype=np.int32)
+        np.cumsum(ok.sum(axis=1), out=indptr[1:])
+        cell, move = np.nonzero(ok)  # row-major: by cell, then by move
+        offsets = np.array([dx * ny + dy for dx, dy, _ in moves], dtype=np.int32)
+        costs = np.array([res * _SQRT2 if diag else res for _, _, diag in moves])
         self._graph = csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n, n),
+            (costs[move], (cell + offsets[move]).astype(np.int32), indptr),
+            shape=(nx * ny, nx * ny),
         )
         return self._graph
 
@@ -397,6 +411,12 @@ class DistanceProvider:
     def pairwise(self, sources, targets) -> np.ndarray:
         sources = np.atleast_2d(np.asarray(sources, dtype=float))
         targets = np.atleast_2d(np.asarray(targets, dtype=float))
+        missing = list(dict.fromkeys(
+            i for i in map(self._snap_index, sources) if i is not None and i not in self._fields
+        ))
+        if missing:
+            rows = _sp_dijkstra(self._build_graph(), indices=missing, directed=True)
+            self._fields.update(zip(missing, rows))  # each row a view of one block
         t_idx = [self._snap_index(t) for t in targets]
         out = np.empty((len(sources), len(targets)))
         for i, s in enumerate(sources):

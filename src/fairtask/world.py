@@ -458,6 +458,27 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
 # ---------------------------------------------------------------------------
 
 DEFAULT_MAP_SIZES = {3: 2.5, 7: 2.7, 10: 2.9}
+_MAX_OBSTACLE_RADIUS = 0.18
+_WALL_MARGIN = 0.3       # wall midpoints keep this far from the boundary
+
+
+def check_map_size(map_size: float, n_obstacles: int = 3, n_walls: int = 2) -> None:
+    """Raise ScenarioError when the generator's draw ranges would be empty.
+
+    Points need 2 * MIN_CLEARANCE, obstacles 2 * (0.18 + MIN_CLEARANCE) and
+    wall midpoints 2 * 0.3; the defaults are generate_scenario's.
+    """
+    bounds = [(2 * MIN_CLEARANCE, "entities")]
+    if n_obstacles > 0:
+        bounds.append((2 * (_MAX_OBSTACLE_RADIUS + MIN_CLEARANCE), "obstacles"))
+    if n_walls > 0:
+        bounds.append((2 * _WALL_MARGIN, "walls"))
+    smallest, what = max(bounds)
+    if not map_size >= smallest:
+        raise ScenarioError(
+            f"map_size {map_size:g} is below {smallest:g}, the smallest map the "
+            f"generator can place {what} in"
+        )
 
 
 def generate_scenario(
@@ -495,6 +516,7 @@ def generate_scenario(
             raise ValueError(
                 f"no default map size for N={n_agents}; pass map_size explicitly"
             ) from None
+    check_map_size(map_size, n_obstacles, n_walls)
     rng = np.random.default_rng(seed)
     types = min(n_types, n_agents)
     if preference_table is None:
@@ -502,6 +524,7 @@ def generate_scenario(
         preference_table = rng.uniform(lo, hi, size=(types, types))
     preference_table = np.asarray(preference_table, dtype=float)
 
+    unplaced = unreachable = 0
     last_err: Exception | None = None
     for _ in range(max_attempts):
         sc = _sample_candidate(
@@ -510,6 +533,7 @@ def generate_scenario(
             workload_range, weight_range, preference_table, seed,
         )
         if sc is None:
+            unplaced += 1
             continue
         try:
             d = sc.distances.pairwise(sc.task_positions(), sc.agent_positions())
@@ -518,7 +542,15 @@ def generate_scenario(
             continue
         if np.all(np.isfinite(d)):
             return sc
-    raise ScenarioError(f"could not generate a usable scenario (last: {last_err})")
+        unreachable += 1
+    blocked = max_attempts - unplaced - unreachable
+    raise ScenarioError(
+        f"could not generate a usable scenario in {max_attempts} attempts: "
+        f"{unplaced} could not place every entity with clearance, "
+        f"{unreachable} left an agent-task pair unreachable, "
+        f"{blocked} put an entity in a blocked grid cell"
+        + (f" (last: {last_err})" if last_err is not None else "")
+    )
 
 
 def _sample_candidate(
@@ -529,7 +561,7 @@ def _sample_candidate(
     obstacles = []
     for _ in range(n_obstacles):
         for _try in range(200):
-            r = float(rng.uniform(0.08, 0.18))
+            r = float(rng.uniform(0.08, _MAX_OBSTACLE_RADIUS))
             c = rng.uniform(r + MIN_CLEARANCE, size - r - MIN_CLEARANCE, size=2)
             if all(
                 math.dist(tuple(c), oc) >= r + orad + MIN_CLEARANCE
@@ -544,18 +576,21 @@ def _sample_candidate(
     for _ in range(n_walls):
         ang = math.radians(float(rng.choice(_WALL_ANGLES_DEG)))
         length = float(rng.uniform(0.4, 0.9))
-        mid = rng.uniform(0.3, size - 0.3, size=2)
+        mid = rng.uniform(_WALL_MARGIN, size - _WALL_MARGIN, size=2)
         dvec = np.array([math.cos(ang), math.sin(ang)]) * (length / 2.0)
         a = np.clip(mid - dvec, 0.05, size - 0.05)
         b = np.clip(mid + dvec, 0.05, size - 0.05)
         walls.append((tuple(float(x) for x in a), tuple(float(x) for x in b)))
 
-    placed: list[np.ndarray] = []
+    placed = np.empty((2 * n, 2))  # rows [:n_placed] are the points placed so far
+    n_placed = 0
 
     def _sample_point():
+        nonlocal n_placed
         for _try in range(400):
             p = rng.uniform(MIN_CLEARANCE, size - MIN_CLEARANCE, size=2)
-            if any(float(np.hypot(*(p - q))) < MIN_CLEARANCE for q in placed):
+            gaps = p - placed[:n_placed]
+            if (np.hypot(gaps[:, 0], gaps[:, 1]) < MIN_CLEARANCE).any():
                 continue
             if any(math.dist(tuple(p), oc) < orad + MIN_CLEARANCE for oc, orad in obstacles):
                 continue
@@ -564,7 +599,8 @@ def _sample_candidate(
                 for w1, w2 in walls
             ):
                 continue
-            placed.append(p)
+            placed[n_placed] = p
+            n_placed += 1
             return tuple(float(x) for x in p)
         return None
 

@@ -1,8 +1,8 @@
 """Reference implementations the fast navigation routines are compared against.
 
 Each function is the straightforward version of a routine in `src/`:
-tuple-keyed A*, the per-sample line-of-sight loop, and the motion clip that
-tests every wall and disc.  The differential tests require the fast
+tuple-keyed A*, the per-sample line-of-sight loop, the COO grid-graph build,
+and the motion clip that tests every wall and disc.  The differential tests require the fast
 routines to return exactly what these return.
 """
 
@@ -12,6 +12,7 @@ import heapq
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from fairtask import pathfind
 from fairtask.pathfind import _NEIGHBORS, _SQRT2, NavGrid
@@ -108,6 +109,32 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
         if not grid.is_free(a + (b - a) * (k / steps)):
             return False
     return True
+
+
+def build_graph(grid: NavGrid) -> csr_matrix:
+    """Grid graph from per-move meshgrids, assembled as COO and converted to CSR."""
+    nx, ny = grid.dims
+    res = grid.resolution
+    blocked = grid.blocked
+    rows, cols, data = [], [], []
+    for dx, dy, diag in _NEIGHBORS:
+        sl_x = slice(max(0, -dx), nx - max(0, dx))
+        sl_y = slice(max(0, -dy), ny - max(0, dy))
+        src_x, src_y = np.meshgrid(
+            np.arange(nx)[sl_x], np.arange(ny)[sl_y], indexing="ij"
+        )
+        dst_x, dst_y = src_x + dx, src_y + dy
+        ok = ~blocked[src_x, src_y] & ~blocked[dst_x, dst_y]
+        if diag:
+            ok &= ~blocked[src_x, dst_y] & ~blocked[dst_x, src_y]
+        rows.append((src_x[ok] * ny + src_y[ok]).ravel())
+        cols.append((dst_x[ok] * ny + dst_y[ok]).ravel())
+        data.append(np.full(int(ok.sum()), res * _SQRT2 if diag else res))
+    n = nx * ny
+    return csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,18 @@ def test_bad_generator_values_are_config_errors(tmp_path, capsys, spec, key):
     assert f"--generate: {key} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    ["N=3,map=0.15", "N=3,map=0.59", "N=3,map=0.55,walls=0", "N=3,map=0.19,walls=0,obstacles=0"],
+)
+def test_generator_maps_below_the_sampler_bounds_are_config_errors(tmp_path, capsys, spec):
+    out = tmp_path / "never"
+    rc = run_cli(["run", "--generate", spec, "--algorithm", "eg", "--episodes", "1", "--out", str(out)])
+    assert rc == 1
+    assert "--generate: map_size " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_spec_parsing():
     with pytest.raises(cli.ConfigError):
         cli._parse_generate("N=3,bogus=1", 0.97)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import dijkstra
 
 from fairtask import pathfind, world
 
@@ -242,6 +243,100 @@ def test_line_of_sight_matches_oracle_on_generated_scenarios(seed):
     pts = _free_random_points(grid, rng, 20)
     for a, b in zip(pts, pts[1:]):
         assert pathfind.line_of_sight(grid, a, b) == oracles.line_of_sight(grid, a, b)
+
+
+def _sealed_grid():
+    # The center of a wide disc lies more than four rings from any free cell,
+    # so it snaps to no cell at all.
+    sc = make_scenario([(0.3, 0.3)], [(2.2, 2.2)], obstacles=[((1.25, 1.25), 0.45)])
+    return pathfind.build_nav_grid(sc)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_graph_matches_coo_oracle_on_generated_scenarios(seed):
+    n_agents, map_size = ((3, 2.5), (7, 2.7), (12, 3.5))[seed % 3]
+    generated = world.generate_scenario(n_agents, map_size, seed=seed).distances.grid
+    for grid in (generated, _split_grid(), _sealed_grid()):
+        got = pathfind.DistanceProvider(grid)._build_graph()
+        want = oracles.build_graph(grid)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert got.has_sorted_indices and want.has_sorted_indices
+
+
+def _single_source_rows(grid, sources, targets):
+    """Each source's own one-source Dijkstra row on the oracle graph, read at the targets."""
+    graph = oracles.build_graph(grid)
+    cols = [pathfind.nearest_free_cell(grid, t) for t in targets]
+    out = np.full((len(sources), len(targets)), math.inf)
+    for i, s in enumerate(sources):
+        cell = pathfind.nearest_free_cell(grid, s)
+        if cell is None:
+            continue
+        row = dijkstra(graph, indices=grid.flat_index(cell), directed=True)
+        for j, c in enumerate(cols):
+            if c is not None:
+                out[i, j] = row[grid.flat_index(c)]
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_pairwise_matches_single_source_fields(seed):
+    rng = np.random.default_rng(seed)
+    n_agents, map_size = ((3, 2.5), (7, 2.7), (12, 3.5))[seed % 3]
+    generated = world.generate_scenario(n_agents, map_size, seed=seed).distances.grid
+    # (0.5, 0.5) and (0.5, 2.0) lie on opposite sides of the split grid's wall;
+    # (1.25, 1.25) snaps to no cell of the sealed grid.
+    below, above, sealed = (0.5, 0.5), (0.5, 2.0), (1.25, 1.25)
+    for grid in (generated, _split_grid(), _sealed_grid()):
+        pts = _free_random_points(grid, rng, 10)
+        # A second point in the first point's cell: two source rows, one field.
+        twin = grid.center(grid.cell_of(pts[0])) + rng.uniform(-0.4, 0.4, size=2) * grid.resolution
+        sources = np.array([*pts[:5], twin, pts[0], below, sealed])
+        targets = np.array([*pts[5:], above, sealed])
+        provider = pathfind.DistanceProvider(grid)
+        got = provider.pairwise(sources, targets)
+        assert np.array_equal(got, _single_source_rows(grid, sources, targets))
+        assert np.array_equal(provider.pairwise(sources, targets), got)  # from the cache
+        assert provider.pairwise(np.empty((0, 2)), targets).shape == (0, len(targets))
+        assert provider.pairwise(sources, np.empty((0, 2))).shape == (len(sources), 0)
+    assert np.isinf(got[-1]).all() and np.isinf(got[:, -1]).all()  # sealed grid
+    split = pathfind.DistanceProvider(_split_grid()).pairwise([below], [above, (2.0, 0.5)])
+    assert math.isinf(split[0, 0]) and math.isfinite(split[0, 1])
+
+
+def test_pairwise_runs_one_dijkstra_for_its_uncached_sources(monkeypatch):
+    sc = world.generate_scenario(7, seed=3)
+    grid = sc.distances.grid
+    batches, fields = [], []
+    sp_dijkstra, field = pathfind._sp_dijkstra, pathfind.DistanceProvider.field
+
+    def counting_dijkstra(graph, indices, **kw):
+        batches.append(list(np.atleast_1d(indices)))
+        return sp_dijkstra(graph, indices=indices, **kw)
+
+    def counting_field(self, source):
+        fields.append(tuple(source))
+        return field(self, source)
+
+    monkeypatch.setattr(pathfind, "_sp_dijkstra", counting_dijkstra)
+    monkeypatch.setattr(pathfind.DistanceProvider, "field", counting_field)
+    provider = pathfind.DistanceProvider(grid)
+    tasks, agents = sc.task_positions(), sc.agent_positions()
+    sources = np.vstack([tasks, tasks[:2]])  # two repeated source rows
+    provider.pairwise(sources, agents)
+    assert batches == [[grid.flat_index(grid.cell_of(t)) for t in tasks]]
+    assert len(fields) == len(sources)
+    provider.pairwise(sources, agents)
+    assert len(batches) == 1
+    assert len(fields) == 2 * len(sources)
+    # Only the sources without a cached field are computed, in one batch.
+    provider.pairwise(np.vstack([agents[:3], tasks]), tasks)
+    assert batches[1:] == [[grid.flat_index(grid.cell_of(a)) for a in agents[:3]]]
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +317,52 @@ def test_generate_scenario_default_map_sizes():
     assert world.generate_scenario(3, seed=1).workspace_size == 2.5
     with pytest.raises(ValueError):
         world.generate_scenario(4, seed=1)
+
+
+@pytest.mark.parametrize(
+    "n_obstacles,n_walls,smallest",
+    [(3, 2, 0.6), (0, 2, 0.6), (3, 0, 0.56), (0, 0, 0.2)],
+    ids=["walls", "walls-only", "obstacles-only", "entities-only"],
+)
+def test_generator_rejects_maps_below_its_sampler_bounds(monkeypatch, n_obstacles, n_walls, smallest):
+    counts = dict(n_obstacles=n_obstacles, n_walls=n_walls)
+    # At the bound every draw range is valid: the generator succeeds or runs out of attempts.
+    try:
+        world.generate_scenario(1, smallest, seed=0, max_attempts=5, **counts)
+    except world.ScenarioError as err:
+        assert "could not generate" in str(err)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the generator drew before checking map_size")
+
+    monkeypatch.setattr(world.np.random, "default_rng", no_draws)
+    with pytest.raises(world.ScenarioError, match="map_size"):
+        world.generate_scenario(1, smallest - 1e-9, seed=0, **counts)
+
+
+def test_generator_says_when_no_attempt_placed_its_entities():
+    with pytest.raises(world.ScenarioError) as info:
+        world.generate_scenario(40, 0.7, seed=0, n_obstacles=0, n_walls=0, max_attempts=3)
+    message = str(info.value)
+    assert "3 could not place every entity" in message
+    assert "last: None" not in message
+
+
+GENERATED_GOLDEN = Path(__file__).resolve().parent / "data" / "generated_scenarios.json"
+
+
+def scenario_fingerprint(sc: world.Scenario) -> str:
+    """SHA-256 of a scenario's geometry and entities; float reprs round-trip exactly."""
+    body = repr((sc.walls, sc.obstacles, sc.agents, sc.tasks))
+    return hashlib.sha256(body.encode()).hexdigest()
+
+
+def test_generator_matches_recorded_fingerprints():
+    recorded = json.loads(GENERATED_GOLDEN.read_text())["scenarios"]
+    assert len(recorded) == 20
+    for row in recorded:
+        sc = world.generate_scenario(row["n_agents"], row["map_size"], seed=row["seed"])
+        assert scenario_fingerprint(sc) == row["sha256"], row
 
 
 def test_scenario_pickle_leaves_out_the_distance_cache():
