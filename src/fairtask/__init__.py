@@ -3,10 +3,10 @@
 Subpackage map:
     world     -- 2-D navigation/service environment, scenarios, kinematics, sensing
     pathfind  -- occupancy grid, A* shortest paths, waypoint extraction
-    assign    -- one-to-one assignment solvers and brute-force oracles
+    assign    -- one-to-one assignment solvers (EG, Hungarian, min-max)
     online    -- explore-and-assign policy with subset-based assignment
     metrics   -- fairness / regret / efficiency evaluation quantities
-    engine    -- the one episode loop, scripted navigation, rewards, batching
+    engine    -- the one episode loop, scripted navigation, batching
     cli       -- command-line experiment front end
 """
 

@@ -1,4 +1,4 @@
-"""One-to-one assignment solvers and their brute-force oracles.
+"""One-to-one assignment solvers: equilibrium (EG), utilitarian and bottleneck.
 
 Conventions: matrices are task-major with shape (m, n) = (tasks, agents);
 assignments map agents to tasks.  solve_hungarian_max and solve_eg accept
@@ -12,7 +12,6 @@ solve_eg exploits.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,15 +36,6 @@ class UtilityMatrix:
     distances: np.ndarray
     preferences: np.ndarray
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-    def rebuild_error(self) -> float:
-        """Max deviation of stored values from the defining formula."""
-        expected = _discounted(self.distances, self.preferences, self.alpha)
-        return float(np.max(np.abs(self.values - expected))) if self.values.size else 0.0
-
 
 @dataclass(eq=False)
 class Assignment:
@@ -58,13 +48,6 @@ class Assignment:
         return [(i, int(j)) for i, j in enumerate(self.task_of_agent) if j >= 0]
 
 
-def _discounted(distances: np.ndarray, preferences: np.ndarray, alpha: float) -> np.ndarray:
-    finite = np.isfinite(distances)
-    out = np.zeros_like(preferences, dtype=float)
-    out[finite] = np.power(alpha, distances[finite]) * preferences[finite]
-    return out
-
-
 def compute_utility(distances, preferences, alpha: float) -> UtilityMatrix:
     """Distance-discounted service utilities; infinite distance maps to 0."""
     if not 0.0 < alpha < 1.0:
@@ -75,8 +58,11 @@ def compute_utility(distances, preferences, alpha: float) -> UtilityMatrix:
         raise ValueError("distance and preference matrices must share a shape")
     if np.any(preferences < 0) or np.any(distances < 0):
         raise ValueError("distances and preferences must be non-negative")
+    finite = np.isfinite(distances)
+    values = np.zeros_like(preferences, dtype=float)
+    values[finite] = np.power(alpha, distances[finite]) * preferences[finite]
     return UtilityMatrix(
-        values=_discounted(distances, preferences, alpha),
+        values=values,
         alpha=alpha,
         distances=distances.copy(),
         preferences=preferences.copy(),
@@ -190,60 +176,3 @@ def task_utilities(assignment: Assignment, u: UtilityMatrix) -> np.ndarray:
     for agent, task in assignment.pairs():
         out[task] = u.values[task, agent]
     return out
-
-
-def pareto_dominates(a: Assignment, b: Assignment, u: UtilityMatrix) -> bool:
-    """True when a serves every task at least as well as b, one strictly."""
-    ua = task_utilities(a, u)
-    ub = task_utilities(b, u)
-    return bool(np.all(ua >= ub) and np.any(ua > ub))
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracles (test references; independent of the solvers above)
-# ---------------------------------------------------------------------------
-
-
-def _permutations_as_assignments(n: int):
-    for perm in itertools.permutations(range(n)):
-        yield np.array(perm, dtype=int)
-
-
-def brute_force_max_sum(scores) -> tuple[np.ndarray, float]:
-    """Exhaustive max of sum_j scores[j, pi(j)]; returns (task_of_agent, value)."""
-    scores = np.asarray(scores, dtype=float)
-    n = scores.shape[0]
-    best_perm, best_val = None, -math.inf
-    for task_of_agent in _permutations_as_assignments(n):
-        val = float(scores[task_of_agent, np.arange(n)].sum())
-        if val > best_val:
-            best_perm, best_val = task_of_agent, val
-    return best_perm, best_val
-
-
-def brute_force_eg(u: UtilityMatrix, weights) -> tuple[np.ndarray, float]:
-    """Exhaustive max of the weighted-log objective."""
-    weights = np.asarray(weights, dtype=float)
-    n = u.values.shape[0]
-    best_perm, best_val = None, -math.inf
-    for task_of_agent in _permutations_as_assignments(n):
-        selected = u.values[task_of_agent, np.arange(n)]
-        if np.any(selected <= 0.0):
-            val = -math.inf
-        else:
-            val = float(np.sum(weights[task_of_agent] * np.log(selected)))
-        if val > best_val:
-            best_perm, best_val = task_of_agent, val
-    return best_perm, best_val
-
-
-def brute_force_minmax(costs) -> tuple[np.ndarray, float]:
-    """Exhaustive min of the largest selected cost."""
-    costs = np.asarray(costs, dtype=float)
-    n = costs.shape[0]
-    best_perm, best_val = None, math.inf
-    for task_of_agent in _permutations_as_assignments(n):
-        val = float(costs[task_of_agent, np.arange(n)].max())
-        if val < best_val:
-            best_perm, best_val = task_of_agent, val
-    return best_perm, best_val

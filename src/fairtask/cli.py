@@ -509,7 +509,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(config)
-    except ConfigError as err:
+    except (ConfigError, world.ScenarioError) as err:  # a generator spec it cannot meet
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - map any runtime failure to exit 2

@@ -1,4 +1,4 @@
-"""Episode orchestration: scripted navigation, rewards, the episode loop, batching.
+"""Episode orchestration: scripted navigation, the episode loop, batching.
 
 Every scripted episode runs on one loop, run_episode, over an Episode that
 holds the world state and the agents' commitments.  Assignment modes differ
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,70 +32,6 @@ _CORNER_SPEED_FRACTION = 0.4
 _STUCK_WINDOW = 20          # steps without progress before replanning
 _STUCK_DISTANCE = 0.005
 _LEG_CHECK_INTERVAL = 15    # steps between leg line-of-sight revalidations
-
-
-@dataclass(frozen=True)
-class RewardConstants:
-    eta0: float = 1.0                # exploration bonus scale
-    gamma_decay: float = 0.1         # exploration bonus decay rate
-    kappa: float = 1.0               # progress reward scale
-    arrival_bonus: float = 5.0
-    completion_bonus: float = 10.0
-    collision_penalty: float = -5.0
-
-    def __post_init__(self) -> None:
-        if min(self.eta0, self.kappa, self.arrival_bonus, self.completion_bonus) < 0:
-            raise ValueError("bonus scales must be non-negative")
-        if self.gamma_decay < 0:
-            raise ValueError("gamma_decay must be non-negative")
-        if self.collision_penalty > 0:
-            raise ValueError("collision_penalty must be <= 0")
-
-
-@dataclass(frozen=True)
-class StepEvents:
-    completions: int = 0
-    collisions: int = 0
-
-
-@dataclass
-class StepRecord:
-    actions: tuple[int, ...]
-    agent_rewards: np.ndarray
-    joint_reward: float
-    events: StepEvents
-
-
-@dataclass
-class PolicyTrace:
-    records: list[StepRecord] = field(default_factory=list)
-
-
-# ---------------------------------------------------------------------------
-# Reward components (pure functions)
-# ---------------------------------------------------------------------------
-
-
-def exploration_reward(t: float, discovered_new: bool, c: RewardConstants) -> float:
-    """Time-decaying bonus paid only on a new task discovery."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
-    return c.eta0 * math.exp(-c.gamma_decay * t) if discovered_new else 0.0
-
-
-def fairness_shaping(agent_pos, goal_pos, arrived_now: bool, c: RewardConstants) -> float:
-    """Distance penalty toward the assigned goal plus a one-time arrival bonus."""
-    d = float(np.hypot(*(np.asarray(goal_pos, float) - np.asarray(agent_pos, float))))
-    return -d + (c.arrival_bonus if arrived_now else 0.0)
-
-
-def progress_reward(pref: float, dt: float, c: RewardConstants, remaining: float = math.inf) -> float:
-    """Reward for workload served this interval, truncated on the final tick."""
-    return c.kappa * min(pref * dt, remaining)
-
-
-def completion_and_collision(events: StepEvents, c: RewardConstants) -> float:
-    return c.completion_bonus * events.completions + c.collision_penalty * events.collisions
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +54,13 @@ def scripted_goto_policy(
     sc: world.Scenario,
     agent: int,
     goal,
-    grid: pathfind.NavGrid,
-    waypoints: list[np.ndarray] | None = None,
+    waypoints: list[np.ndarray],
 ) -> int:
     """Greedy waypoint-following action selection.
 
     Accelerates toward the active waypoint, caps speed so the agent can slow
-    for corners and stop at the goal, and idles once parked there.  When no
-    waypoint chain is supplied it is recomputed from the grid; an unreachable
-    goal yields idle.
+    for corners and stop at the goal, and idles once parked there.  An empty
+    chain away from the goal means the goal is unreachable, which yields idle.
     """
     p = state.agent_positions[agent]
     v = state.agent_velocities[agent]
@@ -134,11 +68,6 @@ def scripted_goto_policy(
     quantum = spec.max_speed / ACCEL_STEPS
     goal = np.asarray(goal, dtype=float)
 
-    if waypoints is None:
-        try:
-            waypoints = pathfind.path_waypoints(grid, p, goal)
-        except ValueError:
-            return ACTION_IDLE
     if not waypoints:
         d_goal = float(np.hypot(*(goal - p)))
         if d_goal > ARRIVAL_RADIUS:
@@ -198,7 +127,7 @@ class Navigator:
         self._advance(pos)
         self._check_stuck(pos)
         self._revalidate_leg(pos)
-        return scripted_goto_policy(state, sc, agent, self.goal, self.grid, self.waypoints)
+        return scripted_goto_policy(state, sc, agent, self.goal, self.waypoints)
 
     def _revalidate_leg(self, pos: np.ndarray) -> None:
         # A deflected agent can end up sliding a wall while its leg crosses
@@ -260,15 +189,11 @@ def run_centralized_episode(
     rule: str,
     *,
     execution: str = EXECUTION_SCRIPTED,
-    constants: RewardConstants | None = None,
-    with_trace: bool = False,
-):
+) -> metrics.EpisodeResult:
     """Solve the chosen rule at t=0, execute, and summarize the episode.
 
     execution="teleport" skips kinematics entirely: realized distances equal
     the shortest-path distances, giving the zero-overhead reference point.
-    Returns an EpisodeResult, or (EpisodeResult, PolicyTrace) with with_trace;
-    constants only shape the trace's rewards.
     """
     u_star, optimum, u0 = metrics.centralized_optimum(sc, sc.distances)
     d_star, prefs = u0.distances, u0.preferences
@@ -279,8 +204,7 @@ def run_centralized_episode(
         solution = solve_assignment(rule, u0, prefs, d_star, weights)
 
     if execution == EXECUTION_TELEPORT:
-        result = _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star)
-        return (result, PolicyTrace()) if with_trace else result
+        return _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star)
     if execution != EXECUTION_SCRIPTED:
         raise ValueError(f"unknown execution mode {execution!r}")
 
@@ -288,10 +212,7 @@ def run_centralized_episode(
     for task in range(sc.n_tasks):
         ep.discover(task)  # centralized rules see everything
     ep.commit(solution.pairs())
-    trace = PolicyTrace() if with_trace else None
-    result = run_episode(ep, rule, u_star, DEFAULT_STEP_CAP, trace=trace,
-                         constants=constants or RewardConstants())
-    return (result, trace) if with_trace else result
+    return run_episode(ep, rule, u_star, DEFAULT_STEP_CAP)
 
 
 def _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star):
@@ -368,8 +289,6 @@ def run_episode(
     step_cap: int,
     *,
     policy=None,
-    trace: PolicyTrace | None = None,
-    constants: RewardConstants | None = None,
 ) -> metrics.EpisodeResult:
     """Step an episode until every task is served or step_cap runs out.
 
@@ -377,8 +296,7 @@ def run_episode(
     done.  An uncommitted agent takes policy.free_action(ep, agent), or
     brakes without a policy; policy.observe(ep) runs after each dynamics
     step, before arrival and service.  Realized distances run from an
-    agent's commitment to its first arrival.  A trace records every step's
-    rewards under `constants` and needs every agent committed.
+    agent's commitment to its first arrival.
     """
     sc = ep.sc
     n, m = sc.n_agents, sc.n_tasks
@@ -408,30 +326,18 @@ def run_episode(
             policy.observe(ep)
 
         state = ep.state
-        arrived_now = np.zeros(n, dtype=bool)
-        served_amount = np.zeros(n)
-        completed_by: list[int] = []
         for i in range(n):
             t = ep.task_of.get(i)
             if t is None:
                 continue
             if float(np.hypot(*(state.agent_positions[i] - task_pos[t]))) <= ARRIVAL_RADIUS:
                 if math.isnan(realized_distance[t]):  # first arrival
-                    arrived_now[i] = True
                     realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
                 if not state.completed[t]:
-                    before = float(state.remaining_workloads[t])
                     state = world.service_tick(state, sc, i, t)
-                    served_amount[i] = before - float(state.remaining_workloads[t])
                     if state.completed[t]:
-                        completed_by.append(i)
                         completion_time = state.time
         ep.state = state
-        if trace is not None:
-            trace.records.append(
-                _trace_step(ep, actions, task_pos, arrived_now, served_amount,
-                            events, completed_by, constants)
-            )
 
     state = ep.state
     incomplete = not bool(np.all(state.completed))
@@ -457,31 +363,6 @@ def run_episode(
     if not incomplete:
         result.u_pi = metrics.realized_value(result)
     return result
-
-
-def _trace_step(ep, actions, task_pos, arrived_now, served_amount, events, completed_by,
-                constants):
-    n = ep.sc.n_agents
-    rewards = np.zeros(n)
-    for i in range(n):
-        rewards[i] += fairness_shaping(
-            ep.state.agent_positions[i], task_pos[ep.task_of[i]], bool(arrived_now[i]), constants
-        )
-        rewards[i] += constants.kappa * served_amount[i]
-    # A completion credits the agent whose tick finished the task; collision
-    # penalties hit the first agent of each event so the joint sum counts
-    # each event exactly once.
-    for i in completed_by:
-        rewards[i] += constants.completion_bonus
-    for ev in events:
-        rewards[ev.agents[0]] += constants.collision_penalty
-    step_events = StepEvents(completions=len(completed_by), collisions=len(events))
-    return StepRecord(
-        actions=tuple(int(a) for a in actions),
-        agent_rewards=rewards,
-        joint_reward=float(rewards.sum()),
-        events=step_events,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,7 @@ def fairness_cv(values) -> float:
     """Reciprocal coefficient of variation (population sigma); higher is fairer.
 
     Exactly equal inputs have sigma 0; the finite CV_SENTINEL is returned in
-    place of infinity so downstream tabulation stays finite (check with
-    is_exact_equality).
+    place of infinity so downstream tabulation stays finite.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
@@ -65,11 +64,6 @@ def fairness_cv(values) -> float:
     if sigma == 0.0:
         return CV_SENTINEL
     return float(values.mean()) / sigma
-
-
-def is_exact_equality(fairness_value: float) -> bool:
-    """True when fairness_cv hit the zero-variance sentinel."""
-    return fairness_value == CV_SENTINEL
 
 
 def jain(values) -> float:
@@ -102,11 +96,3 @@ def centralized_optimum(
 def realized_value(result: EpisodeResult) -> float:
     """Weighted-log value of the realized utilities; -inf on unserved tasks."""
     return assign.weighted_log_value(result.realized_utilities, result.weights)
-
-
-def regret(u_star: float, realized_values) -> float:
-    """Mean gap between an optimum and a sample of realized values."""
-    realized_values = np.asarray(realized_values, dtype=float)
-    if realized_values.size == 0:
-        raise ValueError("regret needs a non-empty sample")
-    return float(np.mean(u_star - realized_values))

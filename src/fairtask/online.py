@@ -84,7 +84,6 @@ def mark_swept(emap: ExplorationMap, agent_pos, radius: float) -> ExplorationMap
 @dataclass(frozen=True)
 class PartialAssignment:
     pairs: tuple[tuple[int, int], ...]  # (agent, task)
-    agents: tuple[int, ...]
     objective: float
 
 
@@ -130,9 +129,7 @@ def select_subset_and_assign(
     u = assign.compute_utility(d, prefs, sc.alpha)
     solution = assign.solve_eg(u, world.task_weights(sc)[pending])
     pairs = tuple((free[i], pending[j]) for i, j in solution.pairs())
-    return PartialAssignment(
-        pairs=pairs, agents=tuple(a for a, _ in pairs), objective=solution.objective
-    )
+    return PartialAssignment(pairs=pairs, objective=solution.objective)
 
 
 def _next_reachable_target(emap, nav, pos, rng):

@@ -128,21 +128,6 @@ def _segment_distance_field(cx, cy, x1, y1, x2, y2):
     return np.hypot(cx - (x1 + t * vx), cy - (y1 + t * vy))
 
 
-def shortest_path_distance(grid: NavGrid, a, b) -> float:
-    """Octile A* distance between the snapped endpoint cells.
-
-    Returns math.inf when the endpoints are disconnected.  Path lengths are
-    rebuilt from the path's (straight, diagonal) step counts, so any two
-    optimal paths produce bit-identical values.
-    """
-    cells = _astar_cells(grid, a, b)
-    if cells is None:
-        return math.inf
-    diag = sum(p[0] != q[0] and p[1] != q[1] for p, q in zip(cells, cells[1:]))
-    straight = len(cells) - 1 - diag
-    return straight * grid.resolution + diag * (grid.resolution * _SQRT2)
-
-
 def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
     """Octile A* cell path from a's cell to b's cell, or None when disconnected.
 
@@ -402,15 +387,9 @@ class DistanceProvider:
             self._fields[idx] = cached
         return cached
 
-    def distance(self, a, b) -> float:
-        idx = self._snap_index(b)
-        if idx is None:
-            return math.inf
-        return float(self.field(a)[idx])
-
     def pairwise(self, sources, targets) -> np.ndarray:
-        sources = np.atleast_2d(np.asarray(sources, dtype=float))
-        targets = np.atleast_2d(np.asarray(targets, dtype=float))
+        sources = np.asarray(sources, dtype=float).reshape(-1, 2)
+        targets = np.asarray(targets, dtype=float).reshape(-1, 2)
         missing = list(dict.fromkeys(
             i for i in map(self._snap_index, sources) if i is not None and i not in self._fields
         ))

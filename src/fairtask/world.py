@@ -111,19 +111,16 @@ class Scenario:
     def task_positions(self) -> np.ndarray:
         return np.array([t.position for t in self.tasks], dtype=float)
 
-    def wall_segments(self, include_boundary: bool = True) -> np.ndarray:
-        """All wall segments as an array of shape (W, 2, 2)."""
+    def wall_segments(self) -> np.ndarray:
+        """Interior walls plus the four boundary sides, shape (W + 4, 2, 2)."""
         s = float(self.workspace_size)
         segs = [((x1, y1), (x2, y2)) for (x1, y1), (x2, y2) in self.walls]
-        if include_boundary:
-            segs += [
-                ((0.0, 0.0), (s, 0.0)),
-                ((s, 0.0), (s, s)),
-                ((s, s), (0.0, s)),
-                ((0.0, s), (0.0, 0.0)),
-            ]
-        if not segs:
-            return np.zeros((0, 2, 2))
+        segs += [
+            ((0.0, 0.0), (s, 0.0)),
+            ((s, 0.0), (s, s)),
+            ((s, s), (0.0, s)),
+            ((0.0, s), (0.0, 0.0)),
+        ]
         return np.array(segs, dtype=float)
 
 
@@ -143,7 +140,7 @@ class MotionGeometry:
     """
 
     def __init__(self, sc: Scenario) -> None:
-        self.walls = sc.wall_segments(include_boundary=True)
+        self.walls = sc.wall_segments()
         self.wall_boxes = [
             _padded_box(min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
             for (x1, y1), (x2, y2) in self.walls.tolist()
@@ -225,10 +222,8 @@ class WorldState:
     agent_positions: np.ndarray      # (N, 2)
     agent_velocities: np.ndarray     # (N, 2)
     remaining_workloads: np.ndarray  # (m,)
-    progress: np.ndarray             # (m,)
     discovered: np.ndarray           # (m,) bool
     completed: np.ndarray            # (m,) bool
-    last_server: np.ndarray          # (m,) int, -1 when unserved
     cumulative_distance: np.ndarray  # (N,)
 
     def copy(self) -> "WorldState":
@@ -237,10 +232,8 @@ class WorldState:
             agent_positions=self.agent_positions.copy(),
             agent_velocities=self.agent_velocities.copy(),
             remaining_workloads=self.remaining_workloads.copy(),
-            progress=self.progress.copy(),
             discovered=self.discovered.copy(),
             completed=self.completed.copy(),
-            last_server=self.last_server.copy(),
             cumulative_distance=self.cumulative_distance.copy(),
         )
 
@@ -252,10 +245,8 @@ def initial_state(sc: Scenario) -> WorldState:
         agent_positions=sc.agent_positions(),
         agent_velocities=np.zeros((n, 2)),
         remaining_workloads=np.array([t.workload for t in sc.tasks], dtype=float),
-        progress=np.zeros(m),
         discovered=np.zeros(m, dtype=bool),
         completed=np.zeros(m, dtype=bool),
-        last_server=np.full(m, -1, dtype=int),
         cumulative_distance=np.zeros(n),
     )
 
@@ -431,8 +422,8 @@ def discover(state: WorldState, tasks) -> WorldState:
 def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> WorldState:
     """One service interval: workload drops by the agent's rate times dt.
 
-    Servicing an already-completed task is a no-op (callers flag it in their
-    trace).  Range and discovery preconditions are enforced.
+    Servicing an already-completed task is a no-op.  Range and discovery
+    preconditions are enforced.
     """
     if state.completed[task]:
         return state.copy()
@@ -445,8 +436,6 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
     out = state.copy()
     amount = min(rate * sc.dt, float(out.remaining_workloads[task]))
     out.remaining_workloads[task] -= amount
-    out.progress[task] += amount
-    out.last_server[task] = agent
     if out.remaining_workloads[task] <= 0.0:
         out.remaining_workloads[task] = 0.0
         out.completed[task] = True

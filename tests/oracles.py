@@ -1,20 +1,24 @@
-"""Reference implementations the fast navigation routines are compared against.
+"""Reference implementations the fast routines are compared against.
 
-Each function is the straightforward version of a routine in `src/`:
-tuple-keyed A*, the per-sample line-of-sight loop, the COO grid-graph build,
-and the motion clip that tests every wall and disc.  The differential tests require the fast
-routines to return exactly what these return.
+The navigation functions are the straightforward versions of routines in
+`src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO grid-graph
+build, and the motion clip that tests every wall and disc.  The differential
+tests require the fast routines to return exactly what these return.  The
+assignment oracles enumerate every permutation or agent subset, independent
+of the solvers they check.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from fairtask import pathfind
+from fairtask import assign, pathfind, world
+from fairtask.assign import Assignment, UtilityMatrix
 from fairtask.pathfind import _NEIGHBORS, _SQRT2, NavGrid
 from fairtask.world import (
     _SURFACE_BACKOFF,
@@ -86,6 +90,21 @@ def astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
     return None
 
 
+def shortest_path_distance(grid: NavGrid, a, b) -> float:
+    """Octile A* distance between the snapped endpoint cells.
+
+    Returns math.inf when the endpoints are disconnected.  Path lengths are
+    rebuilt from the path's (straight, diagonal) step counts, so any two
+    optimal paths produce bit-identical values.
+    """
+    cells = astar_cells(grid, a, b)
+    if cells is None:
+        return math.inf
+    diag = sum(p[0] != q[0] and p[1] != q[1] for p, q in zip(cells, cells[1:]))
+    straight = len(cells) - 1 - diag
+    return straight * grid.resolution + diag * (grid.resolution * _SQRT2)
+
+
 def line_of_sight(grid: NavGrid, a, b) -> bool:
     """True when the straight segment a-b is traversable.
 
@@ -154,7 +173,7 @@ def step_dynamics_events(
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
     out = state.copy()
-    walls = sc.wall_segments(include_boundary=True)
+    walls = sc.wall_segments()
     events: list[CollisionEvent] = []
 
     for i in range(n):
@@ -224,3 +243,91 @@ def clip_motion(p, disp, walls, obstacles, allow_slide: bool = True):
     t_stop = max(best_t - _SURFACE_BACKOFF / length, 0.0)
     return p + disp * t_stop, best
 
+
+# ---------------------------------------------------------------------------
+# assign
+# ---------------------------------------------------------------------------
+
+
+def pareto_dominates(a: Assignment, b: Assignment, u: UtilityMatrix) -> bool:
+    """True when a serves every task at least as well as b, one strictly."""
+    ua = assign.task_utilities(a, u)
+    ub = assign.task_utilities(b, u)
+    return bool(np.all(ua >= ub) and np.any(ua > ub))
+
+
+def _permutations_as_assignments(n: int):
+    for perm in itertools.permutations(range(n)):
+        yield np.array(perm, dtype=int)
+
+
+def brute_force_max_sum(scores) -> tuple[np.ndarray, float]:
+    """Exhaustive max of sum_j scores[j, pi(j)]; returns (task_of_agent, value)."""
+    scores = np.asarray(scores, dtype=float)
+    n = scores.shape[0]
+    best_perm, best_val = None, -math.inf
+    for task_of_agent in _permutations_as_assignments(n):
+        val = float(scores[task_of_agent, np.arange(n)].sum())
+        if val > best_val:
+            best_perm, best_val = task_of_agent, val
+    return best_perm, best_val
+
+
+def brute_force_eg(u: UtilityMatrix, weights) -> tuple[np.ndarray, float]:
+    """Exhaustive max of the weighted-log objective."""
+    weights = np.asarray(weights, dtype=float)
+    n = u.values.shape[0]
+    best_perm, best_val = None, -math.inf
+    for task_of_agent in _permutations_as_assignments(n):
+        selected = u.values[task_of_agent, np.arange(n)]
+        if np.any(selected <= 0.0):
+            val = -math.inf
+        else:
+            val = float(np.sum(weights[task_of_agent] * np.log(selected)))
+        if val > best_val:
+            best_perm, best_val = task_of_agent, val
+    return best_perm, best_val
+
+
+def brute_force_minmax(costs) -> tuple[np.ndarray, float]:
+    """Exhaustive min of the largest selected cost."""
+    costs = np.asarray(costs, dtype=float)
+    n = costs.shape[0]
+    best_perm, best_val = None, math.inf
+    for task_of_agent in _permutations_as_assignments(n):
+        val = float(costs[task_of_agent, np.arange(n)].max())
+        if val < best_val:
+            best_perm, best_val = task_of_agent, val
+    return best_perm, best_val
+
+
+def best_injective_sum(scores):
+    """Exhaustive max of sum_j scores[j, a_j] over distinct agents a_j (m <= n)."""
+    m, n = scores.shape
+    return max(
+        float(scores[np.arange(m), list(agents)].sum())
+        for agents in itertools.permutations(range(n), m)
+    )
+
+
+# ---------------------------------------------------------------------------
+# online
+# ---------------------------------------------------------------------------
+
+
+def subset_oracle(free, pending, sc, provider, positions):
+    """Exhaustive subset comparison used to pin the committed choice."""
+    prefs = world.preference_matrix(sc)
+    weights = world.task_weights(sc)
+    best_obj, best_subset = -math.inf, None
+    for subset in itertools.combinations(sorted(free), len(pending)):
+        d = provider.pairwise(
+            sc.task_positions()[sorted(pending)], positions[list(subset)]
+        )
+        u = assign.compute_utility(
+            d, prefs[np.ix_(sorted(pending), list(subset))], sc.alpha
+        )
+        _, obj = brute_force_eg(u, weights[sorted(pending)])
+        if obj > best_obj:
+            best_obj, best_subset = obj, subset
+    return best_subset, best_obj

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from fairtask import assign
 
+import oracles
+
 
 def random_instance(rng, n, weight_spread=True):
     d = rng.uniform(0.0, 3.0, size=(n, n))
@@ -49,7 +51,8 @@ def test_alpha_validation():
 
 def test_utility_rebuild_invariant(rng):
     u, _ = random_instance(rng, 5)
-    assert u.rebuild_error() <= 1e-12
+    expected = np.power(u.alpha, u.distances) * u.preferences
+    assert np.max(np.abs(u.values - expected)) <= 1e-12
 
 
 def test_score_matrix_values():
@@ -90,7 +93,7 @@ def test_hungarian_rank_one_matrix_against_oracle():
     # Rank-one outer product [1,2,3] x [1,2,3]: the exhaustive oracle pins the
     # max at 14 (sorted-with-sorted by the rearrangement inequality).
     scores = np.outer([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-    perm, best = assign.brute_force_max_sum(scores)
+    perm, best = oracles.brute_force_max_sum(scores)
     assert best == pytest.approx(14.0)
     res = assign.solve_hungarian_max(scores)
     assert res.objective == pytest.approx(best)
@@ -99,7 +102,7 @@ def test_hungarian_rank_one_matrix_against_oracle():
 def test_hungarian_matches_oracle_random(rng):
     for n in (2, 3, 4, 5, 6):
         scores = rng.normal(size=(n, n))
-        _, best = assign.brute_force_max_sum(scores)
+        _, best = oracles.brute_force_max_sum(scores)
         assert assign.solve_hungarian_max(scores).objective == pytest.approx(
             best, abs=1e-9
         )
@@ -120,15 +123,6 @@ def test_hungarian_rejects_bad_input():
         assign.solve_hungarian_max(np.array([[1.0, math.inf], [0.0, 1.0]]))
 
 
-def _best_injective_sum(scores):
-    """Exhaustive max of sum_j scores[j, a_j] over distinct agents a_j (m <= n)."""
-    m, n = scores.shape
-    return max(
-        float(scores[np.arange(m), list(agents)].sum())
-        for agents in itertools.permutations(range(n), m)
-    )
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     dims=st.tuples(st.integers(1, 6), st.integers(1, 6)).map(sorted),
@@ -143,8 +137,8 @@ def test_rectangular_solvers_match_exhaustive_oracle(seed, dims):
     )
     w = rng.uniform(0.5, 2.0, size=m)
     for res, best in (
-        (assign.solve_hungarian_max(scores), _best_injective_sum(scores)),
-        (assign.solve_eg(u, w), _best_injective_sum(w[:, None] * np.log(u.values))),
+        (assign.solve_hungarian_max(scores), oracles.best_injective_sum(scores)),
+        (assign.solve_eg(u, w), oracles.best_injective_sum(w[:, None] * np.log(u.values))),
     ):
         served = res.task_of_agent[res.task_of_agent >= 0]
         assert sorted(served.tolist()) == list(range(m))  # one-to-one, every task served
@@ -168,7 +162,7 @@ def test_eg_single_pair():
 def test_eg_matches_exhaustive_random(rng):
     for n in (2, 3, 4, 5):
         u, w = random_instance(rng, n)
-        _, best = assign.brute_force_eg(u, w)
+        _, best = oracles.brute_force_eg(u, w)
         res = assign.solve_eg(u, w)
         assert res.objective == pytest.approx(best, abs=1e-9)
 
@@ -216,8 +210,8 @@ def test_reduction_soundness(rng):
     for _ in range(50):
         u, w = random_instance(rng, 4)
         assert np.all(u.values > 1e-6)
-        perm_lin, _ = assign.brute_force_max_sum(assign.eg_score_matrix(u, w))
-        perm_log, _ = assign.brute_force_eg(u, w)
+        perm_lin, _ = oracles.brute_force_max_sum(assign.eg_score_matrix(u, w))
+        perm_log, _ = oracles.brute_force_eg(u, w)
         assert np.array_equal(perm_lin, perm_log)
 
 
@@ -246,7 +240,7 @@ def test_eg_objective_single_task_log_e():
 def test_pareto_not_self_dominant(rng):
     u, _ = random_instance(rng, 3)
     a = assign.Assignment(task_of_agent=np.array([0, 1, 2]), objective=0.0, rule="eg")
-    assert not assign.pareto_dominates(a, a, u)
+    assert not oracles.pareto_dominates(a, a, u)
 
 
 def test_pareto_strict_dominance():
@@ -254,8 +248,8 @@ def test_pareto_strict_dominance():
     u = assign.compute_utility(np.zeros((2, 2)), vals, 0.97)
     good = assign.Assignment(task_of_agent=np.array([0, 1]), objective=0.0, rule="eg")
     bad = assign.Assignment(task_of_agent=np.array([1, 0]), objective=0.0, rule="eg")
-    assert assign.pareto_dominates(good, bad, u)
-    assert not assign.pareto_dominates(bad, good, u)
+    assert oracles.pareto_dominates(good, bad, u)
+    assert not oracles.pareto_dominates(bad, good, u)
 
 
 def test_pareto_trade_is_incomparable():
@@ -265,8 +259,8 @@ def test_pareto_trade_is_incomparable():
     u = assign.compute_utility(np.zeros((2, 2)), vals, 0.97)
     a = assign.Assignment(task_of_agent=np.array([0, 1]), objective=0.0, rule="eg")
     b = assign.Assignment(task_of_agent=np.array([1, 0]), objective=0.0, rule="eg")
-    assert not assign.pareto_dominates(a, b, u)
-    assert not assign.pareto_dominates(b, a, u)
+    assert not oracles.pareto_dominates(a, b, u)
+    assert not oracles.pareto_dominates(b, a, u)
 
 
 def test_eg_solution_is_pareto_efficient(rng):
@@ -277,7 +271,7 @@ def test_eg_solution_is_pareto_efficient(rng):
             rival = assign.Assignment(
                 task_of_agent=np.array(perm), objective=0.0, rule="eg"
             )
-            assert not assign.pareto_dominates(rival, res, u)
+            assert not oracles.pareto_dominates(rival, res, u)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +289,7 @@ def test_minmax_identity_cheap_diagonal():
 
 def test_minmax_fixed_matrix_against_oracle():
     costs = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-    _, best = assign.brute_force_minmax(costs)
+    _, best = oracles.brute_force_minmax(costs)
     assert best == 2.0  # oracle value for this matrix
     res = assign.solve_minmax(costs)
     assert res.objective == best
@@ -304,7 +298,7 @@ def test_minmax_fixed_matrix_against_oracle():
 def test_minmax_matches_oracle_random(rng):
     for n in (2, 3, 4, 5, 6):
         costs = rng.uniform(0.0, 5.0, size=(n, n))
-        _, best = assign.brute_force_minmax(costs)
+        _, best = oracles.brute_force_minmax(costs)
         res = assign.solve_minmax(costs)
         assert res.objective == best
         assert costs[res.task_of_agent, np.arange(n)].max() == best

@@ -243,12 +243,20 @@ def test_exit_code_parse_error():
     assert run_cli(["run", "--algorithm", "eg"]) == 1  # missing scenario source
 
 
-def test_exit_code_config_error(tmp_path):
+def test_exit_code_config_error(tmp_path, capsys):
     rc = run_cli([
         "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
         "--episodes", "0", "--out", str(tmp_path / "x"),
     ])
     assert rc == 1
+    # A map too crowded for the generator to place its entities.
+    capsys.readouterr()
+    rc = run_cli([
+        "run", "--generate", "N=40,map=0.7,walls=0,obstacles=0", "--algorithm", "eg",
+        "--episodes", "1", "--out", str(tmp_path / "y"),
+    ])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: could not generate a usable scenario")
 
 
 def test_exit_code_runtime_failure(tmp_path):

@@ -1,4 +1,4 @@
-"""Reward components, scripted controller, episodes, and batch running."""
+"""Scripted controller, episodes, and batch running."""
 
 from __future__ import annotations
 
@@ -8,73 +8,9 @@ import numpy as np
 import pytest
 
 from fairtask import cli, engine, metrics, online, pathfind, world
-from fairtask.engine import RewardConstants, StepEvents
 from fairtask.world import ACTION_IDLE
 
 from conftest import make_scenario
-
-
-# ---------------------------------------------------------------------------
-# Reward components
-# ---------------------------------------------------------------------------
-
-
-def test_exploration_reward_at_zero():
-    c = RewardConstants(eta0=1.5, gamma_decay=0.1)
-    assert engine.exploration_reward(0.0, True, c) == pytest.approx(1.5)
-
-
-def test_exploration_reward_without_discovery():
-    assert engine.exploration_reward(3.0, False, RewardConstants()) == 0.0
-
-
-def test_exploration_reward_e_folding():
-    c = RewardConstants(eta0=2.0, gamma_decay=0.25)
-    assert engine.exploration_reward(1.0 / 0.25, True, c) == pytest.approx(2.0 / math.e)
-
-
-def test_fairness_shaping_arrival_bonus():
-    c = RewardConstants(arrival_bonus=5.0)
-    assert engine.fairness_shaping((1.0, 1.0), (1.0, 1.0), True, c) == pytest.approx(5.0)
-
-
-def test_fairness_shaping_distance_penalty():
-    c = RewardConstants()
-    assert engine.fairness_shaping((0.0, 0.0), (0.7, 0.0), False, c) == pytest.approx(-0.7)
-
-
-def test_fairness_shaping_one_shot_consumed():
-    c = RewardConstants(arrival_bonus=5.0)
-    assert engine.fairness_shaping((1.0, 1.0), (1.0, 1.0), False, c) == 0.0
-
-
-def test_progress_reward_basic():
-    c = RewardConstants(kappa=1.0)
-    assert engine.progress_reward(0.5, 0.1, c) == pytest.approx(0.05)
-
-
-def test_progress_reward_truncated_final_tick():
-    c = RewardConstants(kappa=1.0)
-    assert engine.progress_reward(0.5, 0.1, c, remaining=0.02) == pytest.approx(0.02)
-
-
-def test_progress_reward_zero_kappa():
-    c = RewardConstants(kappa=0.0)
-    assert engine.progress_reward(0.9, 0.2, c) == 0.0
-
-
-def test_completion_and_collision_values():
-    c = RewardConstants(completion_bonus=10.0, collision_penalty=-5.0)
-    assert engine.completion_and_collision(StepEvents(1, 0), c) == pytest.approx(10.0)
-    assert engine.completion_and_collision(StepEvents(0, 2), c) == pytest.approx(-10.0)
-    assert engine.completion_and_collision(StepEvents(0, 0), c) == 0.0
-
-
-def test_reward_constants_validation():
-    with pytest.raises(ValueError):
-        RewardConstants(collision_penalty=1.0)
-    with pytest.raises(ValueError):
-        RewardConstants(eta0=-0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -86,15 +22,18 @@ def test_policy_idles_when_parked(empty_scenario):
     sc = empty_scenario
     state = world.initial_state(sc)
     grid = pathfind.build_nav_grid(sc)
-    goal = state.agent_positions[0].copy()
-    assert engine.scripted_goto_policy(state, sc, 0, goal, grid) == ACTION_IDLE
+    p = state.agent_positions[0]
+    goal = p.copy()
+    waypoints = pathfind.path_waypoints(grid, p, goal)
+    assert engine.scripted_goto_policy(state, sc, 0, goal, waypoints) == ACTION_IDLE
 
 
 def test_policy_accelerates_toward_distant_goal(empty_scenario):
     sc = empty_scenario
     state = world.initial_state(sc)
     grid = pathfind.build_nav_grid(sc)
-    action = engine.scripted_goto_policy(state, sc, 0, (2.0, 0.525), grid)
+    p, goal = state.agent_positions[0], (2.0, 0.525)
+    action = engine.scripted_goto_policy(state, sc, 0, goal, pathfind.path_waypoints(grid, p, goal))
     assert action == world.ACTION_ACCEL_PX
 
 
@@ -104,7 +43,10 @@ def test_policy_unreachable_goal_idles():
     )
     state = world.initial_state(sc)
     grid = pathfind.build_nav_grid(sc)
-    assert engine.scripted_goto_policy(state, sc, 0, (0.5, 2.0), grid) == ACTION_IDLE
+    p, goal = state.agent_positions[0], (0.5, 2.0)
+    waypoints = pathfind.path_waypoints(grid, p, goal)
+    assert waypoints == []
+    assert engine.scripted_goto_policy(state, sc, 0, goal, waypoints) == ACTION_IDLE
 
 
 def test_controller_overhead_on_empty_map():
@@ -118,7 +60,7 @@ def test_controller_overhead_on_empty_map():
         )
         grid = pathfind.build_nav_grid(sc)
         provider = pathfind.DistanceProvider(grid)
-        d_star = provider.distance(sc.tasks[0].position, sc.agents[0].start_position)
+        d_star = provider.pairwise([sc.tasks[0].position], [sc.agents[0].start_position])[0, 0]
         res = engine.run_centralized_episode(sc, "eg")
         assert not res.incomplete
         pref = world.preference_matrix(sc)[0, 0]
@@ -179,16 +121,35 @@ def test_episode_determinism():
     assert np.array_equal(a.per_agent_distance, b.per_agent_distance)
 
 
-def test_joint_reward_identity_and_accounting():
+def _capped_eg_episode(sc, step_cap):
+    u_star, solution, _ = metrics.centralized_optimum(sc, sc.distances)
+    ep = engine.Episode(sc)
+    for task in range(sc.n_tasks):
+        ep.discover(task)
+    ep.commit(solution.pairs())
+    return ep, engine.run_episode(ep, "eg", u_star, step_cap)
+
+
+def test_step_cap_completion_and_accounting():
+    # T is the time of the last completion: a cap of exactly T / dt steps
+    # still completes the same episode, and one step fewer leaves it
+    # incomplete at the cap's time.  D sums the per-agent odometry either way.
     sc = world.generate_scenario(3, 2.5, seed=91)
-    res, trace = engine.run_centralized_episode(sc, "eg", with_trace=True)
-    assert not res.incomplete
-    assert trace.records
-    for rec in trace.records:
-        assert rec.joint_reward == pytest.approx(float(rec.agent_rewards.sum()))
-    # T is the timestamp of the last completion; D sums the per-agent odometry.
-    assert res.completion_time == pytest.approx(len(trace.records) * sc.dt)
-    assert res.total_distance == pytest.approx(float(res.per_agent_distance.sum()), abs=1e-9)
+    full = engine.run_centralized_episode(sc, "eg")
+    assert not full.incomplete
+    steps = round(full.completion_time / sc.dt)
+
+    _, exact = _capped_eg_episode(sc, steps)
+    assert not exact.incomplete
+    assert exact.completion_time == full.completion_time
+    assert exact.total_distance == full.total_distance
+
+    ep, capped = _capped_eg_episode(sc, steps - 1)
+    assert capped.incomplete
+    assert capped.completion_time == ep.state.time
+    assert math.isnan(capped.u_pi)
+    for res in (full, exact, capped):
+        assert res.total_distance == pytest.approx(float(res.per_agent_distance.sum()), abs=1e-9)
 
 
 def test_minmax_optimizes_its_own_metric():

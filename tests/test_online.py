@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 import pytest
 
 from fairtask import assign, engine, metrics, online, pathfind, world
 
+import oracles
 from conftest import make_scenario
 
 
@@ -111,22 +109,8 @@ def test_mark_swept_exact_cover(empty_scenario):
 # ---------------------------------------------------------------------------
 
 
-def _subset_oracle(free, pending, sc, provider, positions):
-    """Exhaustive subset comparison used to pin the committed choice."""
-    prefs = world.preference_matrix(sc)
-    weights = world.task_weights(sc)
-    best_obj, best_subset = -math.inf, None
-    for subset in itertools.combinations(sorted(free), len(pending)):
-        d = provider.pairwise(
-            sc.task_positions()[sorted(pending)], positions[list(subset)]
-        )
-        u = assign.compute_utility(
-            d, prefs[np.ix_(sorted(pending), list(subset))], sc.alpha
-        )
-        _, obj = assign.brute_force_eg(u, weights[sorted(pending)])
-        if obj > best_obj:
-            best_obj, best_subset = obj, subset
-    return best_subset, best_obj
+def _agents(partial):
+    return tuple(a for a, _ in partial.pairs)
 
 
 def test_subset_degenerate_equals_centralized():
@@ -151,8 +135,8 @@ def test_subset_choice_matches_exhaustive_oracle():
     positions = sc.agent_positions()
     free, pending, k = {0, 1, 2, 3, 4}, {1, 3}, 2
     pa = online.select_subset_and_assign(free, pending, k, sc, provider, positions)
-    subset, obj = _subset_oracle(free, pending, sc, provider, positions)
-    assert pa.agents == subset
+    subset, obj = oracles.subset_oracle(free, pending, sc, provider, positions)
+    assert _agents(pa) == subset
     assert pa.objective == pytest.approx(obj, abs=1e-9)
 
 
@@ -178,8 +162,8 @@ def _random_triggers(count, seed):
 def test_subset_choice_matches_oracle_on_random_triggers():
     for sc, provider, free, pending, k, positions in _random_triggers(40, seed=5):
         pa = online.select_subset_and_assign(free, pending, k, sc, provider, positions)
-        subset, obj = _subset_oracle(free, pending, sc, provider, positions)
-        assert pa.agents == subset
+        subset, obj = oracles.subset_oracle(free, pending, sc, provider, positions)
+        assert _agents(pa) == subset
         assert pa.objective == pytest.approx(obj, abs=1e-9)
         assert sorted(t for _, t in pa.pairs) == pending
 
@@ -216,11 +200,10 @@ def test_subset_tie_breaks_lexicographically():
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
     positions = sc.agent_positions()
-    d0 = provider.distance(sc.tasks[0].position, positions[0])
-    d1 = provider.distance(sc.tasks[0].position, positions[1])
+    d0, d1 = provider.pairwise([sc.tasks[0].position], positions[:2])[0]
     assert d0 == d1  # exact symmetry of the snapped cells
     pa = online.select_subset_and_assign({0, 1}, {0}, 1, sc, provider, positions)
-    assert pa.agents == (0,)
+    assert _agents(pa) == (0,)
 
 
 def test_subset_overflow_is_internal_error():
@@ -298,7 +281,7 @@ def test_subset_commit_beats_alternatives():
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
     for trig in res.online_triggers:
-        _, best = _subset_oracle(
+        _, best = oracles.subset_oracle(
             trig.free_agents, trig.pending_tasks, sc, provider, trig.agent_positions
         )
         assert trig.objective >= best - 1e-9

@@ -102,7 +102,7 @@ def test_full_wall_disconnects_components():
         [(0.5, 0.5)], [(2.0, 0.5)], walls=[((0.0, 1.25), (2.5, 1.25))]
     )
     grid = pathfind.build_nav_grid(sc, 0.05)
-    assert pathfind.shortest_path_distance(grid, (0.5, 0.5), (0.5, 2.0)) == math.inf
+    assert oracles.shortest_path_distance(grid, (0.5, 0.5), (0.5, 2.0)) == math.inf
 
 
 def test_entity_in_blocked_cell_rejected():
@@ -120,21 +120,21 @@ def test_resolution_validation(empty_scenario):
 
 
 # ---------------------------------------------------------------------------
-# shortest_path_distance
+# A* path lengths (oracles.shortest_path_distance)
 # ---------------------------------------------------------------------------
 
 
 def test_zero_distance_same_point(empty_scenario):
     grid = pathfind.build_nav_grid(empty_scenario)
-    assert pathfind.shortest_path_distance(grid, (1.0, 1.0), (1.0, 1.0)) == 0.0
+    assert oracles.shortest_path_distance(grid, (1.0, 1.0), (1.0, 1.0)) == 0.0
 
 
 def test_straight_line_within_octile_bound(empty_scenario):
     grid = pathfind.build_nav_grid(empty_scenario)
-    d = pathfind.shortest_path_distance(grid, (0.525, 0.525), (1.525, 0.525))
+    d = oracles.shortest_path_distance(grid, (0.525, 0.525), (1.525, 0.525))
     assert d == pytest.approx(1.0)
     # 22.5-degree-ish line: octile overestimates Euclidean by <= ~8.2%
-    d2 = pathfind.shortest_path_distance(grid, (0.525, 0.525), (1.325, 0.925))
+    d2 = oracles.shortest_path_distance(grid, (0.525, 0.525), (1.325, 0.925))
     euclid = math.hypot(0.8, 0.4)
     assert euclid <= d2 <= 1.09 * euclid
 
@@ -147,7 +147,7 @@ def test_detour_through_gap_matches_dijkstra():
     )
     grid = pathfind.build_nav_grid(sc, 0.05)
     a, b = (0.5, 0.5), (0.5, 2.0)
-    d = pathfind.shortest_path_distance(grid, a, b)
+    d = oracles.shortest_path_distance(grid, a, b)
     assert math.isfinite(d)
     assert d == dijkstra_oracle(grid, a, b)
     assert d > math.hypot(0.0, 1.5)  # forced detour is strictly longer
@@ -161,7 +161,7 @@ def test_astar_equals_dijkstra_on_random_pairs(rng):
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             a, b = pts[i], pts[j]
-            assert pathfind.shortest_path_distance(grid, a, b) == dijkstra_oracle(
+            assert oracles.shortest_path_distance(grid, a, b) == dijkstra_oracle(
                 grid, a, b
             )
             checked += 1
@@ -175,15 +175,15 @@ def test_metric_sanity(rng):
     res = grid.resolution
     pts = _free_random_points(grid, rng, 12)
     for a in pts[:6]:
-        assert pathfind.shortest_path_distance(grid, a, a) == 0.0
+        assert oracles.shortest_path_distance(grid, a, a) == 0.0
     for i in range(5):
         a, b, c = pts[i], pts[i + 4], pts[i + 7]
-        dab = pathfind.shortest_path_distance(grid, a, b)
-        dba = pathfind.shortest_path_distance(grid, b, a)
+        dab = oracles.shortest_path_distance(grid, a, b)
+        dba = oracles.shortest_path_distance(grid, b, a)
         assert dab == dba
         if math.isfinite(dab):
-            dac = pathfind.shortest_path_distance(grid, a, c)
-            dcb = pathfind.shortest_path_distance(grid, c, b)
+            dac = oracles.shortest_path_distance(grid, a, c)
+            dcb = oracles.shortest_path_distance(grid, c, b)
             assert dab <= dac + dcb + 2 * res
             assert dab >= math.hypot(*(np.asarray(a) - np.asarray(b))) - 2 * res
 
@@ -302,8 +302,9 @@ def test_pairwise_matches_single_source_fields(seed):
         got = provider.pairwise(sources, targets)
         assert np.array_equal(got, _single_source_rows(grid, sources, targets))
         assert np.array_equal(provider.pairwise(sources, targets), got)  # from the cache
-        assert provider.pairwise(np.empty((0, 2)), targets).shape == (0, len(targets))
-        assert provider.pairwise(sources, np.empty((0, 2))).shape == (len(sources), 0)
+        for empty in (np.empty((0, 2)), []):
+            assert provider.pairwise(empty, targets).shape == (0, len(targets))
+            assert provider.pairwise(sources, empty).shape == (len(sources), 0)
     assert np.isinf(got[-1]).all() and np.isinf(got[:, -1]).all()  # sealed grid
     split = pathfind.DistanceProvider(_split_grid()).pairwise([below], [above, (2.0, 0.5)])
     assert math.isinf(split[0, 0]) and math.isfinite(split[0, 1])
@@ -405,8 +406,8 @@ def test_provider_matches_astar(rng):
     pts = _free_random_points(grid, rng, 10)
     for i in range(5):
         a, b = pts[i], pts[i + 5]
-        assert provider.distance(a, b) == pytest.approx(
-            pathfind.shortest_path_distance(grid, a, b), abs=1e-9
+        assert provider.pairwise([a], [b])[0, 0] == pytest.approx(
+            oracles.shortest_path_distance(grid, a, b), abs=1e-9
         )
 
 

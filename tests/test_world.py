@@ -222,19 +222,16 @@ def test_service_tick_direct_substitution():
     state = world.discover(world.initial_state(sc), [0])
     nxt = world.service_tick(state, sc, 0, 0)
     assert nxt.remaining_workloads[0] == pytest.approx(0.95)
-    assert nxt.progress[0] == pytest.approx(0.05)
-    assert nxt.last_server[0] == 0
+    assert not nxt.completed[0]
 
 
 def test_service_tick_floor_and_completion():
     sc = _service_scenario(workload=1.0, pref=0.5, dt=0.1)
     state = world.discover(world.initial_state(sc), [0])
     state.remaining_workloads[0] = 0.03
-    state.progress[0] = 0.97
     nxt = world.service_tick(state, sc, 0, 0)
     assert nxt.remaining_workloads[0] == 0.0
     assert nxt.completed[0]
-    assert nxt.progress[0] == pytest.approx(1.0)
 
 
 def test_service_completed_is_noop():
@@ -243,7 +240,8 @@ def test_service_completed_is_noop():
     state.remaining_workloads[0] = 0.0
     state.completed[0] = True
     nxt = world.service_tick(state, sc, 0, 0)
-    assert nxt.progress[0] == state.progress[0]
+    assert nxt.remaining_workloads[0] == 0.0
+    assert nxt.completed[0]
 
 
 def test_service_requires_proximity_and_discovery():
@@ -275,9 +273,11 @@ def test_workload_conservation_identity():
     sc = _service_scenario(workload=1.3, pref=0.7, dt=0.07)
     state = world.discover(world.initial_state(sc), [0])
     while not state.completed[0]:
+        before = state.remaining_workloads[0]
         state = world.service_tick(state, sc, 0, 0)
-        total = state.progress[0] + state.remaining_workloads[0]
-        assert total == pytest.approx(1.3, abs=1e-12)
+        served = before - state.remaining_workloads[0]
+        assert served == pytest.approx(min(0.7 * 0.07, before), abs=1e-12)
+    assert state.remaining_workloads[0] == 0.0
 
 
 # ---------------------------------------------------------------------------
