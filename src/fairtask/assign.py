@@ -32,7 +32,6 @@ class UtilityMatrix:
     """u[j, i] = alpha**d[j, i] * pref[j, i], with u = 0 at infinite distance."""
 
     values: np.ndarray
-    alpha: float
     distances: np.ndarray
     preferences: np.ndarray
 
@@ -63,7 +62,6 @@ def compute_utility(distances, preferences, alpha: float) -> UtilityMatrix:
     values[finite] = np.power(alpha, distances[finite]) * preferences[finite]
     return UtilityMatrix(
         values=values,
-        alpha=alpha,
         distances=distances.copy(),
         preferences=preferences.copy(),
     )

@@ -263,6 +263,8 @@ class Episode:
         self.state = world.initial_state(sc)
         self.navs = [Navigator(sc.distances.grid) for _ in range(sc.n_agents)]
         self.task_of: dict[int, int] = {}
+        self.committed = np.zeros(0, dtype=int)  # agents in task_of, ascending
+        self.goals = np.zeros((0, 2))            # their task positions
         self.dist_at_assign = np.zeros(sc.n_agents)
         self.discovery_times = np.full(sc.n_tasks, math.nan)
         self.assignment_log: list[tuple[float, int, int]] = []
@@ -280,6 +282,9 @@ class Episode:
             self.navs[agent].set_goal(
                 self.state.agent_positions[agent], self.sc.tasks[task].position
             )
+        self.committed = np.array(sorted(self.task_of), dtype=int)
+        tasks = [self.task_of[agent] for agent in self.committed.tolist()]
+        self.goals = self.sc.motion.task_positions[tasks]
 
 
 def run_episode(
@@ -300,7 +305,6 @@ def run_episode(
     """
     sc = ep.sc
     n, m = sc.n_agents, sc.n_tasks
-    task_pos = sc.task_positions()
     realized_distance = np.full(m, math.nan)
     completion_time = 0.0
     collisions = 0
@@ -326,17 +330,16 @@ def run_episode(
             policy.observe(ep)
 
         state = ep.state
-        for i in range(n):
-            t = ep.task_of.get(i)
-            if t is None:
-                continue
-            if float(np.hypot(*(state.agent_positions[i] - task_pos[t]))) <= ARRIVAL_RADIUS:
-                if math.isnan(realized_distance[t]):  # first arrival
-                    realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
-                if not state.completed[t]:
-                    state = world.service_tick(state, sc, i, t)
-                    if state.completed[t]:
-                        completion_time = state.time
+        gaps = state.agent_positions[ep.committed] - ep.goals
+        arrived = ep.committed[np.hypot(gaps[:, 0], gaps[:, 1]) <= ARRIVAL_RADIUS]
+        for i in arrived.tolist():
+            t = ep.task_of[i]
+            if math.isnan(realized_distance[t]):  # first arrival
+                realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
+            if not state.completed[t]:
+                state = world.service_tick(state, sc, i, t)
+                if state.completed[t]:
+                    completion_time = state.time
         ep.state = state
 
     state = ep.state

@@ -72,12 +72,22 @@ def sample_target(emap: ExplorationMap, agent_pos, rng: np.random.Generator):
     return emap.points[choice].copy()
 
 
-def mark_swept(emap: ExplorationMap, agent_pos, radius: float) -> ExplorationMap:
-    """Mark every lattice point within the closed sensing ball (in place)."""
-    if radius <= 0:
+def mark_swept(emap: ExplorationMap, positions, radii) -> ExplorationMap:
+    """Mark every lattice point within some closed sensing ball (in place).
+
+    positions is (F, 2) and radii (F,): one ball per sweeping agent, all
+    tested against the unexplored points in one (F, unexplored) array op.
+    """
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if radii.shape != (len(positions),):
+        raise ValueError(f"{len(positions)} positions need as many radii, got {radii.size}")
+    if np.any(radii <= 0):
         raise ValueError("radius must be positive")
-    deltas = emap.points - np.asarray(agent_pos, dtype=float)
-    emap.explored |= np.hypot(deltas[:, 0], deltas[:, 1]) <= radius
+    open_points = np.flatnonzero(~emap.explored)
+    dx = emap.points[open_points, 0] - positions[:, :1]
+    dy = emap.points[open_points, 1] - positions[:, 1:]
+    emap.explored[open_points[(np.hypot(dx, dy) <= radii[:, None]).any(axis=0)]] = True
     return emap
 
 
@@ -181,9 +191,10 @@ class ExplorationPolicy:
         been found.
         """
         sc, state = ep.sc, ep.state
-        for i in range(sc.n_agents):
-            if i not in ep.task_of:
-                mark_swept(self.emap, state.agent_positions[i], sc.agents[i].sensing_radius)
+        sweeping = [i for i in range(sc.n_agents) if i not in ep.task_of]
+        if sweeping:
+            radii = sc.motion.sensing_radius[sweeping]
+            mark_swept(self.emap, state.agent_positions[sweeping], radii)
         # One task at a time so the pending pool triggers at exactly k.
         for j in world.newly_visible_tasks(state, sc):
             ep.discover(j)

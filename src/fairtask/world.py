@@ -131,12 +131,15 @@ _CACHED_PROPERTIES = frozenset(
 
 
 class MotionGeometry:
-    """A scenario's clipping geometry, built once per Scenario (`Scenario.motion`).
+    """A scenario's per-tick arrays, built once per Scenario (`Scenario.motion`).
 
-    Boxes are (xmin, xmax, ymin, ymax) in Python floats, padded by
-    _BOX_PAD.  A wall or disc hit needs a contact point on both the motion
-    segment and the shape, so a shape whose box misses the segment's box
-    cannot be hit and the exact test may skip it.
+    Boxes are (xmin, xmax, ymin, ymax), padded by _BOX_PAD: per shape in
+    Python floats for the exact clip, and all walls then all discs as one
+    (S, 4) array for the team-wide broad phase.  A wall or disc hit needs a
+    contact point on both the motion segment and the shape, so a shape whose
+    box misses the segment's box cannot be hit and the exact test may skip
+    it.  Per-agent speeds and sensing radii and the task positions are (N,)
+    and (M, 2) arrays.
     """
 
     def __init__(self, sc: Scenario) -> None:
@@ -149,7 +152,12 @@ class MotionGeometry:
             (np.array([cx, cy]), r, _padded_box(cx - r, cx + r, cy - r, cy + r))
             for (cx, cy), r in sc.obstacles
         ]
+        self.boxes = np.array(self.wall_boxes + [box for _, _, box in self.discs])
         self.pairs = np.triu_indices(sc.n_agents, 1)  # agent pairs (i, k), i < k
+        self.max_speed = np.array([a.max_speed for a in sc.agents], dtype=float)
+        self.quantum = self.max_speed / ACCEL_STEPS
+        self.sensing_radius = np.array([a.sensing_radius for a in sc.agents], dtype=float)
+        self.task_positions = sc.task_positions()
 
 
 def _padded_box(x0, x1, y0, y1) -> tuple[float, float, float, float]:
@@ -262,37 +270,55 @@ def step_dynamics_events(
 ) -> tuple[WorldState, list[CollisionEvent]]:
     """Advance one timestep: accelerate, clamp speed, integrate, clip geometry.
 
-    Returns the new state and the collision events of the step.
+    Returns the new state and the collision events of the step.  The whole
+    team moves as (N, 2) arrays; only agents whose motion box touches a wall
+    or disc box, or that do not move, go through the exact scalar clip, in
+    ascending agent order.  Every array op is the elementwise IEEE op the
+    per-agent loop did, so the result is the loop's, bit for bit.
     """
     n = sc.n_agents
     actions = np.asarray(joint_action, dtype=int)
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
-    out = state.copy()
+    bad = np.flatnonzero((actions < 0) | (actions >= len(ACTION_VECTORS)))
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(f"agent {i}: action {int(actions[i])} is not in 0..4")
     geom = sc.motion
-    events: list[CollisionEvent] = []
 
-    for i in range(n):
-        spec = sc.agents[i]
-        quantum = spec.max_speed / ACCEL_STEPS
-        v = out.agent_velocities[i] + quantum * ACTION_VECTORS[actions[i]]
-        speed = float(np.hypot(v[0], v[1]))
-        if speed > spec.max_speed:
-            v = v * (spec.max_speed / speed)
-        p = out.agent_positions[i]
-        disp = v * sc.dt
-        new_p, normal = _clip_motion(p, disp, geom)
-        if normal is not None:
-            kind, n_hat = normal
-            v = v - np.dot(v, n_hat) * n_hat
+    v = state.agent_velocities + geom.quantum[:, None] * ACTION_VECTORS[actions]
+    speed = np.hypot(v[:, 0], v[:, 1])
+    over = speed > geom.max_speed
+    if over.any():
+        v[over] *= (geom.max_speed[over] / speed[over])[:, None]
+    p = state.agent_positions
+    disp = v * sc.dt
+    new_p = p + disp
+
+    # Broad phase: the clip's own skip test, for every agent and shape at once.
+    lo, hi = np.minimum(p, new_p), np.maximum(p, new_p)
+    x0, x1, y0, y1 = geom.boxes.T
+    misses = (
+        (x1 < lo[:, :1]) | (hi[:, :1] < x0) | (y1 < lo[:, 1:]) | (hi[:, 1:] < y0)
+    )
+    exact = ~misses.all(axis=1) | ((disp[:, 0] == 0.0) & (disp[:, 1] == 0.0))
+    events: list[CollisionEvent] = []
+    for i in np.flatnonzero(exact).tolist():
+        new_p[i], hit = _clip_motion(p[i], disp[i], geom)
+        if hit is not None:
+            kind, n_hat = hit
+            v[i] = v[i] - np.dot(v[i], n_hat) * n_hat
             events.append(CollisionEvent(kind=kind, agents=(i,)))
-        out.cumulative_distance[i] += float(np.hypot(*(new_p - p)))
-        out.agent_positions[i] = new_p
-        out.agent_velocities[i] = v
+
+    out = state.copy()
+    step = new_p - p
+    out.cumulative_distance += np.hypot(step[:, 0], step[:, 1])
+    out.agent_positions = new_p
+    out.agent_velocities = v
 
     # Agent-agent contacts never block motion; they are only counted.
     first, second = geom.pairs
-    gaps = out.agent_positions[first] - out.agent_positions[second]
+    gaps = new_p[first] - new_p[second]
     close = np.hypot(gaps[:, 0], gaps[:, 1]) < 2.0 * AGENT_RADIUS
     events.extend(
         CollisionEvent(kind="agent", agents=(i, k))
@@ -398,18 +424,17 @@ def _circle_hit(p, disp, center, radius):
 
 
 def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
-    """Undiscovered tasks currently inside some agent's sensing ball."""
-    found = []
-    for j in range(sc.n_tasks):
-        if state.discovered[j]:
-            continue
-        tp = np.array(sc.tasks[j].position)
-        for i in range(sc.n_agents):
-            d = float(np.hypot(*(state.agent_positions[i] - tp)))
-            if d <= sc.agents[i].sensing_radius:
-                found.append(j)
-                break
-    return found
+    """Undiscovered tasks currently inside some agent's closed sensing ball.
+
+    One (N, undiscovered) distance test; tasks come out in ascending order.
+    """
+    geom = sc.motion
+    hidden = np.flatnonzero(~state.discovered)
+    p = state.agent_positions
+    dx = p[:, :1] - geom.task_positions[hidden, 0]
+    dy = p[:, 1:] - geom.task_positions[hidden, 1]
+    seen = np.hypot(dx, dy) <= geom.sensing_radius[:, None]
+    return hidden[seen.any(axis=0)].tolist()
 
 
 def discover(state: WorldState, tasks) -> WorldState:

@@ -1,9 +1,11 @@
 """Reference implementations the fast routines are compared against.
 
-The navigation functions are the straightforward versions of routines in
-`src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO grid-graph
-build, and the motion clip that tests every wall and disc.  The differential
-tests require the fast routines to return exactly what these return.  The
+The navigation and world functions are the straightforward versions of
+routines in `src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO
+grid-graph build, the per-agent dynamics step with a motion clip that tests
+every wall and disc, the task-by-agent sensing loop and the one-ball lattice
+sweep.  The differential tests require the fast routines to return exactly
+what these return.  The
 assignment oracles enumerate every permutation or agent subset, independent
 of the solvers they check.
 """
@@ -244,6 +246,21 @@ def clip_motion(p, disp, walls, obstacles, allow_slide: bool = True):
     return p + disp * t_stop, best
 
 
+def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
+    """Undiscovered tasks currently inside some agent's sensing ball."""
+    found = []
+    for j in range(sc.n_tasks):
+        if state.discovered[j]:
+            continue
+        tp = np.array(sc.tasks[j].position)
+        for i in range(sc.n_agents):
+            d = float(np.hypot(*(state.agent_positions[i] - tp)))
+            if d <= sc.agents[i].sensing_radius:
+                found.append(j)
+                break
+    return found
+
+
 # ---------------------------------------------------------------------------
 # assign
 # ---------------------------------------------------------------------------
@@ -313,6 +330,15 @@ def best_injective_sum(scores):
 # ---------------------------------------------------------------------------
 # online
 # ---------------------------------------------------------------------------
+
+
+def mark_swept(emap, agent_pos, radius: float):
+    """Mark every lattice point within one closed sensing ball (in place)."""
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+    deltas = emap.points - np.asarray(agent_pos, dtype=float)
+    emap.explored |= np.hypot(deltas[:, 0], deltas[:, 1]) <= radius
+    return emap
 
 
 def subset_oracle(free, pending, sc, provider, positions):

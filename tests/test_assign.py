@@ -50,8 +50,11 @@ def test_alpha_validation():
 
 
 def test_utility_rebuild_invariant(rng):
-    u, _ = random_instance(rng, 5)
-    expected = np.power(u.alpha, u.distances) * u.preferences
+    alpha = 0.97
+    d = rng.uniform(0.0, 3.0, size=(5, 5))
+    p = rng.uniform(0.2, 1.0, size=(5, 5))
+    u = assign.compute_utility(d, p, alpha)
+    expected = np.power(alpha, u.distances) * u.preferences
     assert np.max(np.abs(u.values - expected)) <= 1e-12
 
 
@@ -229,7 +232,6 @@ def test_eg_objective_log_one_is_zero():
 def test_eg_objective_single_task_log_e():
     u = assign.UtilityMatrix(
         values=np.array([[math.e]]),
-        alpha=0.5,
         distances=np.zeros((1, 1)),
         preferences=np.array([[math.e]]),
     )

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairtask import assign, engine, metrics, online, pathfind, world
 
@@ -84,13 +86,13 @@ def test_sample_softmax_distances_zero_one(rng):
 
 def test_mark_swept_between_points_no_change():
     emap = _tiny_map([(0.0, 0.0), (0.25, 0.0)])
-    online.mark_swept(emap, (0.125, 0.3), 0.1)
+    online.mark_swept(emap, [(0.125, 0.3)], [0.1])
     assert not emap.explored.any()
 
 
 def test_mark_swept_on_point():
     emap = _tiny_map([(0.5, 0.5)])
-    online.mark_swept(emap, (0.5, 0.5), 0.05)
+    online.mark_swept(emap, [(0.5, 0.5)], [0.05])
     assert emap.explored.all()
 
 
@@ -100,8 +102,68 @@ def test_mark_swept_exact_cover(empty_scenario):
     radius = 0.3  # covers the center point plus its 4 orthogonal neighbours
     expected = np.hypot(*(emap.points - center).T) <= radius
     assert int(expected.sum()) == 5
-    online.mark_swept(emap, center, radius)
+    online.mark_swept(emap, [center], [radius])
     assert np.array_equal(emap.explored, expected)
+
+
+def test_mark_swept_validates_every_radius():
+    emap = _tiny_map([(0.5, 0.5)])
+    for radii in ([0.0, 0.5], [0.5, -0.1]):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            online.mark_swept(emap, [(0.5, 0.5), (1.0, 1.0)], radii)
+    with pytest.raises(ValueError, match="2 positions need as many radii"):
+        online.mark_swept(emap, [(0.5, 0.5), (1.0, 1.0)], [0.5])
+    assert not emap.explored.any()
+
+
+@pytest.mark.parametrize(
+    "n, map_size",
+    [pytest.param(n, size, id=f"N{n}") for n, size in ((1, 2.5), (3, 2.5), (12, 3.5))],
+)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_mark_swept_matches_per_agent_oracle(n, map_size, seed):
+    sc = world.generate_scenario(n, map_size, seed=seed)
+    rng = np.random.default_rng(seed)
+    fast = online.init_lattice(sc, sc.distances.grid)
+    fast.explored |= rng.random(len(fast.points)) < 0.3
+    slow = online.ExplorationMap(
+        points=fast.points, explored=fast.explored.copy(), grid_width=fast.grid_width
+    )
+    for _ in range(5):
+        sweeping = np.flatnonzero(rng.random(n) < 0.7)
+        positions = rng.uniform(0.0, map_size, size=(len(sweeping), 2))
+        radii = rng.uniform(0.05, 0.6, size=len(sweeping))
+        for f in range(len(sweeping)):
+            # Half the balls pass exactly through a lattice point.
+            gap = positions[f] - fast.points[rng.integers(len(fast.points))]
+            d = float(np.hypot(gap[0], gap[1]))
+            if rng.random() < 0.5 and d > 0.0:
+                radii[f] = d
+        if len(sweeping):
+            online.mark_swept(fast, positions, radii)
+        for f in range(len(sweeping)):
+            oracles.mark_swept(slow, positions[f], radii[f])
+        assert np.array_equal(fast.explored, slow.explored)
+
+
+def test_one_sweep_per_tick(monkeypatch):
+    log = []
+
+    def logged(mark, fn):
+        def wrapper(*args, **kwargs):
+            log.append(mark)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(online, "mark_swept", logged("m", online.mark_swept))
+    monkeypatch.setattr(world, "step_dynamics_events", logged("s", world.step_dynamics_events))
+    sc = world.generate_scenario(7, seed=12)
+    res = online.run_online_episode(sc, 3, np.random.default_rng(5))
+    assert not res.incomplete
+    ticks = "".join(log)
+    assert ticks.startswith("ms")  # the sensing before any motion sweeps too
+    assert "mm" not in ticks
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -129,10 +130,18 @@ def test_random_walk_invariants(seed):
             assert not pathfind._segment_crosses_wall(grid, before[i], state.agent_positions[i])
 
 
+# Generated team sizes and maps for the differential tests: the array shapes
+# of the fast routines follow N.
+_TEAMS = [
+    pytest.param(n, size, id=f"N{n}") for n, size in ((1, 2.5), (3, 2.5), (7, 2.7), (12, 3.5))
+]
+
+
+@pytest.mark.parametrize("n, map_size", _TEAMS)
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=10, deadline=None)
-def test_dynamics_match_exhaustive_clip_oracle(seed):
-    sc = world.generate_scenario(7, seed=seed)
+def test_dynamics_match_exhaustive_clip_oracle(n, map_size, seed):
+    sc = world.generate_scenario(n, map_size, seed=seed)
     rng = np.random.default_rng(seed)
     fast = slow = world.initial_state(sc)
     actions = rng.integers(0, 5, size=sc.n_agents)
@@ -149,6 +158,14 @@ def test_dynamics_match_exhaustive_clip_oracle(seed):
         assert fast_events == slow_events
 
 
+@pytest.mark.parametrize("action", [-1, -2, 5])
+def test_step_rejects_actions_outside_the_action_space(action):
+    sc = make_scenario([(1.0, 1.0), (2.0, 1.0)], [(2.0, 2.0), (1.0, 2.0)])
+    state = world.initial_state(sc)
+    with pytest.raises(ValueError, match=rf"agent 1: action {action} is not in 0\.\.4"):
+        world.step_dynamics_events(state, [ACTION_IDLE, action], sc)
+
+
 def test_trajectory_determinism():
     sc = make_scenario([(0.5, 0.5), (2.0, 2.0)], [(1.0, 2.0), (2.0, 0.5)])
     actions = np.random.default_rng(3).integers(0, 5, size=(50, 2))
@@ -163,6 +180,32 @@ def test_trajectory_determinism():
     assert np.array_equal(s1.agent_positions, s2.agent_positions)
     assert np.array_equal(s1.agent_velocities, s2.agent_velocities)
     assert np.array_equal(s1.cumulative_distance, s2.cumulative_distance)
+
+
+# The array dynamics, sensing, sweeping and arrival tests are byte-identical
+# to per-agent loops only because numpy's hypot gives the same bits on an
+# array, a strided column view or two scalars.  If a numpy release breaks
+# that, this fails by name instead of as drift in the golden runs.
+_HYPOT_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e299, max_value=1e301),
+    st.floats(min_value=-1e-307, max_value=1e-307),  # subnormals and zeros
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+)
+
+
+@given(pairs=st.lists(st.tuples(_HYPOT_FLOATS, _HYPOT_FLOATS), min_size=1, max_size=48))
+@settings(max_examples=300, deadline=None)
+def test_vector_hypot_equals_scalar_hypot(pairs):
+    xy = np.array(pairs, dtype=float)
+    with np.errstate(over="ignore"):
+        scalar = np.array([np.hypot(x, y) for x, y in xy])
+        strided = np.hypot(xy[:, 0], xy[:, 1])
+        contiguous = np.hypot(np.ascontiguousarray(xy[:, 0]), np.ascontiguousarray(xy[:, 1]))
+        grid = np.hypot(xy[:, :1], xy[None, :, 1])  # the (N, M) broadcast shape
+    assert strided.tobytes() == scalar.tobytes()
+    assert contiguous.tobytes() == scalar.tobytes()
+    assert np.diagonal(grid).tobytes() == scalar.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +233,38 @@ def test_sense_selective_visibility():
     )
     state = world.initial_state(sc)
     assert world.newly_visible_tasks(state, sc) == [1, 2]
+
+
+def _on_the_boundary(sc, positions, rng, targets):
+    """sc with some agents' sensing radii set to their exact distance to a target.
+
+    Those targets sit exactly on the closed ball's boundary, where `<=` and
+    `<` disagree.
+    """
+    agents = []
+    for i, a in enumerate(sc.agents):
+        gap = positions[i] - targets[rng.integers(len(targets))]
+        d = float(np.hypot(gap[0], gap[1]))
+        if rng.random() < 0.5 and d > 0.0:
+            a = dataclasses.replace(a, sensing_radius=d)
+        agents.append(a)
+    return dataclasses.replace(sc, agents=tuple(agents))
+
+
+@pytest.mark.parametrize("n, map_size", [t for t in _TEAMS if t.id != "N7"])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_newly_visible_matches_scalar_oracle(n, map_size, seed):
+    sc = world.generate_scenario(n, map_size, seed=seed)
+    rng = np.random.default_rng(seed)
+    state = world.initial_state(sc)
+    for _ in range(5):
+        state.agent_positions = rng.uniform(0.0, map_size, size=(n, 2))
+        state.discovered = rng.random(n) < 0.3
+        probe = _on_the_boundary(sc, state.agent_positions, rng, sc.task_positions())
+        assert world.newly_visible_tasks(state, probe) == oracles.newly_visible_tasks(
+            state, probe
+        )
 
 
 def test_discovery_flags_monotone():
