@@ -41,10 +41,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    algorithm: str | None
-    algorithms: tuple[str, ...]
-    k: int | None
-    k_values: tuple[int, ...]
+    batches: tuple[tuple[str, int | None], ...]  # (algorithm, k) per batch, in output order
     episodes: int
     root_seed: int
     out_dir: Path
@@ -274,25 +271,27 @@ def _summary_doc(summary: dict, extra: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_run(config: ExperimentConfig) -> int:
-    batch = engine.batch_run(
-        algorithm=config.algorithm,
+def _run_batch(config: ExperimentConfig, algorithm: str, k: int | None) -> engine.BatchResult:
+    return engine.batch_run(
+        algorithm=algorithm,
         episodes=config.episodes,
         root_seed=config.root_seed,
         generator=config.generator,
         scenario=config.scenario,
-        k=config.k,
+        k=k,
         execution=config.execution,
         parallel=config.parallel,
     )
+
+
+def cmd_run(config: ExperimentConfig) -> int:
+    [(algorithm, k)] = config.batches
+    batch = _run_batch(config, algorithm, k)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(format_result_rows(batch.rows))
     (out / "summary.json").write_text(
-        _summary_doc(
-            batch.summary,
-            {"algorithm": config.algorithm, "k": config.k, "root_seed": config.root_seed},
-        )
+        _summary_doc(batch.summary, {"algorithm": algorithm, "k": k, "root_seed": config.root_seed})
     )
     if config.dump_json:
         (out / "results.json").write_text(_dump_rows_json(batch.rows))
@@ -300,79 +299,34 @@ def cmd_run(config: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_compare(config: ExperimentConfig) -> int:
-    grids = {}
-    for algo in config.algorithms:
-        batch = engine.batch_run(
-            algorithm=algo,
-            episodes=config.episodes,
-            root_seed=config.root_seed,
-            generator=config.generator,
-            scenario=config.scenario,
-            k=config.k if algo == "online" else None,
-            execution=config.execution,
-            parallel=config.parallel,
-        )
-        grids[algo] = batch.summary
+def _write_table(config: ExperimentConfig, file_name: str, label: str, keys) -> int:
+    """One row per (algorithm, k) batch, named by its `label` field.
+
+    file_name gets the summary mean and std of each key, stdout the means.
+    """
+    column = ("algorithm", "k").index(label)
+    rows = [(str(batch[column]), _run_batch(config, *batch).summary) for batch in config.batches]
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    header = ["algorithm"]
-    for key in ("T", "D", "F_rho", "jain"):
-        header += [f"{key}_mean", f"{key}_std"]
-    lines = [",".join(header)]
-    for algo in config.algorithms:
-        s = grids[algo]
-        row = [algo]
-        for key in ("T", "D", "F_rho", "jain"):
-            row += [_fmt(s["mean"][key]), _fmt(s["std"][key])]
-        lines.append(",".join(row))
-    (out / "compare.csv").write_text("\n".join(lines) + "\n")
+    stats = [(stat, key) for key in keys for stat in ("mean", "std")]
+    lines = [",".join([label] + [f"{key}_{stat}" for stat, key in stats])]
+    for name, s in rows:
+        lines.append(",".join([name] + [_fmt(s[stat][key]) for stat, key in stats]))
+    (out / file_name).write_text("\n".join(lines) + "\n")
 
-    print(f"{'algorithm':<12}{'T':>10}{'D':>10}{'F_rho':>10}{'jain':>10}")
-    for algo in config.algorithms:
-        s = grids[algo]["mean"]
-        print(
-            f"{algo:<12}{_fmt(s['T']):>10}{_fmt(s['D']):>10}"
-            f"{_fmt(s['F_rho']):>10}{_fmt(s['jain']):>10}"
-        )
+    width = len(label) + 3
+    print(f"{label:<{width}}" + "".join(f"{key:>10}" for key in keys))
+    for name, s in rows:
+        print(f"{name:<{width}}" + "".join(f"{_fmt(s['mean'][key]):>10}" for key in keys))
     return 0
+
+
+def cmd_compare(config: ExperimentConfig) -> int:
+    return _write_table(config, "compare.csv", "algorithm", ("T", "D", "F_rho", "jain"))
 
 
 def cmd_sweep_k(config: ExperimentConfig) -> int:
-    summaries = {}
-    for k in config.k_values:
-        batch = engine.batch_run(
-            algorithm="online",
-            episodes=config.episodes,
-            root_seed=config.root_seed,
-            generator=config.generator,
-            scenario=config.scenario,
-            k=k,
-            parallel=config.parallel,
-        )
-        summaries[k] = batch.summary
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    header = ["k"]
-    for key in ("regret", "T", "D", "F_rho", "jain"):
-        header += [f"{key}_mean", f"{key}_std"]
-    lines = [",".join(header)]
-    for k in config.k_values:
-        s = summaries[k]
-        row = [str(k)]
-        for key in ("regret", "T", "D", "F_rho", "jain"):
-            row += [_fmt(s["mean"][key]), _fmt(s["std"][key])]
-        lines.append(",".join(row))
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-
-    print(f"{'k':<4}{'regret':>10}{'T':>10}{'D':>10}{'F_rho':>10}{'jain':>10}")
-    for k in config.k_values:
-        s = summaries[k]["mean"]
-        print(
-            f"{k:<4}{_fmt(s['regret']):>10}{_fmt(s['T']):>10}{_fmt(s['D']):>10}"
-            f"{_fmt(s['F_rho']):>10}{_fmt(s['jain']):>10}"
-        )
-    return 0
+    return _write_table(config, "sweep.csv", "k", ("regret", "T", "D", "F_rho", "jain"))
 
 
 # ---------------------------------------------------------------------------
@@ -442,49 +396,35 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         generator = _parse_generate(args.generate, args.alpha)
 
-    algorithm = getattr(args, "algorithm", None)
-    algorithms: tuple[str, ...] = ()
-    if args.command == "compare":
+    if args.command == "run":
+        if (args.algorithm == "online") != (args.k is not None):
+            raise ConfigError("--k is required for online and invalid otherwise")
+        batches = ((args.algorithm, args.k),)
+    elif args.command == "compare":
         algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
         if len(algorithms) < 2:
             raise ConfigError("compare needs at least two algorithms")
         bad = [a for a in algorithms if a not in _ALGORITHMS]
         if bad:
             raise ConfigError(f"unknown algorithms: {', '.join(bad)}")
-    runs_online = args.command == "sweep-k" or "online" in (algorithm, *algorithms)
-    if runs_online and args.execution == engine.EXECUTION_TELEPORT:
-        raise ConfigError("--execution teleport applies to centralized rules only, not online")
-
-    k = getattr(args, "k", None)
-    k_values: tuple[int, ...] = ()
-    n_agents = scenario.n_agents if scenario is not None else generator["n_agents"]
-    if args.command == "run":
-        if (algorithm == "online") != (k is not None):
-            raise ConfigError("--k is required for online and invalid otherwise")
-        if k is not None and not 1 <= k <= n_agents:
-            raise ConfigError(f"k must lie in [1, {n_agents}]")
-    if args.command == "compare":
-        if ("online" in algorithms) != (k is not None):
+        if ("online" in algorithms) != (args.k is not None):
             raise ConfigError("--k is required exactly when online is listed")
-        if k is not None and not 1 <= k <= n_agents:
-            raise ConfigError(f"k must lie in [1, {n_agents}]")
-    if args.command == "sweep-k":
+        batches = tuple((a, args.k if a == "online" else None) for a in algorithms)
+    else:
         try:
-            k_values = tuple(int(x) for x in args.k_values.split(","))
+            batches = tuple(("online", int(x)) for x in args.k_values.split(","))
         except ValueError as err:
             raise ConfigError(f"bad --k-values: {args.k_values!r}") from err
-        if not k_values:
-            raise ConfigError("--k-values must not be empty")
-        for kv in k_values:
-            if not 1 <= kv <= n_agents:
-                raise ConfigError(f"k={kv} outside [1, {n_agents}]")
+    if any(a == "online" for a, _ in batches) and args.execution == engine.EXECUTION_TELEPORT:
+        raise ConfigError("--execution teleport applies to centralized rules only, not online")
+    n_agents = scenario.n_agents if scenario is not None else generator["n_agents"]
+    for _, k in batches:
+        if k is not None and not 1 <= k <= n_agents:
+            raise ConfigError(f"k={k} outside [1, {n_agents}]")
 
     out_dir = Path(os.environ.get(OUT_DIR_ENV) or args.out)
     return ExperimentConfig(
-        algorithm=algorithm,
-        algorithms=algorithms,
-        k=k,
-        k_values=k_values,
+        batches=batches,
         episodes=args.episodes,
         root_seed=args.seed,
         out_dir=out_dir,

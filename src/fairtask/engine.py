@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fairtask import assign, metrics, pathfind, world
-from fairtask.world import ACCEL_STEPS, ACTION_IDLE, ARRIVAL_RADIUS
+from fairtask.world import ACTION_IDLE, ARRIVAL_RADIUS
 
 EXECUTION_SCRIPTED = "scripted"
 EXECUTION_TELEPORT = "teleport"
@@ -65,7 +65,7 @@ def scripted_goto_policy(
     p = state.agent_positions[agent]
     v = state.agent_velocities[agent]
     spec = sc.agents[agent]
-    quantum = spec.max_speed / ACCEL_STEPS
+    quantum = float(sc.motion.quantum[agent])
     goal = np.asarray(goal, dtype=float)
 
     if not waypoints:
@@ -121,9 +121,7 @@ class Navigator:
     def action(self, state: world.WorldState, sc: world.Scenario, agent: int) -> int:
         pos = state.agent_positions[agent]
         if self.goal is None:
-            return brake_action(
-                state.agent_velocities[agent], sc.agents[agent].max_speed / ACCEL_STEPS
-            )
+            return brake_action(state.agent_velocities[agent], sc.motion.quantum[agent])
         self._advance(pos)
         self._check_stuck(pos)
         self._revalidate_leg(pos)
@@ -174,13 +172,12 @@ class Navigator:
 # ---------------------------------------------------------------------------
 
 
-def solve_assignment(rule: str, u0: assign.UtilityMatrix, prefs, d_star, weights) -> assign.Assignment:
-    if rule == assign.RULE_EG:
-        return assign.solve_eg(u0, weights)
+def solve_assignment(rule: str, u0: assign.UtilityMatrix) -> assign.Assignment:
+    """The Hungarian or min-max assignment on u0; EG's is centralized_optimum's."""
     if rule == assign.RULE_HUNGARIAN:
-        return assign.solve_hungarian_max(prefs)
+        return assign.solve_hungarian_max(u0.preferences)
     if rule == assign.RULE_MINMAX:
-        return assign.solve_minmax(d_star)
+        return assign.solve_minmax(u0.distances)
     raise ValueError(f"unknown assignment rule {rule!r}")
 
 
@@ -195,16 +192,11 @@ def run_centralized_episode(
     execution="teleport" skips kinematics entirely: realized distances equal
     the shortest-path distances, giving the zero-overhead reference point.
     """
-    u_star, optimum, u0 = metrics.centralized_optimum(sc, sc.distances)
-    d_star, prefs = u0.distances, u0.preferences
-    weights = world.task_weights(sc)
-    if rule == assign.RULE_EG:
-        solution = optimum
-    else:
-        solution = solve_assignment(rule, u0, prefs, d_star, weights)
+    u_star, optimum, u0 = metrics.centralized_optimum(sc)
+    solution = optimum if rule == assign.RULE_EG else solve_assignment(rule, u0)
 
     if execution == EXECUTION_TELEPORT:
-        return _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star)
+        return _teleport_result(sc, rule, solution, u0, u_star)
     if execution != EXECUTION_SCRIPTED:
         raise ValueError(f"unknown execution mode {execution!r}")
 
@@ -215,21 +207,21 @@ def run_centralized_episode(
     return run_episode(ep, rule, u_star, DEFAULT_STEP_CAP)
 
 
-def _teleport_result(sc, rule, solution, d_star, prefs, u0, weights, u_star):
+def _teleport_result(sc, rule, solution, u0, u_star):
     n = sc.n_agents
     per_agent = np.zeros(n)
     realized = np.zeros(sc.n_tasks)
     t_done = 0.0
     for agent, task in solution.pairs():
-        d = float(d_star[task, agent])
+        d = float(u0.distances[task, agent])
         per_agent[agent] = d
         realized[task] = u0.values[task, agent]
-        rate = prefs[task, agent]
+        rate = u0.preferences[task, agent]
         service = sc.tasks[task].workload / rate if rate > 0 else math.inf
         t_done = max(t_done, d / sc.agents[agent].max_speed + service)
     result = metrics.EpisodeResult(
         realized_utilities=realized,
-        weights=weights,
+        weights=world.task_weights(sc),
         completion_time=t_done,
         total_distance=float(per_agent.sum()),
         per_agent_distance=per_agent,
@@ -319,9 +311,7 @@ def run_episode(
             if t is None and policy is not None:
                 actions.append(policy.free_action(ep, i))
             elif t is None or state.completed[t]:
-                actions.append(
-                    brake_action(state.agent_velocities[i], sc.agents[i].max_speed / ACCEL_STEPS)
-                )
+                actions.append(brake_action(state.agent_velocities[i], sc.motion.quantum[i]))
             else:
                 actions.append(ep.navs[i].action(state, sc, i))
         ep.state, events = world.step_dynamics_events(state, actions, sc)

@@ -79,15 +79,15 @@ def jain(values) -> float:
 
 
 def centralized_optimum(
-    sc: world.Scenario, provider
+    sc: world.Scenario,
 ) -> tuple[float, assign.Assignment, assign.UtilityMatrix]:
     """Full-information optimum U* of the weighted-log objective.
 
-    Utilities come from shortest-path distances at initial positions with
-    the scenario's alpha; the provider supplies pairwise(task_pos, agent_pos).
+    Utilities come from the scenario's own shortest-path distances
+    (`sc.distances`) between task and initial agent positions, with its alpha.
     Returns U*, the EG solution and the utility matrix it was solved on.
     """
-    d = provider.pairwise(sc.task_positions(), sc.agent_positions())
+    d = sc.distances.pairwise(sc.task_positions(), sc.agent_positions())
     u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
     solution = assign.solve_eg(u, world.task_weights(sc))
     return solution.objective, solution, u

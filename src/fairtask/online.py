@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fairtask import assign, engine, metrics, pathfind, world
+from fairtask import assign, engine, metrics, world
 
 _TARGET_RADIUS = 0.05  # lattice target capture distance
 
@@ -35,8 +35,13 @@ class ExplorationMap:
     grid_width: float
 
 
-def init_lattice(sc: world.Scenario, grid: pathfind.NavGrid | None = None) -> ExplorationMap:
-    """Square lattice over the workspace at half the smallest sensing radius."""
+def init_lattice(sc: world.Scenario) -> ExplorationMap:
+    """Square lattice over the workspace at half the smallest sensing radius.
+
+    Points inside an obstacle or in a blocked cell of the scenario's grid
+    (`sc.distances.grid`) start explored.
+    """
+    grid = sc.distances.grid
     g = min(a.sensing_radius for a in sc.agents) / 2.0
     size = sc.workspace_size
     coords = np.minimum(np.arange(math.ceil(size / g) + 1) * g, size)
@@ -49,7 +54,7 @@ def init_lattice(sc: world.Scenario, grid: pathfind.NavGrid | None = None) -> Ex
                 explored[idx] = True
                 break
         else:
-            if grid is not None and not grid.is_free((px, py)):
+            if not grid.is_free((px, py)):
                 explored[idx] = True  # unreachable: wall-adjacent blocked cell
     return ExplorationMap(points=points, explored=explored, grid_width=g)
 
@@ -114,14 +119,13 @@ def select_subset_and_assign(
     pending_tasks,
     k: int,
     sc: world.Scenario,
-    provider: pathfind.DistanceProvider,
     agent_positions: np.ndarray,
 ) -> PartialAssignment:
     """Best agent subset for the pending tasks by weighted-log objective.
 
     Choosing which |pending| free agents serve and which task each takes is
     one rectangular linear assignment over the |pending| x |free| EG scores
-    (shortest-path distances from current positions), so a single solve_eg
+    (`sc.distances` from current positions), so a single solve_eg
     picks both.  Among equal scores the choice is whatever scipy's
     linear_sum_assignment returns; with one pending task and two agents at
     equal scores, the lower agent index wins.  When every choice serves some
@@ -134,7 +138,7 @@ def select_subset_and_assign(
         raise RuntimeError(f"{len(pending)} pending tasks exceed the threshold {k}")
     if len(pending) == k and len(free) < k:
         raise RuntimeError("fewer free agents than the subset size")
-    d = provider.pairwise(sc.task_positions()[pending], agent_positions[free])
+    d = sc.distances.pairwise(sc.task_positions()[pending], agent_positions[free])
     prefs = world.preference_matrix(sc)[np.ix_(pending, free)]
     u = assign.compute_utility(d, prefs, sc.alpha)
     solution = assign.solve_eg(u, world.task_weights(sc)[pending])
@@ -163,7 +167,7 @@ class ExplorationPolicy:
     """engine.run_episode policy: free agents explore, discoveries trigger commits."""
 
     def __init__(self, sc: world.Scenario, k: int, rng: np.random.Generator):
-        self.emap = init_lattice(sc, sc.distances.grid)
+        self.emap = init_lattice(sc)
         self.k = k
         self.rng = rng
         self.targets: dict[int, np.ndarray] = {}
@@ -178,8 +182,7 @@ class ExplorationPolicy:
             if target is None:
                 self.targets.pop(agent, None)
                 return engine.brake_action(
-                    ep.state.agent_velocities[agent],
-                    ep.sc.agents[agent].max_speed / world.ACCEL_STEPS,
+                    ep.state.agent_velocities[agent], ep.sc.motion.quantum[agent]
                 )
             self.targets[agent] = target
         return ep.navs[agent].action(ep.state, ep.sc, agent)
@@ -203,9 +206,7 @@ class ExplorationPolicy:
             if len(pending) < self.k and not state.discovered.all():
                 continue
             free = [i for i in range(sc.n_agents) if i not in ep.task_of]
-            partial = select_subset_and_assign(
-                free, pending, self.k, sc, sc.distances, state.agent_positions
-            )
+            partial = select_subset_and_assign(free, pending, self.k, sc, state.agent_positions)
             self.triggers.append(
                 TriggerRecord(
                     time=state.time,
@@ -232,7 +233,7 @@ def run_online_episode(
     """
     if not 1 <= k <= sc.n_agents:
         raise ValueError(f"k must lie in [1, {sc.n_agents}], got {k}")
-    u_star, _, _ = metrics.centralized_optimum(sc, sc.distances)
+    u_star, _, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)
     policy.observe(ep)  # initial sensing before any motion

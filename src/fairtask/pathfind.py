@@ -40,26 +40,22 @@ class GridPlacementError(ValueError):
 
 @dataclass
 class NavGrid:
+    """Square cells of side `resolution`; cell (0, 0) has its corner at the origin."""
+
     resolution: float
-    origin: tuple[float, float]
     dims: tuple[int, int]            # (nx, ny) cells
     blocked: np.ndarray              # bool, shape (nx, ny)
-    walls: np.ndarray = None         # (W, 2, 2) interior wall segments
-    obstacles: np.ndarray = None     # (K, 3) disc rows: cx, cy, radius
+    walls: np.ndarray                # (W, 2, 2) interior wall segments
+    obstacles: np.ndarray            # (K, 3) disc rows: cx, cy, radius
 
     def cell_of(self, point) -> tuple[int, int]:
         nx, ny = self.dims
-        ix = int((point[0] - self.origin[0]) / self.resolution)
-        iy = int((point[1] - self.origin[1]) / self.resolution)
+        ix = int(point[0] / self.resolution)
+        iy = int(point[1] / self.resolution)
         return min(max(ix, 0), nx - 1), min(max(iy, 0), ny - 1)
 
     def center(self, cell: tuple[int, int]) -> np.ndarray:
-        return np.array(
-            [
-                self.origin[0] + (cell[0] + 0.5) * self.resolution,
-                self.origin[1] + (cell[1] + 0.5) * self.resolution,
-            ]
-        )
+        return np.array([(cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution])
 
     def is_free(self, point) -> bool:
         ix, iy = self.cell_of(point)
@@ -74,10 +70,13 @@ class NavGrid:
         return self.blocked.ravel().tolist()
 
 
-def build_nav_grid(sc: world.Scenario, resolution: float = DEFAULT_RESOLUTION) -> NavGrid:
-    """Discretize scenario geometry; fails if any entity sits in a blocked cell."""
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+def build_nav_grid(sc: world.Scenario) -> NavGrid:
+    """Discretize scenario geometry at DEFAULT_RESOLUTION.
+
+    Raises ValueError when the resolution exceeds the smallest sensing
+    radius, and GridPlacementError when an entity sits in a blocked cell.
+    """
+    resolution = DEFAULT_RESOLUTION
     min_sense = min(a.sensing_radius for a in sc.agents)
     if resolution > min_sense:
         raise ValueError(
@@ -107,7 +106,7 @@ def build_nav_grid(sc: world.Scenario, resolution: float = DEFAULT_RESOLUTION) -
         else np.zeros((0, 3))
     )
     grid = NavGrid(
-        resolution=resolution, origin=(0.0, 0.0), dims=(n_cells, n_cells),
+        resolution=resolution, dims=(n_cells, n_cells),
         blocked=blocked, walls=walls, obstacles=discs,
     )
     for a in sc.agents:
@@ -195,7 +194,7 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
 
 def _segment_crosses_wall(grid: NavGrid, p, q) -> bool:
     """True when the open segment p-q crosses an interior wall segment."""
-    if grid.walls is None or len(grid.walls) == 0:
+    if len(grid.walls) == 0:
         return False
     px, py = float(p[0]), float(p[1])
     qx, qy = float(q[0]), float(q[1])
@@ -271,15 +270,14 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
         return grid.is_free(a)
     if _segment_crosses_wall(grid, a, b):
         return False
-    if grid.obstacles is not None:
-        for cx, cy, r in grid.obstacles:
-            if _segment_hits_disc(a, b, cx, cy, r):
-                return False
+    for cx, cy, r in grid.obstacles:
+        if _segment_hits_disc(a, b, cx, cy, r):
+            return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
     t = np.arange(steps + 1) / steps
     pts = a + (b - a) * t[:, None]
     # astype truncates toward zero, as int() does in NavGrid.cell_of.
-    cells = ((pts - grid.origin) / grid.resolution).astype(np.int64)
+    cells = (pts / grid.resolution).astype(np.int64)
     nx, ny = grid.dims
     ix = np.clip(cells[:, 0], 0, nx - 1)
     iy = np.clip(cells[:, 1], 0, ny - 1)

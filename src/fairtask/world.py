@@ -28,6 +28,7 @@ MIN_CLEARANCE = 0.1      # rejection-sampling clearance used by the generator
 _WALL_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _SURFACE_BACKOFF = 1e-9  # stop just short of a hit surface to avoid re-penetration
 _BOX_PAD = 1e-9          # broad-phase slack around wall and disc boxes
+_BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 class ScenarioError(ValueError):
@@ -277,9 +278,13 @@ def step_dynamics_events(
     per-agent loop did, so the result is the loop's, bit for bit.
     """
     n = sc.n_agents
-    actions = np.asarray(joint_action, dtype=int)
+    actions = np.asarray(joint_action)
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
+    # A cast would read 0.9 as 0 and True as 1; numpy reads [4, True] as ints.
+    if actions.dtype.kind not in "iu" or not _BOOL_TYPES.isdisjoint(map(type, joint_action)):
+        i = next(i for i, a in enumerate(joint_action) if np.asarray(a).dtype.kind not in "iu")
+        raise ValueError(f"agent {i}: action {joint_action[i]!r} is not an integer")
     bad = np.flatnonzero((actions < 0) | (actions >= len(ACTION_VECTORS)))
     if bad.size:
         i = int(bad[0])
@@ -474,6 +479,9 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
 DEFAULT_MAP_SIZES = {3: 2.5, 7: 2.7, 10: 2.9}
 _MAX_OBSTACLE_RADIUS = 0.18
 _WALL_MARGIN = 0.3       # wall midpoints keep this far from the boundary
+_WORKLOAD_RANGE = (0.5, 1.5)
+_WEIGHT_RANGE = (0.5, 2.0)
+_PREFERENCE_RANGE = (0.2, 1.0)  # per (task type, agent type) service rate
 
 
 def check_map_size(map_size: float, n_obstacles: int = 3, n_walls: int = 2) -> None:
@@ -507,10 +515,6 @@ def generate_scenario(
     max_speed: float = 1.0,
     dt: float = 0.1,
     alpha: float = 0.97,
-    workload_range: tuple[float, float] = (0.5, 1.5),
-    weight_range: tuple[float, float] = (0.5, 2.0),
-    preference_range: tuple[float, float] = (0.2, 1.0),
-    preference_table: np.ndarray | None = None,
     max_attempts: int = 80,
 ) -> Scenario:
     """Sample a random usable scenario (rejection sampling, fully seeded).
@@ -533,18 +537,14 @@ def generate_scenario(
     check_map_size(map_size, n_obstacles, n_walls)
     rng = np.random.default_rng(seed)
     types = min(n_types, n_agents)
-    if preference_table is None:
-        lo, hi = preference_range
-        preference_table = rng.uniform(lo, hi, size=(types, types))
-    preference_table = np.asarray(preference_table, dtype=float)
+    preference_table = rng.uniform(*_PREFERENCE_RANGE, size=(types, types))
 
     unplaced = unreachable = 0
     last_err: Exception | None = None
     for _ in range(max_attempts):
         sc = _sample_candidate(
             n_agents, float(map_size), rng, n_obstacles, n_walls, types,
-            sensing_radius, max_speed, dt, alpha,
-            workload_range, weight_range, preference_table, seed,
+            sensing_radius, max_speed, dt, alpha, preference_table, seed,
         )
         if sc is None:
             unplaced += 1
@@ -569,8 +569,7 @@ def generate_scenario(
 
 def _sample_candidate(
     n, size, rng, n_obstacles, n_walls, types,
-    sensing_radius, max_speed, dt, alpha,
-    workload_range, weight_range, preference_table, seed,
+    sensing_radius, max_speed, dt, alpha, preference_table, seed,
 ):
     obstacles = []
     for _ in range(n_obstacles):
@@ -645,8 +644,8 @@ def _sample_candidate(
                 id=j,
                 position=p,
                 task_type=j % types,
-                workload=float(rng.uniform(*workload_range)),
-                weight=float(rng.uniform(*weight_range)),
+                workload=float(rng.uniform(*_WORKLOAD_RANGE)),
+                weight=float(rng.uniform(*_WEIGHT_RANGE)),
             )
         )
 

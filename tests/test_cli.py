@@ -64,9 +64,7 @@ def test_run_scenario_file_keeps_its_alpha_unless_flagged(tmp_path, flag, alpha)
         "--episodes", "1", "--out", str(out), "--dump-json", *flag,
     ])
     assert rc == 0
-    u_star, _, _ = metrics.centralized_optimum(
-        cli.load_scenario(path, alpha_override=alpha), sc.distances
-    )
+    u_star, _, _ = metrics.centralized_optimum(cli.load_scenario(path, alpha_override=alpha))
     assert json.loads((out / "results.json").read_text())[0]["U_star"] == u_star
 
 
@@ -202,12 +200,38 @@ def test_compare_rerun_identical(tmp_path):
     assert (a / "compare.csv").read_bytes() == (b / "compare.csv").read_bytes()
 
 
-def test_sweep_rejects_k_above_n(tmp_path):
-    rc = run_cli([
-        "sweep-k", "--generate", "N=3,map=2.5", "--k-values", "2,4",
-        "--episodes", "1", "--out", str(tmp_path / "s"),
-    ])
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (["compare", "--algorithms", "eg,hungarian,minmax,online", "--k", "2",
+          "--episodes", "3", "--seed", "6"], "compare"),
+        (["sweep-k", "--k-values", "1,2,3", "--episodes", "2", "--seed", "4"], "sweep"),
+    ],
+    ids=["compare", "sweep-k"],
+)
+def test_table_golden_reference(tmp_path, capsys, command, name):
+    out = tmp_path / "golden"
+    rc = run_cli([*command, "--generate", "N=3,map=2.5", "--out", str(out)])
+    assert rc == 0
+    assert (out / f"{name}.csv").read_bytes() == (DATA / f"golden_{name}.csv").read_bytes()
+    assert capsys.readouterr().out == (DATA / f"golden_{name}_table.txt").read_text()
+
+
+@pytest.mark.parametrize(
+    "command,k",
+    [
+        (["run", "--algorithm", "online", "--k", "4"], 4),
+        (["compare", "--algorithms", "eg,online", "--k", "0"], 0),
+        (["sweep-k", "--k-values", "2,4"], 4),
+    ],
+    ids=["run-online", "compare", "sweep-k"],
+)
+def test_k_outside_1_to_n_is_rejected(tmp_path, capsys, command, k):
+    out = tmp_path / "never"
+    rc = run_cli([*command, "--generate", "N=3,map=2.5", "--episodes", "1", "--out", str(out)])
     assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: k={k} outside [1, 3]\n"
 
 
 def test_sweep_degenerate_single_task(tmp_path):

@@ -122,7 +122,7 @@ def test_episode_determinism():
 
 
 def _capped_eg_episode(sc, step_cap):
-    u_star, solution, _ = metrics.centralized_optimum(sc, sc.distances)
+    u_star, solution, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     for task in range(sc.n_tasks):
         ep.discover(task)
@@ -156,18 +156,14 @@ def test_minmax_optimizes_its_own_metric():
     # Bottleneck rule yields the smallest max assignment distance of the three.
     for seed in (401, 402, 403):
         sc = world.generate_scenario(4, 2.5, seed=seed)
-        grid = pathfind.build_nav_grid(sc)
-        provider = pathfind.DistanceProvider(grid)
-        d = provider.pairwise(sc.task_positions(), sc.agent_positions())
-        prefs = world.preference_matrix(sc)
-        weights = world.task_weights(sc)
-        from fairtask import assign
-
-        u = assign.compute_utility(d, prefs, sc.alpha)
-        bottlenecks = {}
-        for rule in ("eg", "hungarian", "minmax"):
-            sol = engine.solve_assignment(rule, u, prefs, d, weights)
-            bottlenecks[rule] = float(d[sol.task_of_agent, np.arange(4)].max())
+        _, optimum, u = metrics.centralized_optimum(sc)
+        solutions = {"eg": optimum}
+        for rule in ("hungarian", "minmax"):
+            solutions[rule] = engine.solve_assignment(rule, u)
+        bottlenecks = {
+            rule: float(u.distances[sol.task_of_agent, np.arange(4)].max())
+            for rule, sol in solutions.items()
+        }
         assert bottlenecks["minmax"] <= bottlenecks["eg"] + 1e-12
         assert bottlenecks["minmax"] <= bottlenecks["hungarian"] + 1e-12
 

@@ -127,10 +127,8 @@ def test_fairness_measures_scale_invariant(rng):
 def test_centralized_optimum_single_pair():
     sc = make_scenario([(0.525, 0.525)], [(1.525, 0.525)], preference_rows=[(0.8,)],
                        weights=[2.0])
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
-    u_star, solution, _ = metrics.centralized_optimum(sc, provider)
-    d = provider.pairwise([sc.tasks[0].position], [sc.agents[0].start_position])[0, 0]
+    u_star, solution, _ = metrics.centralized_optimum(sc)
+    d = sc.distances.pairwise([sc.tasks[0].position], [sc.agents[0].start_position])[0, 0]
     assert u_star == pytest.approx(2.0 * math.log(0.97**d * 0.8))
     assert solution.task_of_agent.tolist() == [0]
 
@@ -139,18 +137,15 @@ def test_centralized_optimum_near_euclidean_on_empty_map(rng):
     # Oracle: the same weighted-log solve on exact Euclidean distances; the
     # octile grid overestimates each distance by at most 8.3% plus snapping.
     sc = world.generate_scenario(4, 2.5, n_obstacles=0, n_walls=0, seed=31)
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
-    u_star, _, _ = metrics.centralized_optimum(sc, provider)
+    u_star, _, _ = metrics.centralized_optimum(sc)
 
     deltas = sc.task_positions()[:, None, :] - sc.agent_positions()[None, :, :]
     d_euc = np.hypot(deltas[..., 0], deltas[..., 1])
     u = assign.compute_utility(d_euc, world.preference_matrix(sc), sc.alpha)
     _, best_euc = oracles.brute_force_eg(u, world.task_weights(sc))
 
-    slack = math.log(1.0 / sc.alpha) * float(
-        np.sum(world.task_weights(sc) * (0.083 * d_euc.min(axis=1) + 2 * grid.resolution))
-    )
+    margin = 0.083 * d_euc.min(axis=1) + 2 * pathfind.DEFAULT_RESOLUTION
+    slack = math.log(1.0 / sc.alpha) * float(np.sum(world.task_weights(sc) * margin))
     assert u_star <= best_euc + 1e-9
     assert u_star >= best_euc - slack
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,6 +42,23 @@ def test_lattice_point_inside_obstacle_premarked():
     assert covered.any()
     assert emap.explored[covered].all()
     assert not emap.explored[~covered].any()
+
+
+@pytest.mark.parametrize("n, map_size", [(3, 2.5), (7, 2.7)], ids=["N3", "N7"])
+def test_lattice_premarks_exactly_obstacle_and_blocked_cell_points(n, map_size):
+    grid_only = 0  # points only the blocked-cell test marks, over all seeds
+    for seed in range(6):
+        sc = world.generate_scenario(n, map_size, seed=seed)
+        assert sc.walls
+        emap = online.init_lattice(sc)
+        grid = sc.distances.grid
+        in_disc = np.zeros(len(emap.points), dtype=bool)
+        for (cx, cy), r in sc.obstacles:
+            in_disc |= [math.hypot(px - cx, py - cy) <= r for px, py in emap.points]
+        in_blocked = np.array([not grid.is_free(p) for p in emap.points])
+        assert np.array_equal(emap.explored, in_disc | in_blocked)
+        grid_only += int((in_blocked & ~in_disc).sum())
+    assert grid_only > 0
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +144,7 @@ def test_mark_swept_validates_every_radius():
 def test_mark_swept_matches_per_agent_oracle(n, map_size, seed):
     sc = world.generate_scenario(n, map_size, seed=seed)
     rng = np.random.default_rng(seed)
-    fast = online.init_lattice(sc, sc.distances.grid)
+    fast = online.init_lattice(sc)
     fast.explored |= rng.random(len(fast.points)) < 0.3
     slow = online.ExplorationMap(
         points=fast.points, explored=fast.explored.copy(), grid_width=fast.grid_width
@@ -177,13 +196,9 @@ def _agents(partial):
 
 def test_subset_degenerate_equals_centralized():
     sc = world.generate_scenario(4, 2.5, seed=3)
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
     positions = sc.agent_positions()
-    pa = online.select_subset_and_assign(
-        {0, 1, 2, 3}, {0, 1, 2, 3}, 4, sc, provider, positions
-    )
-    d = provider.pairwise(sc.task_positions(), positions)
+    pa = online.select_subset_and_assign({0, 1, 2, 3}, {0, 1, 2, 3}, 4, sc, positions)
+    d = sc.distances.pairwise(sc.task_positions(), positions)
     u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
     direct = assign.solve_eg(u, world.task_weights(sc))
     assert sorted(pa.pairs) == sorted(direct.pairs())
@@ -192,12 +207,10 @@ def test_subset_degenerate_equals_centralized():
 
 def test_subset_choice_matches_exhaustive_oracle():
     sc = world.generate_scenario(5, 2.6, seed=23)
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
     positions = sc.agent_positions()
     free, pending, k = {0, 1, 2, 3, 4}, {1, 3}, 2
-    pa = online.select_subset_and_assign(free, pending, k, sc, provider, positions)
-    subset, obj = oracles.subset_oracle(free, pending, sc, provider, positions)
+    pa = online.select_subset_and_assign(free, pending, k, sc, positions)
+    subset, obj = oracles.subset_oracle(free, pending, sc, sc.distances, positions)
     assert _agents(pa) == subset
     assert pa.objective == pytest.approx(obj, abs=1e-9)
 
@@ -208,7 +221,7 @@ def _random_triggers(count, seed):
     for _ in range(count):
         n = int(rng.integers(2, 9))
         sc = world.generate_scenario(n, 2.7, seed=int(rng.integers(2**31)))
-        grid = pathfind.build_nav_grid(sc)
+        grid = sc.distances.grid
         cells = np.argwhere(~grid.blocked)
         positions = np.array(
             [grid.center(tuple(c)) for c in cells[rng.choice(len(cells), n)]]
@@ -218,13 +231,13 @@ def _random_triggers(count, seed):
             rng.choice(n, int(rng.integers(1, len(free) + 1)), replace=False).tolist()
         )
         k = int(rng.integers(len(pending), n + 1))
-        yield sc, pathfind.DistanceProvider(grid), free, pending, k, positions
+        yield sc, free, pending, k, positions
 
 
 def test_subset_choice_matches_oracle_on_random_triggers():
-    for sc, provider, free, pending, k, positions in _random_triggers(40, seed=5):
-        pa = online.select_subset_and_assign(free, pending, k, sc, provider, positions)
-        subset, obj = oracles.subset_oracle(free, pending, sc, provider, positions)
+    for sc, free, pending, k, positions in _random_triggers(40, seed=5):
+        pa = online.select_subset_and_assign(free, pending, k, sc, positions)
+        subset, obj = oracles.subset_oracle(free, pending, sc, sc.distances, positions)
         assert _agents(pa) == subset
         assert pa.objective == pytest.approx(obj, abs=1e-9)
         assert sorted(t for _, t in pa.pairs) == pending
@@ -245,9 +258,9 @@ def test_one_solve_and_one_distance_matrix_per_trigger(monkeypatch):
         "pairwise",
         counted("pairwise", pathfind.DistanceProvider.pairwise),
     )
-    for sc, provider, free, pending, k, positions in _random_triggers(10, seed=6):
+    for sc, free, pending, k, positions in _random_triggers(10, seed=6):
         calls.update(solve_eg=0, pairwise=0)
-        online.select_subset_and_assign(free, pending, k, sc, provider, positions)
+        online.select_subset_and_assign(free, pending, k, sc, positions)
         assert calls == {"solve_eg": 1, "pairwise": 1}
 
 
@@ -259,23 +272,17 @@ def test_subset_tie_breaks_lexicographically():
         [(1.225, 1.225), (1.225, 2.0)],
         size=2.5,
     )
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
     positions = sc.agent_positions()
-    d0, d1 = provider.pairwise([sc.tasks[0].position], positions[:2])[0]
+    d0, d1 = sc.distances.pairwise([sc.tasks[0].position], positions[:2])[0]
     assert d0 == d1  # exact symmetry of the snapped cells
-    pa = online.select_subset_and_assign({0, 1}, {0}, 1, sc, provider, positions)
+    pa = online.select_subset_and_assign({0, 1}, {0}, 1, sc, positions)
     assert _agents(pa) == (0,)
 
 
 def test_subset_overflow_is_internal_error():
     sc = world.generate_scenario(3, 2.5, seed=9)
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
     with pytest.raises(RuntimeError):
-        online.select_subset_and_assign(
-            {0, 1, 2}, {0, 1, 2}, 2, sc, provider, sc.agent_positions()
-        )
+        online.select_subset_and_assign({0, 1, 2}, {0, 1, 2}, 2, sc, sc.agent_positions())
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +299,7 @@ def test_all_visible_k_equals_n_matches_centralized():
     assert len(res.online_triggers) == 1
     trig = res.online_triggers[0]
     assert trig.time == 0.0
-    grid = pathfind.build_nav_grid(sc)
-    provider = pathfind.DistanceProvider(grid)
-    _, solution, _ = metrics.centralized_optimum(sc, provider)
+    _, solution, _ = metrics.centralized_optimum(sc)
     assert sorted(trig.pairs) == sorted(solution.pairs())
 
 

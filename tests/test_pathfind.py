@@ -80,7 +80,7 @@ def _free_random_points(grid, rng, count):
 
 
 def test_empty_workspace_grid_all_free(empty_scenario):
-    grid = pathfind.build_nav_grid(empty_scenario, 0.05)
+    grid = pathfind.build_nav_grid(empty_scenario)
     assert grid.dims == (50, 50)
     assert not grid.blocked.any()
 
@@ -89,7 +89,7 @@ def test_disc_blocked_count_matches_area():
     sc = make_scenario(
         [(0.3, 0.3)], [(2.2, 2.2)], obstacles=[((1.25, 1.25), 0.2)]
     )
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     blocked = int(grid.blocked.sum())
     inflated_r = 0.2 + 0.025
     expected = math.pi * inflated_r**2 / 0.05**2
@@ -101,7 +101,7 @@ def test_full_wall_disconnects_components():
     sc = make_scenario(
         [(0.5, 0.5)], [(2.0, 0.5)], walls=[((0.0, 1.25), (2.5, 1.25))]
     )
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     assert oracles.shortest_path_distance(grid, (0.5, 0.5), (0.5, 2.0)) == math.inf
 
 
@@ -109,14 +109,13 @@ def test_entity_in_blocked_cell_rejected():
     # Task outside the disc itself but inside the clearance-inflated cell.
     sc = make_scenario([(0.5, 0.5)], [(1.449, 1.299)], obstacles=[((1.25, 1.25), 0.2)])
     with pytest.raises(pathfind.GridPlacementError):
-        pathfind.build_nav_grid(sc, 0.05)
+        pathfind.build_nav_grid(sc)
 
 
-def test_resolution_validation(empty_scenario):
-    with pytest.raises(ValueError):
-        pathfind.build_nav_grid(empty_scenario, 0.0)
-    with pytest.raises(ValueError):
-        pathfind.build_nav_grid(empty_scenario, 0.6)  # > sensing radius
+def test_resolution_validation():
+    sc = make_scenario([(0.5, 0.5)], [(2.0, 2.0)], sensing_radius=0.04)
+    with pytest.raises(ValueError, match="exceeds the smallest sensing radius"):
+        pathfind.build_nav_grid(sc)  # 0.05 > sensing radius
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +144,7 @@ def test_detour_through_gap_matches_dijkstra():
         [(0.5, 2.0)],
         walls=[((0.0, 1.25), (1.8, 1.25)), ((2.2, 1.25), (2.5, 1.25))],
     )
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     a, b = (0.5, 0.5), (0.5, 2.0)
     d = oracles.shortest_path_distance(grid, a, b)
     assert math.isfinite(d)
@@ -155,7 +154,7 @@ def test_detour_through_gap_matches_dijkstra():
 
 def test_astar_equals_dijkstra_on_random_pairs(rng):
     sc = world.generate_scenario(5, 2.6, seed=77)
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     pts = _free_random_points(grid, rng, 40)
     checked = 0
     for i in range(len(pts)):
@@ -171,7 +170,7 @@ def test_astar_equals_dijkstra_on_random_pairs(rng):
 
 def test_metric_sanity(rng):
     sc = world.generate_scenario(5, 2.6, seed=11)
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     res = grid.resolution
     pts = _free_random_points(grid, rng, 12)
     for a in pts[:6]:
@@ -361,7 +360,7 @@ def test_waypoints_single_corner_detour():
     sc = make_scenario(
         [(0.625, 0.625)], [(1.875, 0.725)], walls=[((1.25, 0.0), (1.25, 1.05))]
     )
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     a, b = (0.625, 0.625), (1.875, 0.725)
     assert not pathfind.line_of_sight(grid, a, b)  # the wall blocks the beeline
     wps = pathfind.path_waypoints(grid, a, b)
@@ -376,13 +375,13 @@ def test_waypoints_disconnected_empty():
     sc = make_scenario(
         [(0.5, 0.5)], [(2.0, 0.5)], walls=[((0.0, 1.25), (2.5, 1.25))]
     )
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     assert pathfind.path_waypoints(grid, (0.5, 0.5), (0.5, 2.0)) == []
 
 
 def test_waypoint_legs_have_line_of_sight(rng):
     sc = world.generate_scenario(5, 2.6, seed=5)
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     pts = _free_random_points(grid, rng, 16)
     for i in range(8):
         a, b = pts[i], pts[i + 8]
@@ -401,7 +400,7 @@ def test_waypoint_legs_have_line_of_sight(rng):
 
 def test_provider_matches_astar(rng):
     sc = world.generate_scenario(5, 2.6, seed=21)
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
     pts = _free_random_points(grid, rng, 10)
     for i in range(5):
@@ -413,7 +412,7 @@ def test_provider_matches_astar(rng):
 
 def test_provider_pairwise_shape_and_symmetry():
     sc = world.generate_scenario(3, 2.5, seed=13)
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
     d = provider.pairwise(sc.task_positions(), sc.agent_positions())
     assert d.shape == (3, 3)
@@ -426,7 +425,7 @@ def test_nearest_free_cell_respects_walls():
     sc = make_scenario(
         [(0.5, 0.5)], [(2.0, 0.5)], walls=[((1.25, 0.3), (1.25, 2.2))]
     )
-    grid = pathfind.build_nav_grid(sc, 0.05)
+    grid = pathfind.build_nav_grid(sc)
     left = pathfind.nearest_free_cell(grid, (1.25 - 1e-9, 1.0))
     right = pathfind.nearest_free_cell(grid, (1.25 + 1e-9, 1.0))
     assert grid.center(left)[0] < 1.25

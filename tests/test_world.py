@@ -158,11 +158,15 @@ def test_dynamics_match_exhaustive_clip_oracle(n, map_size, seed):
         assert fast_events == slow_events
 
 
-@pytest.mark.parametrize("action", [-1, -2, 5])
-def test_step_rejects_actions_outside_the_action_space(action):
+@pytest.mark.parametrize(
+    "action, problem",
+    [pytest.param(a, r"is not in 0\.\.4", id=str(a)) for a in (-1, -2, 5)]
+    + [pytest.param(a, "is not an integer", id=str(a)) for a in (0.9, True, 2.0)],
+)
+def test_step_rejects_actions_outside_the_action_space(action, problem):
     sc = make_scenario([(1.0, 1.0), (2.0, 1.0)], [(2.0, 2.0), (1.0, 2.0)])
     state = world.initial_state(sc)
-    with pytest.raises(ValueError, match=rf"agent 1: action {action} is not in 0\.\.4"):
+    with pytest.raises(ValueError, match=rf"agent 1: action {action} {problem}"):
         world.step_dynamics_events(state, [ACTION_IDLE, action], sc)
 
 
