@@ -40,7 +40,6 @@ class UtilityMatrix:
 class Assignment:
     task_of_agent: np.ndarray  # (n,) ints; -1 marks an agent left unassigned
     objective: float
-    rule: str
 
     def pairs(self) -> list[tuple[int, int]]:
         """(agent, task) for every assigned agent, in ascending agent order."""
@@ -90,11 +89,7 @@ def solve_hungarian_max(scores) -> Assignment:
     rows, cols = linear_sum_assignment(scores, maximize=True)
     task_of_agent = np.full(scores.shape[1], -1, dtype=int)
     task_of_agent[cols] = rows
-    return Assignment(
-        task_of_agent=task_of_agent,
-        objective=float(scores[rows, cols].sum()),
-        rule=RULE_HUNGARIAN,
-    )
+    return Assignment(task_of_agent=task_of_agent, objective=float(scores[rows, cols].sum()))
 
 
 def solve_eg(u: UtilityMatrix, weights) -> Assignment:
@@ -105,8 +100,7 @@ def solve_eg(u: UtilityMatrix, weights) -> Assignment:
     -inf when some selected utility is zero.
     """
     weights = np.asarray(weights, dtype=float)
-    base = solve_hungarian_max(eg_score_matrix(u, weights))
-    asn = Assignment(task_of_agent=base.task_of_agent, objective=0.0, rule=RULE_EG)
+    asn = solve_hungarian_max(eg_score_matrix(u, weights))
     asn.objective = eg_objective(asn, u, weights)
     return asn
 
@@ -155,12 +149,7 @@ def solve_minmax(costs) -> Assignment:
     rows, cols = linear_sum_assignment(restricted)
     task_of_agent = np.empty(n, dtype=int)
     task_of_agent[cols] = rows
-    selected = costs[rows, cols]
-    return Assignment(
-        task_of_agent=task_of_agent,
-        objective=float(selected.max()),
-        rule=RULE_MINMAX,
-    )
+    return Assignment(task_of_agent=task_of_agent, objective=float(costs[rows, cols].max()))
 
 
 def _has_perfect_matching(adjacency: np.ndarray) -> bool:

@@ -12,7 +12,6 @@ deterministic: a re-run with the same root seed is byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from fairtask import engine, pathfind, world
+from fairtask import engine, world
 
 SCENARIO_FORMAT_VERSION = 1
 OUT_DIR_ENV = "FAIRTASK_OUT_DIR"
@@ -133,17 +132,18 @@ def load_scenario(path: Path | str, alpha_override: float | None = None) -> worl
             ),
             seed=int(doc["seed"]),
             dt=float(doc["dt"]),
-            alpha=float(doc["alpha"]),
+            alpha=float(doc["alpha"] if alpha_override is None else alpha_override),
         )
     except (KeyError, TypeError, world.ScenarioError) as err:
         raise ConfigError(f"scenario file {path}: {err}") from err
-    if alpha_override is not None:
-        sc = dataclasses.replace(sc, alpha=alpha_override)
     return sc
 
 
 def _parse_generate(text: str, alpha: float | None) -> dict:
-    """Parse 'N=7,map=2.7,...' generator shorthand into generator kwargs."""
+    """Parse 'N=7,map=2.7,...' generator shorthand into generator kwargs.
+
+    Only the syntax is checked here; world.generate_scenario rejects bad values.
+    """
     keymap = {
         "N": ("n_agents", int),
         "map": ("map_size", float),
@@ -171,23 +171,6 @@ def _parse_generate(text: str, alpha: float | None) -> dict:
             raise ConfigError(f"--generate: bad value for {key}: {value!r}") from err
     if "n_agents" not in out:
         raise ConfigError("--generate requires N=<count>")
-    if out["n_agents"] < 1:
-        raise ConfigError("--generate: N must be >= 1")
-    if "map_size" not in out and out["n_agents"] not in world.DEFAULT_MAP_SIZES:
-        raise ConfigError("--generate requires map=<size> for this N")
-    for key, name in (("map", "map_size"), ("speed", "max_speed"), ("dt", "dt")):
-        if name in out and not out[name] > 0:
-            raise ConfigError(f"--generate: {key} must be positive")
-    if "map_size" in out:
-        counts = {k: out[k] for k in ("n_obstacles", "n_walls") if k in out}
-        try:
-            world.check_map_size(out["map_size"], **counts)
-        except world.ScenarioError as err:
-            raise ConfigError(f"--generate: {err}") from err
-    if "sensing_radius" in out and not out["sensing_radius"] >= pathfind.DEFAULT_RESOLUTION:
-        raise ConfigError(
-            f"--generate: sensing must be >= the grid resolution {pathfind.DEFAULT_RESOLUTION}"
-        )
     if alpha is not None:
         out["alpha"] = alpha
     return out
@@ -382,8 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.alpha is not None and not 0.0 < args.alpha < 1.0:
-        raise ConfigError(f"alpha must lie in (0, 1), got {args.alpha}")
     if args.episodes < 1:
         raise ConfigError("episodes must be >= 1")
     if args.parallel < 1:
@@ -407,6 +388,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         bad = [a for a in algorithms if a not in _ALGORITHMS]
         if bad:
             raise ConfigError(f"unknown algorithms: {', '.join(bad)}")
+        if len(set(algorithms)) < len(algorithms):
+            raise ConfigError(f"--algorithms lists an algorithm twice: {args.algorithms!r}")
         if ("online" in algorithms) != (args.k is not None):
             raise ConfigError("--k is required exactly when online is listed")
         batches = tuple((a, args.k if a == "online" else None) for a in algorithms)
@@ -415,6 +398,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             batches = tuple(("online", int(x)) for x in args.k_values.split(","))
         except ValueError as err:
             raise ConfigError(f"bad --k-values: {args.k_values!r}") from err
+        if len(set(batches)) < len(batches):
+            raise ConfigError(f"--k-values lists a value twice: {args.k_values!r}")
     if any(a == "online" for a, _ in batches) and args.execution == engine.EXECUTION_TELEPORT:
         raise ConfigError("--execution teleport applies to centralized rules only, not online")
     n_agents = scenario.n_agents if scenario is not None else generator["n_agents"]
@@ -449,7 +434,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(config)
-    except (ConfigError, world.ScenarioError) as err:  # a generator spec it cannot meet
+    except (ConfigError, world.ScenarioError) as err:  # a generator or scenario value
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # noqa: BLE001 - map any runtime failure to exit 2

@@ -247,7 +247,10 @@ class Episode:
     """A running episode: world state, one navigator per agent, commitments.
 
     Assignment modes differ only in when they commit agents, so all of them
-    drive this one object through discover() and commit().
+    drive this one object through discover() and commit().  The episode is
+    the world state's one owner and treats it as a value: discover() and the
+    loop rebind `state` to the fresh states world's functions return, so
+    re-read `ep.state` after either.
     """
 
     def __init__(self, sc: world.Scenario):
@@ -262,7 +265,7 @@ class Episode:
         self.assignment_log: list[tuple[float, int, int]] = []
 
     def discover(self, task: int) -> None:
-        self.state.discovered[task] = True
+        self.state = world.discover(self.state, [task])
         self.discovery_times[task] = self.state.time
 
     def commit(self, pairs) -> None:
@@ -413,10 +416,6 @@ def batch_run(
         raise ValueError("episodes must be >= 1")
     if (scenario is None) == (generator is None):
         raise ValueError("pass exactly one of scenario or generator")
-    if algorithm == "online":
-        n = scenario.n_agents if scenario is not None else generator["n_agents"]
-        if k is None or not 1 <= k <= n:
-            raise ValueError(f"online runs need 1 <= k <= {n}")
     jobs = [
         (i, root_seed, algorithm, k, generator, scenario, execution)
         for i in range(episodes)

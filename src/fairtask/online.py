@@ -32,7 +32,6 @@ class ExplorationMap:
 
     points: np.ndarray        # (P, 2)
     explored: np.ndarray      # (P,) bool
-    grid_width: float
 
 
 def init_lattice(sc: world.Scenario) -> ExplorationMap:
@@ -56,7 +55,7 @@ def init_lattice(sc: world.Scenario) -> ExplorationMap:
         else:
             if not grid.is_free((px, py)):
                 explored[idx] = True  # unreachable: wall-adjacent blocked cell
-    return ExplorationMap(points=points, explored=explored, grid_width=g)
+    return ExplorationMap(points=points, explored=explored)
 
 
 def sample_target(emap: ExplorationMap, agent_pos, rng: np.random.Generator):
@@ -201,6 +200,7 @@ class ExplorationPolicy:
         # One task at a time so the pending pool triggers at exactly k.
         for j in world.newly_visible_tasks(state, sc):
             ep.discover(j)
+            state = ep.state  # discover() replaces the state
             assigned = set(ep.task_of.values())
             pending = [t for t in range(sc.n_tasks) if state.discovered[t] and t not in assigned]
             if len(pending) < self.k and not state.discovered.all():
@@ -231,8 +231,8 @@ def run_online_episode(
     overshoots k.  Assigned agents are redirected immediately and stop
     sweeping the lattice; only free agents explore.
     """
-    if not 1 <= k <= sc.n_agents:
-        raise ValueError(f"k must lie in [1, {sc.n_agents}], got {k}")
+    if k is None or not 1 <= k <= sc.n_agents:
+        raise ValueError(f"k={k} outside [1, {sc.n_agents}]")
     u_star, _, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)

@@ -73,13 +73,14 @@ class NavGrid:
 def build_nav_grid(sc: world.Scenario) -> NavGrid:
     """Discretize scenario geometry at DEFAULT_RESOLUTION.
 
-    Raises ValueError when the resolution exceeds the smallest sensing
-    radius, and GridPlacementError when an entity sits in a blocked cell.
+    Raises world.ScenarioError when the resolution exceeds the smallest
+    sensing radius, and GridPlacementError when an entity sits in a blocked
+    cell.
     """
     resolution = DEFAULT_RESOLUTION
     min_sense = min(a.sensing_radius for a in sc.agents)
     if resolution > min_sense:
-        raise ValueError(
+        raise world.ScenarioError(
             f"resolution {resolution} exceeds the smallest sensing radius {min_sense}"
         )
     size = sc.workspace_size

@@ -3,7 +3,7 @@
 Coordinates are world units inside the square [0, workspace_size]^2; time
 advances in fixed dt steps.  Walls are zero-width segments, obstacles are
 static discs.  Step functions treat WorldState as a value: they return fresh
-states and never mutate their input.
+states and never mutate their input.  engine.Episode holds the current one.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ def validate_scenario(sc: Scenario) -> None:
     if not 0.0 < sc.alpha < 1.0:
         raise ScenarioError(f"alpha must lie in (0, 1), got {sc.alpha}")
     if sc.dt <= 0:
-        raise ScenarioError("dt must be positive")
+        raise ScenarioError(f"dt must be positive, got {sc.dt}")
     if len(sc.agents) != len(sc.tasks):
         raise ScenarioError(
             f"agent/task counts must match, got {len(sc.agents)} vs {len(sc.tasks)}"
@@ -181,7 +181,10 @@ def validate_scenario(sc: Scenario) -> None:
     s = sc.workspace_size
     for a in sc.agents:
         if a.sensing_radius <= 0 or a.max_speed <= 0:
-            raise ScenarioError(f"agent {a.id}: sensing_radius and max_speed must be positive")
+            raise ScenarioError(
+                f"agent {a.id}: sensing_radius {a.sensing_radius} and max_speed "
+                f"{a.max_speed} must be positive"
+            )
         if any(p < 0 for p in a.preference_row):
             raise ScenarioError(f"agent {a.id}: preference entries must be >= 0")
         _check_inside(a.start_position, s, f"agent {a.id}")
@@ -484,12 +487,18 @@ _WEIGHT_RANGE = (0.5, 2.0)
 _PREFERENCE_RANGE = (0.2, 1.0)  # per (task type, agent type) service rate
 
 
-def check_map_size(map_size: float, n_obstacles: int = 3, n_walls: int = 2) -> None:
-    """Raise ScenarioError when the generator's draw ranges would be empty.
+def _check_generator_args(n_agents, map_size, n_obstacles, n_walls, n_types) -> None:
+    """Raise ScenarioError for counts out of range or a map too small to draw in.
 
     Points need 2 * MIN_CLEARANCE, obstacles 2 * (0.18 + MIN_CLEARANCE) and
-    wall midpoints 2 * 0.3; the defaults are generate_scenario's.
+    wall midpoints 2 * 0.3.
     """
+    for name, value, least in (
+        ("n_agents", n_agents, 1), ("n_types", n_types, 1),
+        ("n_obstacles", n_obstacles, 0), ("n_walls", n_walls, 0),
+    ):
+        if value < least:
+            raise ScenarioError(f"{name} must be >= {least}, got {value}")
     bounds = [(2 * MIN_CLEARANCE, "entities")]
     if n_obstacles > 0:
         bounds.append((2 * (_MAX_OBSTACLE_RADIUS + MIN_CLEARANCE), "obstacles"))
@@ -524,17 +533,18 @@ def generate_scenario(
     Candidate scenarios where some agent-task pair is unreachable on the
     navigation grid are resampled.  Agent/task types cycle through
     range(n_types) so every generated team is heterogeneous.
+
+    Bad values raise ScenarioError: counts and a map too small to draw in
+    before anything is drawn, the rest from the Scenario validator and
+    build_nav_grid (sensing below the grid resolution).
     """
     from fairtask import pathfind  # deferred: pathfind depends on this module
 
     if map_size is None:
-        try:
-            map_size = DEFAULT_MAP_SIZES[n_agents]
-        except KeyError:
-            raise ValueError(
-                f"no default map size for N={n_agents}; pass map_size explicitly"
-            ) from None
-    check_map_size(map_size, n_obstacles, n_walls)
+        if n_agents not in DEFAULT_MAP_SIZES:
+            raise ScenarioError(f"no default map size for N={n_agents}; pass map_size explicitly")
+        map_size = DEFAULT_MAP_SIZES[n_agents]
+    _check_generator_args(n_agents, map_size, n_obstacles, n_walls, n_types)
     rng = np.random.default_rng(seed)
     types = min(n_types, n_agents)
     preference_table = rng.uniform(*_PREFERENCE_RANGE, size=(types, types))
@@ -649,19 +659,16 @@ def _sample_candidate(
             )
         )
 
-    try:
-        return Scenario(
-            workspace_size=size,
-            walls=tuple(walls),
-            obstacles=tuple(obstacles),
-            agents=tuple(agents),
-            tasks=tuple(tasks),
-            seed=seed,
-            dt=dt,
-            alpha=alpha,
-        )
-    except ScenarioError:
-        return None
+    return Scenario(
+        workspace_size=size,
+        walls=tuple(walls),
+        obstacles=tuple(obstacles),
+        agents=tuple(agents),
+        tasks=tuple(tasks),
+        seed=seed,
+        dt=dt,
+        alpha=alpha,
+    )
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:

@@ -229,7 +229,6 @@ def test_criterion_08_softmax_sampling_law():
             emap = online.ExplorationMap(
                 points=np.array(points, dtype=float),
                 explored=np.zeros(len(points), dtype=bool),
-                grid_width=0.25,
             )
             target = online.sample_target(emap, agent_pos, rng)
             counts[int(np.argmin(np.hypot(*(np.array(points) - target).T)))] += 1

@@ -225,7 +225,7 @@ def test_reduction_soundness(rng):
 
 def test_eg_objective_log_one_is_zero():
     u = assign.compute_utility(np.zeros((3, 3)), np.ones((3, 3)), 0.5)
-    res = assign.Assignment(task_of_agent=np.arange(3), objective=0.0, rule="eg")
+    res = assign.Assignment(task_of_agent=np.arange(3), objective=0.0)
     assert assign.eg_objective(res, u, np.ones(3)) == 0.0
 
 
@@ -235,21 +235,21 @@ def test_eg_objective_single_task_log_e():
         distances=np.zeros((1, 1)),
         preferences=np.array([[math.e]]),
     )
-    res = assign.Assignment(task_of_agent=np.array([0]), objective=0.0, rule="eg")
+    res = assign.Assignment(task_of_agent=np.array([0]), objective=0.0)
     assert assign.eg_objective(res, u, [2.0]) == pytest.approx(2.0)
 
 
 def test_pareto_not_self_dominant(rng):
     u, _ = random_instance(rng, 3)
-    a = assign.Assignment(task_of_agent=np.array([0, 1, 2]), objective=0.0, rule="eg")
+    a = assign.Assignment(task_of_agent=np.array([0, 1, 2]), objective=0.0)
     assert not oracles.pareto_dominates(a, a, u)
 
 
 def test_pareto_strict_dominance():
     vals = np.array([[0.9, 0.1], [0.1, 0.9]])
     u = assign.compute_utility(np.zeros((2, 2)), vals, 0.97)
-    good = assign.Assignment(task_of_agent=np.array([0, 1]), objective=0.0, rule="eg")
-    bad = assign.Assignment(task_of_agent=np.array([1, 0]), objective=0.0, rule="eg")
+    good = assign.Assignment(task_of_agent=np.array([0, 1]), objective=0.0)
+    bad = assign.Assignment(task_of_agent=np.array([1, 0]), objective=0.0)
     assert oracles.pareto_dominates(good, bad, u)
     assert not oracles.pareto_dominates(bad, good, u)
 
@@ -259,8 +259,8 @@ def test_pareto_trade_is_incomparable():
     # gives (0.5, 0.8) -- each permutation trades one task off against the other.
     vals = np.array([[0.9, 0.5], [0.8, 0.4]])
     u = assign.compute_utility(np.zeros((2, 2)), vals, 0.97)
-    a = assign.Assignment(task_of_agent=np.array([0, 1]), objective=0.0, rule="eg")
-    b = assign.Assignment(task_of_agent=np.array([1, 0]), objective=0.0, rule="eg")
+    a = assign.Assignment(task_of_agent=np.array([0, 1]), objective=0.0)
+    b = assign.Assignment(task_of_agent=np.array([1, 0]), objective=0.0)
     assert not oracles.pareto_dominates(a, b, u)
     assert not oracles.pareto_dominates(b, a, u)
 
@@ -270,9 +270,7 @@ def test_eg_solution_is_pareto_efficient(rng):
         u, w = random_instance(rng, 4)
         res = assign.solve_eg(u, w)
         for perm in itertools.permutations(range(4)):
-            rival = assign.Assignment(
-                task_of_agent=np.array(perm), objective=0.0, rule="eg"
-            )
+            rival = assign.Assignment(task_of_agent=np.array(perm), objective=0.0)
             assert not oracles.pareto_dominates(rival, res, u)
 
 

@@ -237,13 +237,30 @@ def test_k_outside_1_to_n_is_rejected(tmp_path, capsys, command, k):
 def test_sweep_degenerate_single_task(tmp_path):
     out = tmp_path / "s1"
     rc = run_cli([
-        "sweep-k", "--generate", "N=1,map=2.5", "--k-values", "1,1",
+        "sweep-k", "--generate", "N=1,map=2.5", "--k-values", "1",
         "--episodes", "2", "--seed", "10", "--out", str(out),
     ])
     assert rc == 0
     lines = (out / "sweep.csv").read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1] == lines[2]  # degenerate sweep rows are identical
+    assert len(lines) == 2
+    assert lines[1].startswith("1,")
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["compare", "--algorithms", "eg,hungarian,eg"],
+         "--algorithms lists an algorithm twice: 'eg,hungarian,eg'"),
+        (["sweep-k", "--k-values", "2,2"], "--k-values lists a value twice: '2,2'"),
+    ],
+    ids=["compare", "sweep-k"],
+)
+def test_repeated_batches_are_rejected(tmp_path, capsys, command, message):
+    out = tmp_path / "never"
+    rc = run_cli([*command, "--generate", "N=3,map=2.5", "--episodes", "1", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_sweep_table_shape(tmp_path):
@@ -333,22 +350,65 @@ def test_teleport_rejected_for_online_runs(tmp_path, command):
 
 
 @pytest.mark.parametrize(
-    "spec,key",
+    "spec,key,message",
     [
-        ("N=0,map=2.5", "N"),
-        ("N=3,map=-1", "map"),
-        ("N=3,map=2.5,speed=0", "speed"),
-        ("N=3,map=2.5,dt=0", "dt"),
-        ("N=3,map=2.5,sensing=0.01", "sensing"),
+        pytest.param(spec, key, message, id=f"{spec}-{key}")
+        for spec, key, message in [
+            ("N=0,map=2.5", "N", "n_agents must be >= 1, got 0"),
+            ("N=5", "N", "no default map size for N=5"),
+            ("N=3,map=-1", "map", "map_size -1 is below 0.6"),
+            ("N=3,map=2.5,speed=0", "speed", "max_speed 0.0 must be positive"),
+            ("N=3,map=2.5,dt=0", "dt", "dt must be positive, got 0.0"),
+            ("N=3,map=2.5,sensing=0.01", "sensing", "exceeds the smallest sensing radius 0.01"),
+            ("N=3,map=2.5,types=0", "types", "n_types must be >= 1, got 0"),
+            ("N=3,map=2.5,types=-1", "types", "n_types must be >= 1, got -1"),
+            ("N=3,map=2.5,obstacles=-2", "obstacles", "n_obstacles must be >= 0, got -2"),
+            ("N=3,map=2.5,walls=-1", "walls", "n_walls must be >= 0, got -1"),
+        ]
     ],
 )
-def test_bad_generator_values_are_config_errors(tmp_path, capsys, spec, key):
-    rc = run_cli([
-        "run", "--generate", spec, "--algorithm", "eg",
-        "--episodes", "1", "--out", str(tmp_path / "x"),
-    ])
+def test_bad_generator_values_are_config_errors(tmp_path, capsys, spec, key, message):
+    for parallel in ("1", "2"):  # the generator runs in the workers under --parallel
+        out = tmp_path / f"never-{parallel}"
+        rc = run_cli([
+            "run", "--generate", spec, "--algorithm", "eg",
+            "--episodes", "2", "--parallel", parallel, "--out", str(out),
+        ])
+        assert rc == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("source", ["generate", "scenario-file"])
+def test_alpha_outside_0_1_is_rejected_by_the_scenario(tmp_path, capsys, source):
+    if source == "generate":
+        args = ["--generate", "N=3,map=2.5"]
+    else:
+        path = tmp_path / "scenario.json"
+        cli.save_scenario(world.generate_scenario(3, 2.5, seed=123), path)
+        args = ["--scenario", str(path)]
+    out = tmp_path / "never"
+    rc = run_cli(["run", *args, "--alpha", "1.5", "--algorithm", "eg",
+                  "--episodes", "1", "--out", str(out)])
     assert rc == 1
-    assert f"--generate: {key} " in capsys.readouterr().err
+    assert not out.exists()
+    assert "alpha must lie in (0, 1), got 1.5" in capsys.readouterr().err
+
+
+def test_scenario_file_sensing_below_grid_resolution_is_a_config_error(tmp_path, capsys):
+    sc = world.generate_scenario(3, 2.5, seed=123)
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(sc, path)
+    doc = json.loads(path.read_text())
+    doc["agents"][1]["sensing_radius"] = 0.04
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = run_cli(["run", "--scenario", str(path), "--algorithm", "eg",
+                  "--episodes", "1", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "exceeds the smallest sensing radius 0.04" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -359,7 +419,7 @@ def test_generator_maps_below_the_sampler_bounds_are_config_errors(tmp_path, cap
     out = tmp_path / "never"
     rc = run_cli(["run", "--generate", spec, "--algorithm", "eg", "--episodes", "1", "--out", str(out)])
     assert rc == 1
-    assert "--generate: map_size " in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: map_size ")
     assert not out.exists()
 
 

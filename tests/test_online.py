@@ -22,7 +22,7 @@ from conftest import make_scenario
 
 def test_lattice_dimensions_quarter_radius(empty_scenario):
     emap = online.init_lattice(empty_scenario)  # 2.5 workspace, r = 0.5
-    assert emap.grid_width == pytest.approx(0.25)
+    assert emap.points[1] - emap.points[0] == pytest.approx([0.0, 0.25])
     assert len(emap.points) == 11 * 11
     assert not emap.explored.any()
 
@@ -32,7 +32,7 @@ def test_lattice_width_is_half_min_radius():
         [(0.5, 0.5), (2.0, 2.0)], [(1.0, 2.0), (2.0, 0.5)], sensing_radius=0.4
     )
     emap = online.init_lattice(sc)
-    assert emap.grid_width == pytest.approx(0.2)
+    assert emap.points[1] - emap.points[0] == pytest.approx([0.0, 0.2])
 
 
 def test_lattice_point_inside_obstacle_premarked():
@@ -68,9 +68,7 @@ def test_lattice_premarks_exactly_obstacle_and_blocked_cell_points(n, map_size):
 
 def _tiny_map(points):
     points = np.asarray(points, dtype=float)
-    return online.ExplorationMap(
-        points=points, explored=np.zeros(len(points), dtype=bool), grid_width=0.25
-    )
+    return online.ExplorationMap(points=points, explored=np.zeros(len(points), dtype=bool))
 
 
 def test_sample_single_point_certain(rng):
@@ -146,9 +144,7 @@ def test_mark_swept_matches_per_agent_oracle(n, map_size, seed):
     rng = np.random.default_rng(seed)
     fast = online.init_lattice(sc)
     fast.explored |= rng.random(len(fast.points)) < 0.3
-    slow = online.ExplorationMap(
-        points=fast.points, explored=fast.explored.copy(), grid_width=fast.grid_width
-    )
+    slow = online.ExplorationMap(points=fast.points, explored=fast.explored.copy())
     for _ in range(5):
         sweeping = np.flatnonzero(rng.random(n) < 0.7)
         positions = rng.uniform(0.0, map_size, size=(len(sweeping), 2))

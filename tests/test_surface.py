@@ -27,25 +27,45 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
+def _fairtask_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every `from fairtask.module import name`."""
+    return {
+        (node.module.removeprefix("fairtask."), alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("fairtask.")
+        for alias in node.names
+    }
+
+
 def test_public_surface_has_a_program_caller():
+    """A module-level name is used through `module.name`, a `from fairtask.module
+    import name`, or a bare use inside its own module; a method through `.name`
+    or a string attribute name.  A definition's own lines do not count.
+    """
     program = sorted(SRC.glob("*.py")) + [
         p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "test_bench.py"
     ]
-    lines = {p: p.read_text().splitlines() for p in program}
+    texts = {p: p.read_text() for p in program}
+    imported = set().union(*(_fairtask_imports(ast.parse(t)) for t in texts.values()))
     unused = []
     for path in sorted(SRC.glob("*.py")):
-        for qualname, node in _public_definitions(ast.parse(path.read_text())):
-            name = f"{path.stem}.{qualname}"
-            if name in EXEMPT:
+        module = path.stem
+        for qualname, node in _public_definitions(ast.parse(texts[path])):
+            name = f"{module}.{qualname}"
+            if name in EXEMPT or (module, qualname) in imported:
                 continue
-            # The definition's own lines, decorators included, do not count as a use.
+            word = re.escape(node.name)
+            if "." in qualname:
+                patterns = {p: rf"\.{word}\b|[\"']{word}[\"']" for p in program}
+            else:
+                patterns = {p: rf"\b{module}\.{word}\b" for p in program}
+                patterns[path] += rf"|(?<![\w.]){word}\b"
             first = min([node.lineno, *(d.lineno for d in node.decorator_list)]) - 1
             own = range(first, node.end_lineno)
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
             if not any(
-                word.search(line)
-                for p, text in lines.items()
-                for i, line in enumerate(text)
+                re.search(pattern, line)
+                for p, pattern in patterns.items()
+                for i, line in enumerate(texts[p].splitlines())
                 if not (p == path and i in own)
             ):
                 unused.append(name)

@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 
 import numpy as np
@@ -417,6 +418,41 @@ def test_generator_rejects_maps_below_its_sampler_bounds(monkeypatch, n_obstacle
     monkeypatch.setattr(world.np.random, "default_rng", no_draws)
     with pytest.raises(world.ScenarioError, match="map_size"):
         world.generate_scenario(1, smallest - 1e-9, seed=0, **counts)
+
+
+@pytest.mark.parametrize(
+    "n_agents,counts,message",
+    [
+        (0, {}, "n_agents must be >= 1, got 0"),
+        (-1, {}, "n_agents must be >= 1, got -1"),
+        (3, dict(n_types=0), "n_types must be >= 1, got 0"),
+        (3, dict(n_obstacles=-2), "n_obstacles must be >= 0, got -2"),
+        (3, dict(n_walls=-1), "n_walls must be >= 0, got -1"),
+    ],
+    ids=["no-agents", "negative-agents", "no-types", "negative-obstacles", "negative-walls"],
+)
+def test_generator_rejects_bad_counts_before_drawing(monkeypatch, n_agents, counts, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("the generator drew before checking its counts")
+
+    monkeypatch.setattr(world.np.random, "default_rng", no_draws)
+    with pytest.raises(world.ScenarioError, match=re.escape(message)):
+        world.generate_scenario(n_agents, 2.5, seed=0, **counts)
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (dict(dt=0.0), "dt must be positive, got 0.0"),
+        (dict(max_speed=-1.0), "max_speed -1.0 must be positive"),
+        (dict(alpha=1.5), "alpha must lie in (0, 1), got 1.5"),
+        (dict(sensing_radius=0.01), "exceeds the smallest sensing radius 0.01"),
+    ],
+    ids=["dt", "speed", "alpha", "sensing"],
+)
+def test_generator_reports_the_scenario_rule_a_value_breaks(value, message):
+    with pytest.raises(world.ScenarioError, match=re.escape(message)):
+        world.generate_scenario(3, 2.5, seed=0, **value)
 
 
 def test_generator_says_when_no_attempt_placed_its_entities():
