@@ -79,7 +79,7 @@ def build_nav_grid(sc: world.Scenario) -> NavGrid:
     """
     resolution = DEFAULT_RESOLUTION
     min_sense = min(a.sensing_radius for a in sc.agents)
-    if resolution > min_sense:
+    if not min_sense >= resolution:
         raise world.ScenarioError(
             f"resolution {resolution} exceeds the smallest sensing radius {min_sense}"
         )

@@ -170,7 +170,7 @@ def validate_scenario(sc: Scenario) -> None:
         raise ScenarioError("workspace_size must be positive")
     if not 0.0 < sc.alpha < 1.0:
         raise ScenarioError(f"alpha must lie in (0, 1), got {sc.alpha}")
-    if sc.dt <= 0:
+    if not sc.dt > 0:
         raise ScenarioError(f"dt must be positive, got {sc.dt}")
     if len(sc.agents) != len(sc.tasks):
         raise ScenarioError(
@@ -180,7 +180,7 @@ def validate_scenario(sc: Scenario) -> None:
         raise ScenarioError("scenario needs at least one agent")
     s = sc.workspace_size
     for a in sc.agents:
-        if a.sensing_radius <= 0 or a.max_speed <= 0:
+        if not (a.sensing_radius > 0 and a.max_speed > 0):
             raise ScenarioError(
                 f"agent {a.id}: sensing_radius {a.sensing_radius} and max_speed "
                 f"{a.max_speed} must be positive"
@@ -487,11 +487,12 @@ _WEIGHT_RANGE = (0.5, 2.0)
 _PREFERENCE_RANGE = (0.2, 1.0)  # per (task type, agent type) service rate
 
 
-def _check_generator_args(n_agents, map_size, n_obstacles, n_walls, n_types) -> None:
-    """Raise ScenarioError for counts out of range or a map too small to draw in.
+def _generator_map_size(n_agents, map_size, n_obstacles, n_walls, n_types) -> float:
+    """Check the counts, then return the map size (N's default when None).
 
-    Points need 2 * MIN_CLEARANCE, obstacles 2 * (0.18 + MIN_CLEARANCE) and
-    wall midpoints 2 * 0.3.
+    Raise ScenarioError for counts out of range, an N with no default map,
+    or a map too small to draw in.  Points need 2 * MIN_CLEARANCE, obstacles
+    2 * (0.18 + MIN_CLEARANCE) and wall midpoints 2 * 0.3.
     """
     for name, value, least in (
         ("n_agents", n_agents, 1), ("n_types", n_types, 1),
@@ -499,6 +500,10 @@ def _check_generator_args(n_agents, map_size, n_obstacles, n_walls, n_types) -> 
     ):
         if value < least:
             raise ScenarioError(f"{name} must be >= {least}, got {value}")
+    if map_size is None:
+        if n_agents not in DEFAULT_MAP_SIZES:
+            raise ScenarioError(f"no default map size for N={n_agents}; pass map_size explicitly")
+        map_size = DEFAULT_MAP_SIZES[n_agents]
     bounds = [(2 * MIN_CLEARANCE, "entities")]
     if n_obstacles > 0:
         bounds.append((2 * (_MAX_OBSTACLE_RADIUS + MIN_CLEARANCE), "obstacles"))
@@ -510,6 +515,7 @@ def _check_generator_args(n_agents, map_size, n_obstacles, n_walls, n_types) -> 
             f"map_size {map_size:g} is below {smallest:g}, the smallest map the "
             f"generator can place {what} in"
         )
+    return map_size
 
 
 def generate_scenario(
@@ -540,11 +546,7 @@ def generate_scenario(
     """
     from fairtask import pathfind  # deferred: pathfind depends on this module
 
-    if map_size is None:
-        if n_agents not in DEFAULT_MAP_SIZES:
-            raise ScenarioError(f"no default map size for N={n_agents}; pass map_size explicitly")
-        map_size = DEFAULT_MAP_SIZES[n_agents]
-    _check_generator_args(n_agents, map_size, n_obstacles, n_walls, n_types)
+    map_size = _generator_map_size(n_agents, map_size, n_obstacles, n_walls, n_types)
     rng = np.random.default_rng(seed)
     types = min(n_types, n_agents)
     preference_table = rng.uniform(*_PREFERENCE_RANGE, size=(types, types))

@@ -355,11 +355,15 @@ def test_teleport_rejected_for_online_runs(tmp_path, command):
         pytest.param(spec, key, message, id=f"{spec}-{key}")
         for spec, key, message in [
             ("N=0,map=2.5", "N", "n_agents must be >= 1, got 0"),
+            ("N=0", "N", "n_agents must be >= 1, got 0"),
             ("N=5", "N", "no default map size for N=5"),
             ("N=3,map=-1", "map", "map_size -1 is below 0.6"),
             ("N=3,map=2.5,speed=0", "speed", "max_speed 0.0 must be positive"),
             ("N=3,map=2.5,dt=0", "dt", "dt must be positive, got 0.0"),
             ("N=3,map=2.5,sensing=0.01", "sensing", "exceeds the smallest sensing radius 0.01"),
+            ("N=3,map=2.5,speed=nan", "speed", "max_speed nan must be positive"),
+            ("N=3,map=2.5,dt=nan", "dt", "dt must be positive, got nan"),
+            ("N=3,map=2.5,sensing=nan", "sensing", "sensing_radius nan and max_speed"),
             ("N=3,map=2.5,types=0", "types", "n_types must be >= 1, got 0"),
             ("N=3,map=2.5,types=-1", "types", "n_types must be >= 1, got -1"),
             ("N=3,map=2.5,obstacles=-2", "obstacles", "n_obstacles must be >= 0, got -2"),
