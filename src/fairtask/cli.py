@@ -12,6 +12,7 @@ deterministic: a re-run with the same root seed is byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -65,27 +66,8 @@ def save_scenario(sc: world.Scenario, path: Path | str) -> None:
         "seed": sc.seed,
         "walls": [[list(a), list(b)] for a, b in sc.walls],
         "obstacles": [{"center": list(c), "radius": r} for c, r in sc.obstacles],
-        "agents": [
-            {
-                "id": a.id,
-                "start_position": list(a.start_position),
-                "agent_type": a.agent_type,
-                "sensing_radius": a.sensing_radius,
-                "max_speed": a.max_speed,
-                "preference_row": list(a.preference_row),
-            }
-            for a in sc.agents
-        ],
-        "tasks": [
-            {
-                "id": t.id,
-                "position": list(t.position),
-                "task_type": t.task_type,
-                "workload": t.workload,
-                "weight": t.weight,
-            }
-            for t in sc.tasks
-        ],
+        "agents": [dataclasses.asdict(a) for a in sc.agents],
+        "tasks": [dataclasses.asdict(t) for t in sc.tasks],
     }
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -182,6 +164,8 @@ def _parse_generate(text: str, alpha: float | None) -> dict:
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -194,52 +178,33 @@ def _fmt(value) -> str:
     return "%.6g" % v
 
 
+def _row(r) -> dict:
+    """One episode's value for each of RESULT_COLUMNS."""
+    return dict(zip(RESULT_COLUMNS, (r.episode, r.seed, r.rule, r.k)), **engine.episode_stats(r))
+
+
 def format_result_rows(rows) -> str:
     lines = [",".join(RESULT_COLUMNS)]
     for r in rows:
-        stats = engine.episode_stats(r)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.episode),
-                    _fmt(r.seed),
-                    r.rule,
-                    _fmt(r.k) if r.k is not None else "",
-                    _fmt(stats["T"]),
-                    _fmt(stats["D"]),
-                    _fmt(stats["F_rho"]),
-                    _fmt(stats["jain"]),
-                    _fmt(stats["U_star"]),
-                    _fmt(stats["U_pi"]),
-                    _fmt(stats["regret"]),
-                    _fmt(stats["collisions"]),
-                    _fmt(stats["incomplete"]),
-                ]
-            )
-        )
+        row = _row(r)
+        lines.append(",".join(_fmt(row[column]) for column in RESULT_COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def _dump_rows_json(rows) -> str:
-    payload = []
-    for r in rows:
-        stats = engine.episode_stats(r)
-        payload.append(
-            {
-                "episode": r.episode,
-                "seed": r.seed,
-                "algorithm": r.rule,
-                "k": r.k,
-                **{key: (None if isinstance(v, float) and math.isnan(v) else v)
-                   for key, v in stats.items()},
-                "realized_utilities": [float(x) for x in r.realized_utilities],
-                "weights": [float(x) for x in r.weights],
-                "per_agent_distance": [float(x) for x in r.per_agent_distance],
-                "discovery_times": [None if math.isnan(float(x)) else float(x)
-                                    for x in r.discovery_times],
-                "assignment_log": [[t, a, j] for t, a, j in r.assignment_log],
-            }
-        )
+    payload = [
+        {
+            **{key: (None if isinstance(v, float) and math.isnan(v) else v)
+               for key, v in _row(r).items()},
+            "realized_utilities": [float(x) for x in r.realized_utilities],
+            "weights": [float(x) for x in r.weights],
+            "per_agent_distance": [float(x) for x in r.per_agent_distance],
+            "discovery_times": [None if math.isnan(float(x)) else float(x)
+                                for x in r.discovery_times],
+            "assignment_log": [[t, a, j] for t, a, j in r.assignment_log],
+        }
+        for r in rows
+    ]
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -369,6 +334,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         raise ConfigError("episodes must be >= 1")
     if args.parallel < 1:
         raise ConfigError("parallel must be >= 1")
+    if args.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {args.seed}")
 
     scenario = None
     generator = None

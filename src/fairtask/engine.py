@@ -39,14 +39,21 @@ _LEG_CHECK_INTERVAL = 15    # steps between leg line-of-sight revalidations
 # ---------------------------------------------------------------------------
 
 
-def brake_action(v: np.ndarray, quantum: float) -> int:
-    """Largest-axis counter-acceleration until speed is within one quantum."""
-    if float(np.hypot(v[0], v[1])) <= 0.5 * quantum:
+def _axis_action(dx, dy, quantum: float) -> int:
+    """Accelerate along the larger component of the velocity change (dx, dy).
+
+    Idles once the change is within half a quantum; a tie goes to x.
+    """
+    if float(np.hypot(dx, dy)) <= 0.5 * quantum:
         return ACTION_IDLE
-    axis = 0 if abs(v[0]) >= abs(v[1]) else 1
-    if axis == 0:
-        return 1 if v[0] > 0 else 0
-    return 3 if v[1] > 0 else 2
+    if abs(dx) >= abs(dy):
+        return world.ACTION_ACCEL_PX if dx > 0 else world.ACTION_ACCEL_NX
+    return world.ACTION_ACCEL_PY if dy > 0 else world.ACTION_ACCEL_NY
+
+
+def brake_action(v: np.ndarray, quantum: float) -> int:
+    """Largest-axis counter-acceleration until speed is within half a quantum."""
+    return _axis_action(-v[0], -v[1], quantum)
 
 
 def scripted_goto_policy(
@@ -90,14 +97,8 @@ def scripted_goto_policy(
     dist = float(np.hypot(delta[0], delta[1]))
     if dist < 1e-12:
         return brake_action(v, quantum)
-    v_des = delta / dist * v_cap
-    dv = v_des - v
-    if float(np.hypot(dv[0], dv[1])) <= 0.5 * quantum:
-        return ACTION_IDLE
-    axis = 0 if abs(dv[0]) >= abs(dv[1]) else 1
-    if axis == 0:
-        return 0 if dv[0] > 0 else 1
-    return 2 if dv[1] > 0 else 3
+    dv = delta / dist * v_cap - v
+    return _axis_action(dv[0], dv[1], quantum)
 
 
 class Navigator:
@@ -107,7 +108,7 @@ class Navigator:
         self.grid = grid
         self.goal: np.ndarray | None = None
         self.waypoints: list[np.ndarray] = []
-        self._last_pos: np.ndarray | None = None
+        self._last_pos: np.ndarray | None = None  # set with every goal
         self._stall_steps = 0
         self._steps_since_check = 0
 
@@ -154,15 +155,12 @@ class Navigator:
             break
 
     def _check_stuck(self, pos: np.ndarray) -> None:
-        if self._last_pos is None:
-            self._last_pos = pos.copy()
-            return
         if float(np.hypot(*(pos - self._last_pos))) > _STUCK_DISTANCE:
             self._last_pos = pos.copy()
             self._stall_steps = 0
             return
         self._stall_steps += 1
-        if self._stall_steps >= _STUCK_WINDOW and self.goal is not None:
+        if self._stall_steps >= _STUCK_WINDOW:
             self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal)
             self._stall_steps = 0
 
@@ -219,7 +217,7 @@ def _teleport_result(sc, rule, solution, u0, u_star):
         rate = u0.preferences[task, agent]
         service = sc.tasks[task].workload / rate if rate > 0 else math.inf
         t_done = max(t_done, d / sc.agents[agent].max_speed + service)
-    result = metrics.EpisodeResult(
+    return metrics.EpisodeResult(
         realized_utilities=realized,
         weights=world.task_weights(sc),
         completion_time=t_done,
@@ -233,9 +231,6 @@ def _teleport_result(sc, rule, solution, u0, u_star):
         u_star=u_star,
         seed=sc.seed,
     )
-    if not result.incomplete:
-        result.u_pi = metrics.realized_value(result)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +337,7 @@ def run_episode(
     for a, t in ep.task_of.items():
         if np.isfinite(realized_distance[t]):
             realized[t] = (sc.alpha ** realized_distance[t]) * prefs[t, a]
-    result = metrics.EpisodeResult(
+    return metrics.EpisodeResult(
         realized_utilities=realized,
         weights=world.task_weights(sc),
         completion_time=completion_time if not incomplete else state.time,
@@ -356,9 +351,6 @@ def run_episode(
         u_star=u_star,
         seed=sc.seed,
     )
-    if not incomplete:
-        result.u_pi = metrics.realized_value(result)
-    return result
 
 
 # ---------------------------------------------------------------------------

@@ -34,10 +34,14 @@ class EpisodeResult:
     rule: str
     k: int | None = None
     u_star: float = math.nan
-    u_pi: float = math.nan
     seed: int = 0
     episode: int = 0
     online_triggers: tuple = ()
+
+    @property
+    def u_pi(self) -> float:
+        """Realized weighted-log value; nan when the episode is incomplete."""
+        return math.nan if self.incomplete else realized_value(self)
 
     @property
     def regret_gap(self) -> float:

@@ -169,22 +169,19 @@ class ExplorationPolicy:
         self.emap = init_lattice(sc)
         self.k = k
         self.rng = rng
-        self.targets: dict[int, np.ndarray] = {}
         self.triggers: list[TriggerRecord] = []
 
     def free_action(self, ep: engine.Episode, agent: int) -> int:
-        """Head for the agent's lattice target; brake once the lattice is spent."""
+        """Head for the agent's lattice target, its navigator's goal.
+
+        Once the lattice is spent the navigator has no goal, so it brakes.
+        """
+        nav = ep.navs[agent]
         pos = ep.state.agent_positions[agent]
-        target = self.targets.get(agent)
-        if target is None or float(np.hypot(*(pos - target))) <= _TARGET_RADIUS:
-            target = _next_reachable_target(self.emap, ep.navs[agent], pos, self.rng)
-            if target is None:
-                self.targets.pop(agent, None)
-                return engine.brake_action(
-                    ep.state.agent_velocities[agent], ep.sc.motion.quantum[agent]
-                )
-            self.targets[agent] = target
-        return ep.navs[agent].action(ep.state, ep.sc, agent)
+        if nav.goal is None or float(np.hypot(*(pos - nav.goal))) <= _TARGET_RADIUS:
+            if _next_reachable_target(self.emap, nav, pos, self.rng) is None:
+                nav.goal = None  # else the last unreachable candidate stays the goal
+        return nav.action(ep.state, ep.sc, agent)
 
     def observe(self, ep: engine.Episode) -> None:
         """Sweep around free agents, then discover new tasks one by one.

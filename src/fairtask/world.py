@@ -166,12 +166,13 @@ def _padded_box(x0, x1, y0, y1) -> tuple[float, float, float, float]:
 
 
 def validate_scenario(sc: Scenario) -> None:
-    if sc.workspace_size <= 0:
-        raise ScenarioError("workspace_size must be positive")
+    """Raise ScenarioError on a broken invariant; `0 < x < inf` also rejects NaN."""
+    if not 0.0 < sc.workspace_size < math.inf:
+        raise ScenarioError(f"workspace_size must be finite and positive, got {sc.workspace_size}")
     if not 0.0 < sc.alpha < 1.0:
         raise ScenarioError(f"alpha must lie in (0, 1), got {sc.alpha}")
-    if not sc.dt > 0:
-        raise ScenarioError(f"dt must be positive, got {sc.dt}")
+    if not 0.0 < sc.dt < math.inf:
+        raise ScenarioError(f"dt must be finite and positive, got {sc.dt}")
     if len(sc.agents) != len(sc.tasks):
         raise ScenarioError(
             f"agent/task counts must match, got {len(sc.agents)} vs {len(sc.tasks)}"
@@ -180,23 +181,28 @@ def validate_scenario(sc: Scenario) -> None:
         raise ScenarioError("scenario needs at least one agent")
     s = sc.workspace_size
     for a in sc.agents:
-        if not (a.sensing_radius > 0 and a.max_speed > 0):
+        if not (0.0 < a.sensing_radius < math.inf and 0.0 < a.max_speed < math.inf):
             raise ScenarioError(
                 f"agent {a.id}: sensing_radius {a.sensing_radius} and max_speed "
-                f"{a.max_speed} must be positive"
+                f"{a.max_speed} must be finite and positive"
             )
-        if any(p < 0 for p in a.preference_row):
-            raise ScenarioError(f"agent {a.id}: preference entries must be >= 0")
+        if not all(0.0 <= p < math.inf for p in a.preference_row):
+            raise ScenarioError(
+                f"agent {a.id}: preference entries {a.preference_row} must be finite and >= 0"
+            )
         _check_inside(a.start_position, s, f"agent {a.id}")
     for t in sc.tasks:
-        if t.workload <= 0 or t.weight <= 0:
-            raise ScenarioError(f"task {t.id}: workload and weight must be positive")
+        if not (0.0 < t.workload < math.inf and 0.0 < t.weight < math.inf):
+            raise ScenarioError(
+                f"task {t.id}: workload {t.workload} and weight {t.weight} must be finite "
+                f"and positive"
+            )
         _check_inside(t.position, s, f"task {t.id}")
         if t.task_type >= min(len(a.preference_row) for a in sc.agents):
             raise ScenarioError(f"task {t.id}: type {t.task_type} exceeds preference rows")
     for (cx, cy), r in sc.obstacles:
-        if r <= 0:
-            raise ScenarioError("obstacle radius must be positive")
+        if not 0.0 < r < math.inf:
+            raise ScenarioError(f"obstacle radius {r} must be finite and positive")
         for a in sc.agents:
             if math.dist(a.start_position, (cx, cy)) < r:
                 raise ScenarioError(f"agent {a.id} starts inside an obstacle")
@@ -504,6 +510,8 @@ def _generator_map_size(n_agents, map_size, n_obstacles, n_walls, n_types) -> fl
         if n_agents not in DEFAULT_MAP_SIZES:
             raise ScenarioError(f"no default map size for N={n_agents}; pass map_size explicitly")
         map_size = DEFAULT_MAP_SIZES[n_agents]
+    if not math.isfinite(map_size):
+        raise ScenarioError(f"map_size must be finite, got {map_size}")
     bounds = [(2 * MIN_CLEARANCE, "entities")]
     if n_obstacles > 0:
         bounds.append((2 * (_MAX_OBSTACLE_RADIUS + MIN_CLEARANCE), "obstacles"))

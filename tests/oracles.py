@@ -2,10 +2,10 @@
 
 The navigation and world functions are the straightforward versions of
 routines in `src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO
-grid-graph build, the per-agent dynamics step with a motion clip that tests
-every wall and disc, the task-by-agent sensing loop and the one-ball lattice
-sweep.  The differential tests require the fast routines to return exactly
-what these return.  The
+grid-graph build, the separate braking and goto axis rules, the per-agent
+dynamics step with a motion clip that tests every wall and disc, the
+task-by-agent sensing loop and the one-ball lattice sweep.  The differential
+tests require the fast routines to return exactly what these return.  The
 assignment oracles enumerate every permutation or agent subset, independent
 of the solvers they check.
 """
@@ -25,6 +25,7 @@ from fairtask.pathfind import _NEIGHBORS, _SQRT2, NavGrid
 from fairtask.world import (
     _SURFACE_BACKOFF,
     ACCEL_STEPS,
+    ACTION_IDLE,
     ACTION_VECTORS,
     AGENT_RADIUS,
     CollisionEvent,
@@ -156,6 +157,31 @@ def build_graph(grid: NavGrid) -> csr_matrix:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n, n),
     )
+
+
+# ---------------------------------------------------------------------------
+# engine
+# ---------------------------------------------------------------------------
+
+
+def brake_action(v, quantum: float) -> int:
+    """Largest-axis counter-acceleration until speed is within one quantum."""
+    if float(np.hypot(v[0], v[1])) <= 0.5 * quantum:
+        return ACTION_IDLE
+    axis = 0 if abs(v[0]) >= abs(v[1]) else 1
+    if axis == 0:
+        return 1 if v[0] > 0 else 0
+    return 3 if v[1] > 0 else 2
+
+
+def goto_axis_action(dv, quantum: float) -> int:
+    """The action scripted_goto_policy takes for the velocity change dv."""
+    if float(np.hypot(dv[0], dv[1])) <= 0.5 * quantum:
+        return ACTION_IDLE
+    axis = 0 if abs(dv[0]) >= abs(dv[1]) else 1
+    if axis == 0:
+        return 0 if dv[0] > 0 else 1
+    return 2 if dv[1] > 0 else 3
 
 
 # ---------------------------------------------------------------------------

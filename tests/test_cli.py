@@ -148,6 +148,40 @@ def test_run_golden_reference(tmp_path, golden, extra):
     assert (out / "results.csv").read_bytes() == (DATA / golden).read_bytes()
 
 
+def _assert_same_document(got, want, where="$"):
+    """Equal JSON documents, floats within a relative 1e-12 (SIMD log/power ulps)."""
+    if isinstance(want, float):
+        assert isinstance(got, float), where
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_document(g, w, f"{where}[{i}]")
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), where
+        for key in want:
+            _assert_same_document(got[key], want[key], f"{where}.{key}")
+    else:
+        assert type(got) is type(want) and got == want, where
+
+
+def test_run_json_golden_reference(tmp_path):
+    out = tmp_path / "golden"
+    rc = run_cli([
+        "run", "--generate", "N=3,map=2.5", "--algorithm", "online", "--k", "2",
+        "--episodes", "2", "--seed", "2024", "--dump-json", "--out", str(out),
+    ])
+    assert rc == 0
+    got = json.loads((out / "results.json").read_text())
+    _assert_same_document(got, json.loads((DATA / "golden_run_online_k2.json").read_text()))
+
+
+def test_scenario_file_golden_reference(tmp_path):
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(world.generate_scenario(3, 2.5, seed=123), path)
+    assert path.read_bytes() == (DATA / "golden_scenario_n3_seed123.json").read_bytes()
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "envdir"
     monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
@@ -298,6 +332,14 @@ def test_exit_code_config_error(tmp_path, capsys):
     ])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: could not generate a usable scenario")
+    # A negative root seed, which np.random.SeedSequence would reject mid-run.
+    rc = run_cli([
+        "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
+        "--episodes", "1", "--seed", "-1", "--out", str(tmp_path / "z"),
+    ])
+    assert rc == 1
+    assert not (tmp_path / "z").exists()
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
 def test_exit_code_runtime_failure(tmp_path):
@@ -358,12 +400,16 @@ def test_teleport_rejected_for_online_runs(tmp_path, command):
             ("N=0", "N", "n_agents must be >= 1, got 0"),
             ("N=5", "N", "no default map size for N=5"),
             ("N=3,map=-1", "map", "map_size -1 is below 0.6"),
-            ("N=3,map=2.5,speed=0", "speed", "max_speed 0.0 must be positive"),
-            ("N=3,map=2.5,dt=0", "dt", "dt must be positive, got 0.0"),
+            ("N=3,map=2.5,speed=0", "speed", "max_speed 0.0 must be finite and positive"),
+            ("N=3,map=2.5,dt=0", "dt", "dt must be finite and positive, got 0.0"),
             ("N=3,map=2.5,sensing=0.01", "sensing", "exceeds the smallest sensing radius 0.01"),
-            ("N=3,map=2.5,speed=nan", "speed", "max_speed nan must be positive"),
-            ("N=3,map=2.5,dt=nan", "dt", "dt must be positive, got nan"),
+            ("N=3,map=2.5,speed=nan", "speed", "max_speed nan must be finite and positive"),
+            ("N=3,map=2.5,dt=nan", "dt", "dt must be finite and positive, got nan"),
             ("N=3,map=2.5,sensing=nan", "sensing", "sensing_radius nan and max_speed"),
+            ("N=3,map=2.5,speed=inf", "speed", "max_speed inf must be finite and positive"),
+            ("N=3,map=2.5,dt=inf", "dt", "dt must be finite and positive, got inf"),
+            ("N=3,map=2.5,sensing=inf", "sensing", "sensing_radius inf and max_speed"),
+            ("N=3,map=inf", "map", "map_size must be finite, got inf"),
             ("N=3,map=2.5,types=0", "types", "n_types must be >= 1, got 0"),
             ("N=3,map=2.5,types=-1", "types", "n_types must be >= 1, got -1"),
             ("N=3,map=2.5,obstacles=-2", "obstacles", "n_obstacles must be >= 0, got -2"),
@@ -398,6 +444,36 @@ def test_alpha_outside_0_1_is_rejected_by_the_scenario(tmp_path, capsys, source)
     assert rc == 1
     assert not out.exists()
     assert "alpha must lie in (0, 1), got 1.5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda doc: doc["tasks"][0].update(workload=float("nan")),
+                     "task 0: workload nan and weight", id="nan-workload"),
+        pytest.param(lambda doc: doc["tasks"][1].update(weight=float("nan")),
+                     "and weight nan must be finite and positive", id="nan-weight"),
+        pytest.param(lambda doc: doc["obstacles"][0].update(radius=float("nan")),
+                     "obstacle radius nan must be finite and positive", id="nan-obstacle-radius"),
+        pytest.param(lambda doc: doc["agents"][2]["preference_row"].__setitem__(1, float("nan")),
+                     "agent 2: preference entries (", id="nan-preference"),
+        pytest.param(lambda doc: doc["tasks"][2].update(workload=float("inf")),
+                     "task 2: workload inf and weight", id="inf-workload"),
+    ],
+)
+def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edit, message):
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(world.generate_scenario(3, 2.5, seed=123), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "never"
+    rc = run_cli(["run", "--scenario", str(path), "--algorithm", "eg",
+                  "--episodes", "1", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_scenario_file_sensing_below_grid_resolution_is_a_config_error(tmp_path, capsys):

@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairtask import cli, engine, metrics, online, pathfind, world
 from fairtask.world import ACTION_IDLE
 
+import oracles
 from conftest import make_scenario
 
 
@@ -47,6 +50,31 @@ def test_policy_unreachable_goal_idles():
     waypoints = pathfind.path_waypoints(grid, p, goal)
     assert waypoints == []
     assert engine.scripted_goto_policy(state, sc, 0, goal, waypoints) == ACTION_IDLE
+
+
+_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.125, -0.125, 0.3, -0.3]),
+    st.floats(-3.0, 3.0, allow_nan=False),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=_COMPONENTS, y=_COMPONENTS, quantum=st.floats(0.01, 1.0),
+       shape=st.sampled_from(["free", "equal", "threshold"]))
+@example(x=0.0, y=-0.0, quantum=0.25, shape="free")
+@example(x=-0.0, y=0.0, quantum=0.25, shape="free")
+@example(x=0.125, y=0.0, quantum=0.25, shape="free")     # |v| exactly 0.5 * quantum
+@example(x=-0.0, y=-0.125, quantum=0.25, shape="free")
+@example(x=0.3, y=-0.3, quantum=0.25, shape="free")      # |x| == |y|
+@example(x=-0.3, y=-0.3, quantum=0.25, shape="free")
+def test_axis_rule_matches_the_braking_and_goto_oracles(x, y, quantum, shape):
+    if shape == "equal":
+        y = math.copysign(abs(x), y)
+    elif shape == "threshold" and np.hypot(x, y) > 0.0:
+        quantum = 2.0 * float(np.hypot(x, y))  # the vector sits exactly at 0.5 * quantum
+    v = np.array([x, y])
+    assert engine.brake_action(v, quantum) == oracles.brake_action(v, quantum)
+    assert engine._axis_action(x, y, quantum) == oracles.goto_axis_action(v, quantum)
 
 
 def test_controller_overhead_on_empty_map():

@@ -181,6 +181,24 @@ def test_one_sweep_per_tick(monkeypatch):
     assert "mm" not in ticks
 
 
+@pytest.mark.parametrize("reached_a_target", [False, True], ids=["first-call", "after-a-target"])
+def test_free_agent_on_a_spent_lattice_brakes_without_a_goal(reached_a_target):
+    sc = make_scenario([(0.525, 0.525), (2.0, 2.0)], [(1.525, 0.525), (0.6, 2.0)])
+    ep = engine.Episode(sc)
+    policy = online.ExplorationPolicy(sc, 2, np.random.default_rng(3))
+    nav = ep.navs[0]
+    if reached_a_target:
+        policy.free_action(ep, 0)
+        assert nav.goal is not None
+        ep.state.agent_positions[0] = nav.goal  # standing on the drawn target
+    policy.emap.explored[:] = True
+    v = np.array([0.2, -0.15])
+    ep.state.agent_velocities[0] = v
+    action = policy.free_action(ep, 0)
+    assert action == engine.brake_action(v, sc.motion.quantum[0])
+    assert nav.goal is None
+
+
 # ---------------------------------------------------------------------------
 # select_subset_and_assign
 # ---------------------------------------------------------------------------

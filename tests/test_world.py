@@ -443,8 +443,8 @@ def test_generator_rejects_bad_counts_before_drawing(monkeypatch, n_agents, coun
 @pytest.mark.parametrize(
     "value,message",
     [
-        (dict(dt=0.0), "dt must be positive, got 0.0"),
-        (dict(max_speed=-1.0), "max_speed -1.0 must be positive"),
+        (dict(dt=0.0), "dt must be finite and positive, got 0.0"),
+        (dict(max_speed=-1.0), "max_speed -1.0 must be finite and positive"),
         (dict(alpha=1.5), "alpha must lie in (0, 1), got 1.5"),
         (dict(sensing_radius=0.01), "exceeds the smallest sensing radius 0.01"),
     ],
