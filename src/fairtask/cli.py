@@ -77,10 +77,10 @@ def load_scenario(path: Path | str, alpha_override: float | None = None) -> worl
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read scenario file {path}: {err}") from err
+    if not isinstance(doc, dict):
+        raise ConfigError(f"scenario file {path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("version") != SCENARIO_FORMAT_VERSION:
-        raise ConfigError(
-            f"scenario file {path}: unsupported version {doc.get('version')!r}"
-        )
+        raise ConfigError(f"scenario file {path}: unsupported version {doc.get('version')!r}")
     try:
         sc = world.Scenario(
             workspace_size=float(doc["workspace_size"]),
@@ -116,7 +116,7 @@ def load_scenario(path: Path | str, alpha_override: float | None = None) -> worl
             dt=float(doc["dt"]),
             alpha=float(doc["alpha"] if alpha_override is None else alpha_override),
         )
-    except (KeyError, TypeError, world.ScenarioError) as err:
+    except (KeyError, TypeError, ValueError) as err:  # ValueError covers world.ScenarioError
         raise ConfigError(f"scenario file {path}: {err}") from err
     return sc
 

@@ -244,7 +244,7 @@ class Episode:
     Assignment modes differ only in when they commit agents, so all of them
     drive this one object through discover() and commit().  The episode is
     the world state's one owner and treats it as a value: discover() and the
-    loop rebind `state` to the fresh states world's functions return, so
+    loop rebind `state` to the new states world's functions return, so
     re-read `ep.state` after either.
     """
 

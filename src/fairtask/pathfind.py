@@ -45,8 +45,8 @@ class NavGrid:
     resolution: float
     dims: tuple[int, int]            # (nx, ny) cells
     blocked: np.ndarray              # bool, shape (nx, ny)
-    walls: np.ndarray                # (W, 2, 2) interior wall segments
-    obstacles: np.ndarray            # (K, 3) disc rows: cx, cy, radius
+    walls: tuple                     # the scenario's interior walls, ((x1, y1), (x2, y2))
+    obstacles: tuple                 # the scenario's discs, ((cx, cy), radius)
 
     def cell_of(self, point) -> tuple[int, int]:
         nx, ny = self.dims
@@ -96,19 +96,9 @@ def build_nav_grid(sc: world.Scenario) -> NavGrid:
     for (x1, y1), (x2, y2) in sc.walls:
         blocked |= _segment_distance_field(cx, cy, x1, y1, x2, y2) <= clearance
 
-    walls = (
-        np.array([[list(a), list(b)] for a, b in sc.walls], dtype=float)
-        if sc.walls
-        else np.zeros((0, 2, 2))
-    )
-    discs = (
-        np.array([[c[0], c[1], r] for c, r in sc.obstacles], dtype=float)
-        if sc.obstacles
-        else np.zeros((0, 3))
-    )
     grid = NavGrid(
         resolution=resolution, dims=(n_cells, n_cells),
-        blocked=blocked, walls=walls, obstacles=discs,
+        blocked=blocked, walls=sc.walls, obstacles=sc.obstacles,
     )
     for a in sc.agents:
         if not grid.is_free(a.start_position):
@@ -195,8 +185,6 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
 
 def _segment_crosses_wall(grid: NavGrid, p, q) -> bool:
     """True when the open segment p-q crosses an interior wall segment."""
-    if len(grid.walls) == 0:
-        return False
     px, py = float(p[0]), float(p[1])
     qx, qy = float(q[0]), float(q[1])
     for (x1, y1), (x2, y2) in grid.walls:
@@ -271,7 +259,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
         return grid.is_free(a)
     if _segment_crosses_wall(grid, a, b):
         return False
-    for cx, cy, r in grid.obstacles:
+    for (cx, cy), r in grid.obstacles:
         if _segment_hits_disc(a, b, cx, cy, r):
             return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)

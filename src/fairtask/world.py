@@ -2,15 +2,16 @@
 
 Coordinates are world units inside the square [0, workspace_size]^2; time
 advances in fixed dt steps.  Walls are zero-width segments, obstacles are
-static discs.  Step functions treat WorldState as a value: they return fresh
-states and never mutate their input.  engine.Episode holds the current one.
+static discs.  Step functions return a new WorldState that shares the arrays
+they do not change; nothing writes a state's arrays in place.  engine.Episode
+holds the current one.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -134,35 +135,26 @@ _CACHED_PROPERTIES = frozenset(
 class MotionGeometry:
     """A scenario's per-tick arrays, built once per Scenario (`Scenario.motion`).
 
-    Boxes are (xmin, xmax, ymin, ymax), padded by _BOX_PAD: per shape in
-    Python floats for the exact clip, and all walls then all discs as one
-    (S, 4) array for the team-wide broad phase.  A wall or disc hit needs a
+    `boxes` is the (S, 4) array of wall then disc boxes (xmin, xmax, ymin,
+    ymax), padded by _BOX_PAD, for `_touching`.  A wall or disc hit needs a
     contact point on both the motion segment and the shape, so a shape whose
-    box misses the segment's box cannot be hit and the exact test may skip
-    it.  Per-agent speeds and sensing radii and the task positions are (N,)
-    and (M, 2) arrays.
+    box misses the segment's box cannot be hit.  Per-agent speeds and
+    sensing radii and the task positions are (N,) and (M, 2) arrays.
     """
 
     def __init__(self, sc: Scenario) -> None:
         self.walls = sc.wall_segments()
-        self.wall_boxes = [
-            _padded_box(min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
+        self.discs = [(np.array([cx, cy]), r) for (cx, cy), r in sc.obstacles]
+        bounds = [
+            (min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
             for (x1, y1), (x2, y2) in self.walls.tolist()
-        ]
-        self.discs = [
-            (np.array([cx, cy]), r, _padded_box(cx - r, cx + r, cy - r, cy + r))
-            for (cx, cy), r in sc.obstacles
-        ]
-        self.boxes = np.array(self.wall_boxes + [box for _, _, box in self.discs])
+        ] + [(cx - r, cx + r, cy - r, cy + r) for (cx, cy), r in sc.obstacles]
+        self.boxes = np.array(bounds) + [-_BOX_PAD, _BOX_PAD, -_BOX_PAD, _BOX_PAD]
         self.pairs = np.triu_indices(sc.n_agents, 1)  # agent pairs (i, k), i < k
         self.max_speed = np.array([a.max_speed for a in sc.agents], dtype=float)
         self.quantum = self.max_speed / ACCEL_STEPS
         self.sensing_radius = np.array([a.sensing_radius for a in sc.agents], dtype=float)
         self.task_positions = sc.task_positions()
-
-
-def _padded_box(x0, x1, y0, y1) -> tuple[float, float, float, float]:
-    return (x0 - _BOX_PAD, x1 + _BOX_PAD, y0 - _BOX_PAD, y1 + _BOX_PAD)
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -244,17 +236,6 @@ class WorldState:
     completed: np.ndarray            # (m,) bool
     cumulative_distance: np.ndarray  # (N,)
 
-    def copy(self) -> "WorldState":
-        return WorldState(
-            time=self.time,
-            agent_positions=self.agent_positions.copy(),
-            agent_velocities=self.agent_velocities.copy(),
-            remaining_workloads=self.remaining_workloads.copy(),
-            discovered=self.discovered.copy(),
-            completed=self.completed.copy(),
-            cumulative_distance=self.cumulative_distance.copy(),
-        )
-
 
 def initial_state(sc: Scenario) -> WorldState:
     n, m = sc.n_agents, sc.n_tasks
@@ -282,9 +263,9 @@ def step_dynamics_events(
 
     Returns the new state and the collision events of the step.  The whole
     team moves as (N, 2) arrays; only agents whose motion box touches a wall
-    or disc box, or that do not move, go through the exact scalar clip, in
-    ascending agent order.  Every array op is the elementwise IEEE op the
-    per-agent loop did, so the result is the loop's, bit for bit.
+    or disc box go through the exact scalar clip, in ascending agent order,
+    and it tests only the shapes touched.  Every array op is the elementwise
+    IEEE op the per-agent loop did, so the result is the loop's, bit for bit.
     """
     n = sc.n_agents
     actions = np.asarray(joint_action)
@@ -309,26 +290,14 @@ def step_dynamics_events(
     disp = v * sc.dt
     new_p = p + disp
 
-    # Broad phase: the clip's own skip test, for every agent and shape at once.
-    lo, hi = np.minimum(p, new_p), np.maximum(p, new_p)
-    x0, x1, y0, y1 = geom.boxes.T
-    misses = (
-        (x1 < lo[:, :1]) | (hi[:, :1] < x0) | (y1 < lo[:, 1:]) | (hi[:, 1:] < y0)
-    )
-    exact = ~misses.all(axis=1) | ((disp[:, 0] == 0.0) & (disp[:, 1] == 0.0))
+    touched = _touching(geom, p, new_p)
     events: list[CollisionEvent] = []
-    for i in np.flatnonzero(exact).tolist():
-        new_p[i], hit = _clip_motion(p[i], disp[i], geom)
+    for i in np.flatnonzero(touched.any(axis=1)).tolist():
+        new_p[i], hit = _clip_motion(p[i], disp[i], geom, touched[i])
         if hit is not None:
             kind, n_hat = hit
             v[i] = v[i] - np.dot(v[i], n_hat) * n_hat
             events.append(CollisionEvent(kind=kind, agents=(i,)))
-
-    out = state.copy()
-    step = new_p - p
-    out.cumulative_distance += np.hypot(step[:, 0], step[:, 1])
-    out.agent_positions = new_p
-    out.agent_velocities = v
 
     # Agent-agent contacts never block motion; they are only counted.
     first, second = geom.pairs
@@ -339,11 +308,24 @@ def step_dynamics_events(
         for i, k in zip(first[close].tolist(), second[close].tolist())
     )
 
-    out.time = state.time + sc.dt
-    return out, events
+    step = new_p - p
+    return replace(
+        state,
+        time=state.time + sc.dt,
+        agent_positions=new_p,
+        agent_velocities=v,
+        cumulative_distance=state.cumulative_distance + np.hypot(step[:, 0], step[:, 1]),
+    ), events
 
 
-def _clip_motion(p, disp, geom: MotionGeometry, allow_slide: bool = True):
+def _touching(geom: MotionGeometry, p, q) -> np.ndarray:
+    """(n, S) mask of the shape boxes that each motion box p[k] -> q[k] touches."""
+    lo, hi = np.minimum(p, q), np.maximum(p, q)
+    x0, x1, y0, y1 = geom.boxes.T
+    return ~((x1 < lo[:, :1]) | (hi[:, :1] < x0) | (y1 < lo[:, 1:]) | (hi[:, 1:] < y0))
+
+
+def _clip_motion(p, disp, geom: MotionGeometry, touched, allow_slide: bool = True):
     """First contact of the motion segment p -> p+disp against walls/discs.
 
     Returns (final_position, hit) where hit is None or (kind, outward_normal).
@@ -351,32 +333,23 @@ def _clip_motion(p, disp, geom: MotionGeometry, allow_slide: bool = True):
     not start in penetration.  An agent already pressed on a surface (contact
     at the very start of the step) keeps the tangential part of its motion,
     sliding along the surface; a mid-step hit stops dead at the contact.
-    Shapes whose boxes miss the segment's box are skipped; the rest get the
-    exact hit tests, walls first, so the result is the exhaustive one.
+    Only the shapes in `touched`, the segment's row of `_touching`, get the
+    exact hit tests, walls first; a slide runs `_touching` for its own segment.
     """
     dx, dy = float(disp[0]), float(disp[1])
     if dx == 0.0 and dy == 0.0:
         return p.copy(), None
-    px, py = float(p[0]), float(p[1])
-    lo_x, hi_x = (px, px + dx) if dx >= 0.0 else (px + dx, px)
-    lo_y, hi_y = (py, py + dy) if dy >= 0.0 else (py + dy, py)
     best_t = math.inf
     best = None  # (kind, normal)
 
-    walls = geom.walls
-    for w, (x0, x1, y0, y1) in enumerate(geom.wall_boxes):
-        if x1 < lo_x or hi_x < x0 or y1 < lo_y or hi_y < y0:
-            continue
-        hit = _segment_hit(p, disp, walls[w, 0], walls[w, 1])
+    n_walls = len(geom.walls)
+    for s in np.flatnonzero(touched).tolist():
+        if s < n_walls:
+            hit, kind = _segment_hit(p, disp, *geom.walls[s]), "wall"
+        else:
+            hit, kind = _circle_hit(p, disp, *geom.discs[s - n_walls]), "obstacle"
         if hit is not None and hit[0] < best_t:
-            best_t, best = hit[0], ("wall", hit[1])
-
-    for center, r, (x0, x1, y0, y1) in geom.discs:
-        if x1 < lo_x or hi_x < x0 or y1 < lo_y or hi_y < y0:
-            continue
-        hit = _circle_hit(p, disp, center, r)
-        if hit is not None and hit[0] < best_t:
-            best_t, best = hit[0], ("obstacle", hit[1])
+            best_t, best = hit[0], (kind, hit[1])
 
     if best is None or best_t > 1.0:
         return p + disp, None
@@ -385,7 +358,8 @@ def _clip_motion(p, disp, geom: MotionGeometry, allow_slide: bool = True):
         n_hat = best[1]
         tangential = disp - np.dot(disp, n_hat) * n_hat
         if math.hypot(tangential[0], tangential[1]) > 1e-12:
-            slid, _ = _clip_motion(p, tangential, geom, allow_slide=False)
+            row = _touching(geom, p[None], (p + tangential)[None])[0]
+            slid, _ = _clip_motion(p, tangential, geom, row, allow_slide=False)
             return slid, best
         return p.copy(), best
     t_stop = max(best_t - _SURFACE_BACKOFF / length, 0.0)
@@ -452,33 +426,33 @@ def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
 
 
 def discover(state: WorldState, tasks) -> WorldState:
-    out = state.copy()
-    for j in tasks:
-        out.discovered[j] = True
-    return out
+    discovered = state.discovered.copy()
+    discovered[list(tasks)] = True
+    return replace(state, discovered=discovered)
 
 
 def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> WorldState:
     """One service interval: workload drops by the agent's rate times dt.
 
-    Servicing an already-completed task is a no-op.  Range and discovery
-    preconditions are enforced.
+    Servicing an already-completed task returns the state itself.  Range and
+    discovery preconditions are enforced.
     """
     if state.completed[task]:
-        return state.copy()
+        return state
     if not state.discovered[task]:
         raise ValueError(f"task {task} serviced before discovery")
     p = state.agent_positions[agent]
     if math.dist(tuple(p), sc.tasks[task].position) > ARRIVAL_RADIUS + 1e-12:
         raise ValueError(f"agent {agent} outside arrival radius of task {task}")
     rate = sc.agents[agent].preference_row[sc.tasks[task].task_type]
-    out = state.copy()
-    amount = min(rate * sc.dt, float(out.remaining_workloads[task]))
-    out.remaining_workloads[task] -= amount
-    if out.remaining_workloads[task] <= 0.0:
-        out.remaining_workloads[task] = 0.0
-        out.completed[task] = True
-    return out
+    remaining = state.remaining_workloads.copy()
+    remaining[task] -= min(rate * sc.dt, float(remaining[task]))
+    completed = state.completed
+    if remaining[task] <= 0.0:
+        remaining[task] = 0.0
+        completed = completed.copy()
+        completed[task] = True
+    return replace(state, remaining_workloads=remaining, completed=completed)
 
 
 # ---------------------------------------------------------------------------

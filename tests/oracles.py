@@ -12,6 +12,7 @@ of the solvers they check.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -122,10 +123,9 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
         return grid.is_free(a)
     if pathfind._segment_crosses_wall(grid, a, b):
         return False
-    if grid.obstacles is not None:
-        for cx, cy, r in grid.obstacles:
-            if pathfind._segment_hits_disc(a, b, cx, cy, r):
-                return False
+    for (cx, cy), r in grid.obstacles:
+        if pathfind._segment_hits_disc(a, b, cx, cy, r):
+            return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
     for k in range(steps + 1):
         if not grid.is_free(a + (b - a) * (k / steps)):
@@ -200,7 +200,7 @@ def step_dynamics_events(
     actions = np.asarray(joint_action, dtype=int)
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
-    out = state.copy()
+    out = copy.deepcopy(state)
     walls = sc.wall_segments()
     events: list[CollisionEvent] = []
 

@@ -476,6 +476,35 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        pytest.param(lambda doc: doc["tasks"][0].update(workload="abc"),
+                     "could not convert string to float: 'abc'", id="string-workload"),
+        pytest.param(lambda doc: doc["agents"][0].update(start_position=[1.0]),
+                     "not enough values to unpack", id="start-1d"),
+        pytest.param(lambda doc: doc["agents"][1].update(start_position=[1.0, 1.0, 1.0]),
+                     "too many values to unpack", id="start-3d"),
+        pytest.param(lambda doc: doc["walls"][0].__delitem__(1),
+                     "not enough values to unpack", id="wall-one-endpoint"),
+        pytest.param(lambda doc: [doc], "expected a JSON object, got list", id="top-level-list"),
+        pytest.param(lambda doc: doc.update(agents=5), "object is not iterable", id="agents-number"),
+    ],
+)
+def test_malformed_scenario_files_are_config_errors(tmp_path, capsys, edit, message):
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(world.generate_scenario(3, 2.5, seed=123), path)
+    doc = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(doc) or doc))  # an edit in place returns None
+    out = tmp_path / "never"
+    rc = run_cli(["run", "--scenario", str(path), "--algorithm", "eg",
+                  "--episodes", "1", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario file {path}: ") and message in err
+
+
 def test_scenario_file_sensing_below_grid_resolution_is_a_config_error(tmp_path, capsys):
     sc = world.generate_scenario(3, 2.5, seed=123)
     path = tmp_path / "scenario.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -81,6 +82,24 @@ def test_wall_clip_keeps_tangential_velocity():
     assert nxt.agent_velocities[0] == pytest.approx([0.0, 0.5])
 
 
+def test_slide_runs_its_own_broad_phase():
+    # The agent starts pressed on the 45-degree wall and slides down it from
+    # (1, 1) towards (0.95, 0.95).  The slide stops at the short wall at
+    # y = 0.975, whose box the original motion box (y = 1 only) misses.
+    sc = make_scenario(
+        [(1.0 + 2e-9, 1.0)], [(2.0, 2.0)],
+        walls=[((0.5, 0.5), (1.5, 1.5)), ((0.96, 0.975), (0.99, 0.975))],
+    )
+    state = world.initial_state(sc)
+    state.agent_velocities[0] = np.array([-0.75, 0.0])
+    fast, fast_events = world.step_dynamics_events(state, [ACTION_ACCEL_NX], sc)
+    slow, slow_events = oracles.step_dynamics_events(state, [ACTION_ACCEL_NX], sc)
+    assert fast.agent_positions[0] == pytest.approx([0.975, 0.975], abs=1e-6)
+    assert np.array_equal(fast.agent_positions, slow.agent_positions)
+    assert np.array_equal(fast.agent_velocities, slow.agent_velocities)
+    assert fast_events == slow_events
+
+
 def test_obstacle_clip_stops_at_disc():
     sc = make_scenario([(1.0, 1.0)], [(2.0, 2.0)], obstacles=[((1.2, 1.0), 0.1)])
     state = world.initial_state(sc)
@@ -129,6 +148,41 @@ def test_random_walk_invariants(seed):
             for (cx, cy), r in sc.obstacles:
                 assert math.hypot(x - cx, y - cy) >= r - 1e-9
             assert not pathfind._segment_crosses_wall(grid, before[i], state.agent_positions[i])
+
+
+def _call_without_writing(fn, state, *args):
+    """fn(state, *args), checking that it leaves every field of `state` as it
+    was and that each array it changed is a new one, sharing no memory."""
+    before = copy.deepcopy(state)
+    out = fn(state, *args)
+    new = out[0] if isinstance(out, tuple) else out
+    for field in dataclasses.fields(world.WorldState):
+        old, now = getattr(before, field.name), getattr(new, field.name)
+        assert np.array_equal(getattr(state, field.name), old), field.name
+        if isinstance(now, np.ndarray) and not np.array_equal(now, old):
+            assert not np.shares_memory(now, getattr(state, field.name)), field.name
+    return out
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=15, deadline=None)
+def test_world_functions_never_write_their_input(seed):
+    sc = world.generate_scenario(3, 2.5, seed=seed)
+    rng = np.random.default_rng(seed)
+    state = world.initial_state(sc)
+    for _ in range(60):
+        actions = rng.integers(0, 5, size=sc.n_agents)
+        state = _call_without_writing(world.step_dynamics_events, state, actions, sc)[0]
+        visible = world.newly_visible_tasks(state, sc)
+        state = _call_without_writing(world.discover, state, visible)
+        # Agent 0 serves every discovered task from a copy of the state in
+        # which it stands on that task; completed tasks take the no-op path.
+        for j in np.flatnonzero(state.discovered).tolist():
+            on_task = state.agent_positions.copy()
+            on_task[0] = sc.tasks[j].position
+            probe = dataclasses.replace(state, agent_positions=on_task)
+            served = _call_without_writing(world.service_tick, probe, sc, 0, j)
+            state = dataclasses.replace(served, agent_positions=state.agent_positions)
 
 
 # Generated team sizes and maps for the differential tests: the array shapes
