@@ -72,6 +72,13 @@ def save_scenario(sc: world.Scenario, path: Path | str) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _integer(doc: dict, key: str, owner: str = "") -> int:
+    """doc[key] if it is a JSON integer; a float, bool or string is rejected, not truncated."""
+    if type(doc[key]) is not int:  # bool is a subclass of int
+        raise ValueError(f"{owner}{key} must be an integer, got {doc[key]!r}")
+    return doc[key]
+
+
 def load_scenario(path: Path | str, alpha_override: float | None = None) -> world.Scenario:
     try:
         doc = json.loads(Path(path).read_text())
@@ -93,26 +100,26 @@ def load_scenario(path: Path | str, alpha_override: float | None = None) -> worl
             ),
             agents=tuple(
                 world.AgentSpec(
-                    id=int(a["id"]),
+                    id=_integer(a, "id", f"agent {i}: "),
                     start_position=tuple(map(float, a["start_position"])),
-                    agent_type=int(a["agent_type"]),
+                    agent_type=_integer(a, "agent_type", f"agent {i}: "),
                     sensing_radius=float(a["sensing_radius"]),
                     max_speed=float(a["max_speed"]),
                     preference_row=tuple(map(float, a["preference_row"])),
                 )
-                for a in doc["agents"]
+                for i, a in enumerate(doc["agents"])
             ),
             tasks=tuple(
                 world.TaskSpec(
-                    id=int(t["id"]),
+                    id=_integer(t, "id", f"task {j}: "),
                     position=tuple(map(float, t["position"])),
-                    task_type=int(t["task_type"]),
+                    task_type=_integer(t, "task_type", f"task {j}: "),
                     workload=float(t["workload"]),
                     weight=float(t["weight"]),
                 )
-                for t in doc["tasks"]
+                for j, t in enumerate(doc["tasks"])
             ),
-            seed=int(doc["seed"]),
+            seed=_integer(doc, "seed"),
             dt=float(doc["dt"]),
             alpha=float(doc["alpha"] if alpha_override is None else alpha_override),
         )

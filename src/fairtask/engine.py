@@ -4,11 +4,11 @@ Every scripted episode runs on one loop, run_episode, over an Episode that
 holds the world state and the agents' commitments.  Assignment modes differ
 only in when they commit agents: centralized baselines discover every task
 and commit their whole assignment at t=0, while the online mode
-(fairtask.online) passes a policy that explores and commits subsets as tasks
-are found.  Committed agents follow a greedy waypoint controller to their
-task and service the workload to completion.  All randomness is owned by
-the caller through seeds; a (root seed, config) pair fully determines every
-emitted number.
+(fairtask.online) passes an observer that explores and commits subsets as
+tasks are found.  Every agent follows its navigator, a greedy waypoint
+controller, and an agent with no navigation goal brakes.  All randomness is
+owned by the caller through seeds; a (root seed, config) pair fully
+determines every emitted number.
 """
 
 from __future__ import annotations
@@ -199,10 +199,9 @@ def run_centralized_episode(
         raise ValueError(f"unknown execution mode {execution!r}")
 
     ep = Episode(sc)
-    for task in range(sc.n_tasks):
-        ep.discover(task)  # centralized rules see everything
+    ep.discover(range(sc.n_tasks))  # centralized rules see everything
     ep.commit(solution.pairs())
-    return run_episode(ep, rule, u_star, DEFAULT_STEP_CAP)
+    return run_episode(ep, rule, u_star)
 
 
 def _teleport_result(sc, rule, solution, u0, u_star):
@@ -259,9 +258,10 @@ class Episode:
         self.discovery_times = np.full(sc.n_tasks, math.nan)
         self.assignment_log: list[tuple[float, int, int]] = []
 
-    def discover(self, task: int) -> None:
-        self.state = world.discover(self.state, [task])
-        self.discovery_times[task] = self.state.time
+    def discover(self, tasks) -> None:
+        tasks = list(tasks)
+        self.state = world.discover(self.state, tasks)
+        self.discovery_times[tasks] = self.state.time
 
     def commit(self, pairs) -> None:
         """Bind (agent, task) pairs for good and steer each agent to its task."""
@@ -277,45 +277,29 @@ class Episode:
         self.goals = self.sc.motion.task_positions[tasks]
 
 
-def run_episode(
-    ep: Episode,
-    rule: str,
-    u_star: float,
-    step_cap: int,
-    *,
-    policy=None,
-) -> metrics.EpisodeResult:
-    """Step an episode until every task is served or step_cap runs out.
+def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.EpisodeResult:
+    """Step an episode until every task is served or DEFAULT_STEP_CAP runs out.
 
-    Committed agents follow their navigators and brake once their task is
-    done.  An uncommitted agent takes policy.free_action(ep, agent), or
-    brakes without a policy; policy.observe(ep) runs after each dynamics
-    step, before arrival and service.  Realized distances run from an
-    agent's commitment to its first arrival.
+    Every agent follows its navigator; serving a task clears its agent's
+    goal, so the agent brakes.  observe(ep) runs after each dynamics step,
+    before arrival and service.  Realized distances run from an agent's
+    commitment to its first arrival.
     """
     sc = ep.sc
-    n, m = sc.n_agents, sc.n_tasks
+    m = sc.n_tasks
     realized_distance = np.full(m, math.nan)
     completion_time = 0.0
     collisions = 0
 
-    for _step in range(step_cap):
+    for _step in range(DEFAULT_STEP_CAP):
         state = ep.state
         if np.all(state.completed):
             break
-        actions = []
-        for i in range(n):
-            t = ep.task_of.get(i)
-            if t is None and policy is not None:
-                actions.append(policy.free_action(ep, i))
-            elif t is None or state.completed[t]:
-                actions.append(brake_action(state.agent_velocities[i], sc.motion.quantum[i]))
-            else:
-                actions.append(ep.navs[i].action(state, sc, i))
+        actions = [nav.action(state, sc, i) for i, nav in enumerate(ep.navs)]
         ep.state, events = world.step_dynamics_events(state, actions, sc)
         collisions += len(events)
-        if policy is not None:
-            policy.observe(ep)
+        if observe is not None:
+            observe(ep)
 
         state = ep.state
         gaps = state.agent_positions[ep.committed] - ep.goals
@@ -328,6 +312,7 @@ def run_episode(
                 state = world.service_tick(state, sc, i, t)
                 if state.completed[t]:
                     completion_time = state.time
+                    ep.navs[i].goal = None
         ep.state = state
 
     state = ep.state
@@ -380,7 +365,6 @@ def _run_one_episode(args) -> metrics.EpisodeResult:
         result = online.run_online_episode(sc, k, rng)
     else:
         result = run_centralized_episode(sc, algorithm, execution=execution)
-        result.k = k
     result.episode = index
     result.seed = seed
     return result

@@ -5,8 +5,9 @@ radius), sampling targets with a distance softmax.  Whenever the pool of
 discovered-but-unassigned tasks reaches k (or everything is discovered),
 one rectangular weighted-log solve over the pending tasks and all free
 agents picks the agent subset and its tasks together, and commits them.
-Episodes run on engine.run_episode; ExplorationPolicy is the hook that
-steers uncommitted agents, discovers tasks and triggers commitments.
+Episodes run on engine.run_episode; ExplorationPolicy.observe is the
+observer that sweeps, discovers tasks, triggers commitments and gives each
+free agent its next lattice target.
 """
 
 from __future__ import annotations
@@ -96,12 +97,6 @@ def mark_swept(emap: ExplorationMap, positions, radii) -> ExplorationMap:
 
 
 @dataclass(frozen=True)
-class PartialAssignment:
-    pairs: tuple[tuple[int, int], ...]  # (agent, task)
-    objective: float
-
-
-@dataclass(frozen=True)
 class TriggerRecord:
     """Snapshot of one assignment trigger, sufficient to recompute it."""
 
@@ -119,7 +114,7 @@ def select_subset_and_assign(
     k: int,
     sc: world.Scenario,
     agent_positions: np.ndarray,
-) -> PartialAssignment:
+) -> assign.Assignment:
     """Best agent subset for the pending tasks by weighted-log objective.
 
     Choosing which |pending| free agents serve and which task each takes is
@@ -129,7 +124,8 @@ def select_subset_and_assign(
     linear_sum_assignment returns; with one pending task and two agents at
     equal scores, the lower agent index wins.  When every choice serves some
     task at zero utility (objective -inf), the solve still commits the
-    assignment with the highest eps-smoothed score.
+    assignment with the highest eps-smoothed score.  Agents outside the
+    subset, free or not, get -1.
     """
     pending = sorted(pending_tasks)
     free = sorted(free_agents)
@@ -141,8 +137,10 @@ def select_subset_and_assign(
     prefs = world.preference_matrix(sc)[np.ix_(pending, free)]
     u = assign.compute_utility(d, prefs, sc.alpha)
     solution = assign.solve_eg(u, world.task_weights(sc)[pending])
-    pairs = tuple((free[i], pending[j]) for i, j in solution.pairs())
-    return PartialAssignment(pairs=pairs, objective=solution.objective)
+    task_of_agent = np.full(sc.n_agents, -1)
+    for i, j in solution.pairs():
+        task_of_agent[free[i]] = pending[j]
+    return assign.Assignment(task_of_agent, solution.objective)
 
 
 def _next_reachable_target(emap, nav, pos, rng):
@@ -163,7 +161,7 @@ def _next_reachable_target(emap, nav, pos, rng):
 
 
 class ExplorationPolicy:
-    """engine.run_episode policy: free agents explore, discoveries trigger commits."""
+    """engine.run_episode observer: free agents explore, discoveries trigger commits."""
 
     def __init__(self, sc: world.Scenario, k: int, rng: np.random.Generator):
         self.emap = init_lattice(sc)
@@ -171,23 +169,13 @@ class ExplorationPolicy:
         self.rng = rng
         self.triggers: list[TriggerRecord] = []
 
-    def free_action(self, ep: engine.Episode, agent: int) -> int:
-        """Head for the agent's lattice target, its navigator's goal.
-
-        Once the lattice is spent the navigator has no goal, so it brakes.
-        """
-        nav = ep.navs[agent]
-        pos = ep.state.agent_positions[agent]
-        if nav.goal is None or float(np.hypot(*(pos - nav.goal))) <= _TARGET_RADIUS:
-            if _next_reachable_target(self.emap, nav, pos, self.rng) is None:
-                nav.goal = None  # else the last unreachable candidate stays the goal
-        return nav.action(ep.state, ep.sc, agent)
-
     def observe(self, ep: engine.Episode) -> None:
-        """Sweep around free agents, then discover new tasks one by one.
+        """Sweep around free agents, discover new tasks one by one, retarget.
 
         A subset is committed whenever k tasks are pending or every task has
-        been found.
+        been found.  Then each agent that is still free and has no goal, or
+        has reached it, gets its next lattice target; once the lattice is
+        spent its navigator has no goal, so it brakes.
         """
         sc, state = ep.sc, ep.state
         sweeping = [i for i in range(sc.n_agents) if i not in ep.task_of]
@@ -196,7 +184,7 @@ class ExplorationPolicy:
             mark_swept(self.emap, state.agent_positions[sweeping], radii)
         # One task at a time so the pending pool triggers at exactly k.
         for j in world.newly_visible_tasks(state, sc):
-            ep.discover(j)
+            ep.discover([j])
             state = ep.state  # discover() replaces the state
             assigned = set(ep.task_of.values())
             pending = [t for t in range(sc.n_tasks) if state.discovered[t] and t not in assigned]
@@ -204,17 +192,25 @@ class ExplorationPolicy:
                 continue
             free = [i for i in range(sc.n_agents) if i not in ep.task_of]
             partial = select_subset_and_assign(free, pending, self.k, sc, state.agent_positions)
+            pairs = tuple(partial.pairs())
             self.triggers.append(
                 TriggerRecord(
                     time=state.time,
                     free_agents=tuple(free),
                     pending_tasks=tuple(pending),
                     agent_positions=state.agent_positions.copy(),
-                    pairs=partial.pairs,
+                    pairs=pairs,
                     objective=partial.objective,
                 )
             )
-            ep.commit(partial.pairs)
+            ep.commit(pairs)
+        for i in range(sc.n_agents):  # ascending, the order of the target draws
+            if i in ep.task_of:
+                continue
+            nav, pos = ep.navs[i], state.agent_positions[i]
+            if nav.goal is None or float(np.hypot(*(pos - nav.goal))) <= _TARGET_RADIUS:
+                if _next_reachable_target(self.emap, nav, pos, self.rng) is None:
+                    nav.goal = None  # else the last unreachable candidate stays the goal
 
 
 def run_online_episode(
@@ -233,8 +229,8 @@ def run_online_episode(
     u_star, _, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)
-    policy.observe(ep)  # initial sensing before any motion
-    result = engine.run_episode(ep, "online", u_star, engine.DEFAULT_STEP_CAP, policy=policy)
+    policy.observe(ep)  # initial sensing and targets before any motion
+    result = engine.run_episode(ep, "online", u_star, policy.observe)
     result.k = k
     result.online_triggers = tuple(policy.triggers)
     return result

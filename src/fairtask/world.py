@@ -172,7 +172,10 @@ def validate_scenario(sc: Scenario) -> None:
     if not sc.agents:
         raise ScenarioError("scenario needs at least one agent")
     s = sc.workspace_size
-    for a in sc.agents:
+    types = min(len(a.preference_row) for a in sc.agents)
+    for i, a in enumerate(sc.agents):
+        if a.id != i:
+            raise ScenarioError(f"agent {i}: id {a.id} must equal its index")
         if not (0.0 < a.sensing_radius < math.inf and 0.0 < a.max_speed < math.inf):
             raise ScenarioError(
                 f"agent {a.id}: sensing_radius {a.sensing_radius} and max_speed "
@@ -183,15 +186,17 @@ def validate_scenario(sc: Scenario) -> None:
                 f"agent {a.id}: preference entries {a.preference_row} must be finite and >= 0"
             )
         _check_inside(a.start_position, s, f"agent {a.id}")
-    for t in sc.tasks:
+    for j, t in enumerate(sc.tasks):
+        if t.id != j:
+            raise ScenarioError(f"task {j}: id {t.id} must equal its index")
         if not (0.0 < t.workload < math.inf and 0.0 < t.weight < math.inf):
             raise ScenarioError(
                 f"task {t.id}: workload {t.workload} and weight {t.weight} must be finite "
                 f"and positive"
             )
         _check_inside(t.position, s, f"task {t.id}")
-        if t.task_type >= min(len(a.preference_row) for a in sc.agents):
-            raise ScenarioError(f"task {t.id}: type {t.task_type} exceeds preference rows")
+        if not 0 <= t.task_type < types:
+            raise ScenarioError(f"task {t.id}: type {t.task_type} outside [0, {types})")
     for (cx, cy), r in sc.obstacles:
         if not 0.0 < r < math.inf:
             raise ScenarioError(f"obstacle radius {r} must be finite and positive")

@@ -489,6 +489,18 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
                      "not enough values to unpack", id="wall-one-endpoint"),
         pytest.param(lambda doc: [doc], "expected a JSON object, got list", id="top-level-list"),
         pytest.param(lambda doc: doc.update(agents=5), "object is not iterable", id="agents-number"),
+        pytest.param(lambda doc: doc["tasks"][0].update(task_type=1.7),
+                     "task 0: task_type must be an integer, got 1.7", id="float-task-type"),
+        pytest.param(lambda doc: doc["agents"][0].update(id=7.9),
+                     "agent 0: id must be an integer, got 7.9", id="float-agent-id"),
+        pytest.param(lambda doc: doc["agents"][1].update(id=0),
+                     "agent 1: id 0 must equal its index", id="repeated-agent-id"),
+        pytest.param(lambda doc: doc["tasks"][0].update(task_type=True),
+                     "task 0: task_type must be an integer, got True", id="bool-task-type"),
+        pytest.param(lambda doc: doc.update(seed=2.5), "seed must be an integer, got 2.5",
+                     id="float-seed"),
+        pytest.param(lambda doc: doc["tasks"][0].update(task_type=-1),
+                     "task 0: type -1 outside [0, 3)", id="negative-task-type"),
     ],
 )
 def test_malformed_scenario_files_are_config_errors(tmp_path, capsys, edit, message):

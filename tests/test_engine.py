@@ -149,16 +149,16 @@ def test_episode_determinism():
     assert np.array_equal(a.per_agent_distance, b.per_agent_distance)
 
 
-def _capped_eg_episode(sc, step_cap):
+def _capped_eg_episode(monkeypatch, sc, step_cap):
     u_star, solution, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
-    for task in range(sc.n_tasks):
-        ep.discover(task)
+    ep.discover(range(sc.n_tasks))
     ep.commit(solution.pairs())
-    return ep, engine.run_episode(ep, "eg", u_star, step_cap)
+    monkeypatch.setattr(engine, "DEFAULT_STEP_CAP", step_cap)
+    return ep, engine.run_episode(ep, "eg", u_star)
 
 
-def test_step_cap_completion_and_accounting():
+def test_step_cap_completion_and_accounting(monkeypatch):
     # T is the time of the last completion: a cap of exactly T / dt steps
     # still completes the same episode, and one step fewer leaves it
     # incomplete at the cap's time.  D sums the per-agent odometry either way.
@@ -167,17 +167,26 @@ def test_step_cap_completion_and_accounting():
     assert not full.incomplete
     steps = round(full.completion_time / sc.dt)
 
-    _, exact = _capped_eg_episode(sc, steps)
+    _, exact = _capped_eg_episode(monkeypatch, sc, steps)
     assert not exact.incomplete
     assert exact.completion_time == full.completion_time
     assert exact.total_distance == full.total_distance
 
-    ep, capped = _capped_eg_episode(sc, steps - 1)
+    ep, capped = _capped_eg_episode(monkeypatch, sc, steps - 1)
     assert capped.incomplete
     assert capped.completion_time == ep.state.time
     assert math.isnan(capped.u_pi)
     for res in (full, exact, capped):
         assert res.total_distance == pytest.approx(float(res.per_agent_distance.sum()), abs=1e-9)
+
+
+def test_served_agents_have_no_navigation_goal(monkeypatch):
+    # Serving a task clears its agent's goal, so the agent brakes through
+    # its navigator like a free agent on a spent lattice.
+    sc = world.generate_scenario(3, 2.5, seed=91)
+    ep, res = _capped_eg_episode(monkeypatch, sc, engine.DEFAULT_STEP_CAP)
+    assert not res.incomplete
+    assert [nav.goal for nav in ep.navs] == [None] * sc.n_agents
 
 
 def test_minmax_optimizes_its_own_metric():

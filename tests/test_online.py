@@ -188,13 +188,14 @@ def test_free_agent_on_a_spent_lattice_brakes_without_a_goal(reached_a_target):
     policy = online.ExplorationPolicy(sc, 2, np.random.default_rng(3))
     nav = ep.navs[0]
     if reached_a_target:
-        policy.free_action(ep, 0)
+        policy.observe(ep)
         assert nav.goal is not None
         ep.state.agent_positions[0] = nav.goal  # standing on the drawn target
     policy.emap.explored[:] = True
     v = np.array([0.2, -0.15])
     ep.state.agent_velocities[0] = v
-    action = policy.free_action(ep, 0)
+    policy.observe(ep)
+    action = nav.action(ep.state, sc, 0)
     assert action == engine.brake_action(v, sc.motion.quantum[0])
     assert nav.goal is None
 
@@ -205,7 +206,7 @@ def test_free_agent_on_a_spent_lattice_brakes_without_a_goal(reached_a_target):
 
 
 def _agents(partial):
-    return tuple(a for a, _ in partial.pairs)
+    return tuple(a for a, _ in partial.pairs())
 
 
 def test_subset_degenerate_equals_centralized():
@@ -215,7 +216,7 @@ def test_subset_degenerate_equals_centralized():
     d = sc.distances.pairwise(sc.task_positions(), positions)
     u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
     direct = assign.solve_eg(u, world.task_weights(sc))
-    assert sorted(pa.pairs) == sorted(direct.pairs())
+    assert sorted(pa.pairs()) == sorted(direct.pairs())
     assert pa.objective == pytest.approx(direct.objective)
 
 
@@ -254,7 +255,7 @@ def test_subset_choice_matches_oracle_on_random_triggers():
         subset, obj = oracles.subset_oracle(free, pending, sc, sc.distances, positions)
         assert _agents(pa) == subset
         assert pa.objective == pytest.approx(obj, abs=1e-9)
-        assert sorted(t for _, t in pa.pairs) == pending
+        assert sorted(t for _, t in pa.pairs()) == pending
 
 
 def test_one_solve_and_one_distance_matrix_per_trigger(monkeypatch):
@@ -345,6 +346,26 @@ def test_phase_trigger_boundaries():
         assert len(trig.pending_tasks) <= 2
     full = {t for trig in res.online_triggers for _, t in trig.pairs}
     assert full == set(range(5))
+
+
+@pytest.mark.parametrize("n,map_size", [(3, 2.5), (7, 2.7)])
+def test_online_trigger_invariants(n, map_size):
+    # A trigger fires at exactly k pending tasks, or once every task has been
+    # discovered; its pairs serve exactly its pending tasks with free agents,
+    # and a complete episode commits each agent and each task once.
+    for index in range(3):
+        seed = engine.episode_seed(77, index)
+        sc = world.generate_scenario(n, map_size, seed=seed)
+        for k in range(1, n + 1):
+            res = online.run_online_episode(sc, k, np.random.default_rng([seed, 1]))
+            assert not res.incomplete
+            for trig in res.online_triggers:
+                all_found = bool(np.all(res.discovery_times <= trig.time))
+                assert len(trig.pending_tasks) == k or all_found
+                assert sorted(t for _, t in trig.pairs) == list(trig.pending_tasks)
+                assert {a for a, _ in trig.pairs} <= set(trig.free_agents)
+            assert sorted(a for _, a, _ in res.assignment_log) == list(range(n))
+            assert sorted(t for _, _, t in res.assignment_log) == list(range(n))
 
 
 def test_assignment_permanence():
