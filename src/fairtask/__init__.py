@@ -2,7 +2,7 @@
 
 Subpackage map:
     world     -- 2-D navigation/service environment, scenarios, kinematics, sensing
-    pathfind  -- occupancy grid, A* shortest paths, waypoint extraction
+    pathfind  -- occupancy grid and its one edge set, searched by A* and Dijkstra
     assign    -- one-to-one assignment solvers (EG, Hungarian, min-max)
     online    -- explore-and-assign policy with subset-based assignment
     metrics   -- fairness / regret / efficiency evaluation quantities

@@ -101,14 +101,8 @@ def solve_eg(u: UtilityMatrix, weights) -> Assignment:
     """
     weights = np.asarray(weights, dtype=float)
     asn = solve_hungarian_max(eg_score_matrix(u, weights))
-    asn.objective = eg_objective(asn, u, weights)
+    asn.objective = weighted_log_value(task_utilities(asn, u), weights)
     return asn
-
-
-def eg_objective(assignment: Assignment, u: UtilityMatrix, weights) -> float:
-    """Weighted-log value of an allocation; -inf flags a zero-utility task."""
-    weights = np.asarray(weights, dtype=float)
-    return weighted_log_value(task_utilities(assignment, u), weights)
 
 
 def weighted_log_value(utilities_by_task, weights) -> float:

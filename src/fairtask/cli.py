@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,6 @@ import numpy as np
 from fairtask import engine, world
 
 SCENARIO_FORMAT_VERSION = 1
-OUT_DIR_ENV = "FAIRTASK_OUT_DIR"
 
 RESULT_COLUMNS = (
     "episode", "seed", "algorithm", "k", "T", "D", "F_rho", "jain",
@@ -306,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="root seed")
         p.add_argument("--alpha", type=float,
                        help="overrides a scenario file's alpha (generated: 0.97)")
-        p.add_argument("--out", default="out", help=f"output dir (env {OUT_DIR_ENV} overrides)")
+        p.add_argument("--out", default="out", help="output dir")
         p.add_argument("--parallel", type=int, default=1)
         p.add_argument(
             "--execution", choices=("scripted", "teleport"), default="scripted"
@@ -381,12 +379,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if k is not None and not 1 <= k <= n_agents:
             raise ConfigError(f"k={k} outside [1, {n_agents}]")
 
-    out_dir = Path(os.environ.get(OUT_DIR_ENV) or args.out)
     return ExperimentConfig(
         batches=batches,
         episodes=args.episodes,
         root_seed=args.seed,
-        out_dir=out_dir,
+        out_dir=Path(args.out),
         scenario=scenario,
         generator=generator,
         parallel=args.parallel,

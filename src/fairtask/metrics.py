@@ -40,8 +40,10 @@ class EpisodeResult:
 
     @property
     def u_pi(self) -> float:
-        """Realized weighted-log value; nan when the episode is incomplete."""
-        return math.nan if self.incomplete else realized_value(self)
+        """Realized weighted-log value (-inf on an unserved task); nan when incomplete."""
+        if self.incomplete:
+            return math.nan
+        return assign.weighted_log_value(self.realized_utilities, self.weights)
 
     @property
     def regret_gap(self) -> float:
@@ -95,8 +97,3 @@ def centralized_optimum(
     u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
     solution = assign.solve_eg(u, world.task_weights(sc))
     return solution.objective, solution, u
-
-
-def realized_value(result: EpisodeResult) -> float:
-    """Weighted-log value of the realized utilities; -inf on unserved tasks."""
-    return assign.weighted_log_value(result.realized_utilities, result.weights)

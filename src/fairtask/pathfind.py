@@ -3,11 +3,12 @@
 The navigation grid covers the whole workspace at a fixed resolution; cells
 whose centers come within clearance (resolution/2) of a wall, or inside an
 obstacle inflated by the same clearance, are blocked.  Distances are
-8-connected A* path lengths with octile edge costs (res, res*sqrt(2)), so
+8-connected path lengths with octile edge costs (res, res*sqrt(2)), so
 they slightly overestimate Euclidean lengths -- uniformly for every caller.
-Batch distances come from Dijkstra fields on a CSR graph with exactly A*'s
-moves and costs; `DistanceProvider.pairwise` computes all its uncached
-source fields in one multi-source call.
+The grid's edge set is one cached fact, `NavGrid.edges`, and both searches
+read it: A* for cell paths, and Dijkstra fields on its CSR form
+`NavGrid.graph` for batch distances.  `DistanceProvider.pairwise` computes
+all its uncached source fields in one multi-source call.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -27,10 +29,11 @@ DEFAULT_RESOLUTION = 0.05
 _SQRT2 = math.sqrt(2.0)
 _OCTILE = _SQRT2 - 1.0
 
-# 8-neighborhood: (dx, dy, diagonal?)
+# 8-neighborhood as (dx, dy, diagonal?), in (dx, dy) order: the order of the
+# moves' target flat indices, so each CSR row's columns come out sorted.
 _NEIGHBORS = (
-    (1, 0, False), (-1, 0, False), (0, 1, False), (0, -1, False),
-    (1, 1, True), (1, -1, True), (-1, 1, True), (-1, -1, True),
+    (-1, -1, True), (-1, 0, False), (-1, 1, True), (0, -1, False),
+    (0, 1, False), (1, -1, True), (1, 0, False), (1, 1, True),
 )
 
 
@@ -65,9 +68,51 @@ class NavGrid:
         return cell[0] * self.dims[1] + cell[1]
 
     @functools.cached_property
-    def blocked_flat(self) -> list[bool]:
-        """`blocked` as a Python list indexed by flat_index, for the A* loop."""
-        return self.blocked.ravel().tolist()
+    def moves(self) -> tuple[tuple[int, int, int, float], ...]:
+        """(dx, dy, flat offset, step cost) of each move, in _NEIGHBORS order."""
+        ny, res = self.dims[1], self.resolution
+        return tuple(
+            (dx, dy, dx * ny + dy, res * _SQRT2 if diag else res) for dx, dy, diag in _NEIGHBORS
+        )
+
+    @functools.cached_property
+    def edges(self) -> np.ndarray:
+        """Bool (cells, moves): edges[c, k] when move k may leave flat cell c.
+
+        A move joins two free cells in bounds; a diagonal also needs both
+        orthogonal companions free, so it cannot cut a corner across a wall.
+        """
+        nx, ny = self.dims
+        free = np.zeros((nx + 2, ny + 2), dtype=bool)
+        free[1:-1, 1:-1] = ~self.blocked
+
+        def shifted(dx, dy):
+            return free[1 + dx:nx + 1 + dx, 1 + dy:ny + 1 + dy]
+
+        ok = np.empty((nx, ny, len(_NEIGHBORS)), dtype=bool)
+        for k, (dx, dy, diag) in enumerate(_NEIGHBORS):
+            edge = shifted(0, 0) & shifted(dx, dy)
+            if diag:
+                edge &= shifted(0, dy) & shifted(dx, 0)
+            ok[:, :, k] = edge
+        return ok.reshape(nx * ny, len(_NEIGHBORS))
+
+    @functools.cached_property
+    def edge_list(self) -> list[bool]:
+        """`edges` as a flat Python list (cell * moves + move), for the A* loop."""
+        return self.edges.ravel().tolist()
+
+    @functools.cached_property
+    def graph(self) -> csr_matrix:
+        """`edges` weighted by step cost as a CSR graph (sorted rows), for Dijkstra."""
+        n = self.dims[0] * self.dims[1]
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(self.edges.sum(axis=1), out=indptr[1:])
+        cell, move = np.nonzero(self.edges)
+        _, _, offsets, costs = map(np.array, zip(*self.moves))
+        return csr_matrix(
+            (costs[move], (cell + offsets[move]).astype(np.int32), indptr), shape=(n, n)
+        )
 
 
 def build_nav_grid(sc: world.Scenario) -> NavGrid:
@@ -121,8 +166,9 @@ def _segment_distance_field(cx, cy, x1, y1, x2, y2):
 def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
     """Octile A* cell path from a's cell to b's cell, or None when disconnected.
 
-    Cells are flat indices ix * ny + iy; the heap key (f, h, flat index)
-    breaks ties the same way a key ending in the (ix, iy) tuple would.
+    Expands along `grid.edges`, the edge set Dijkstra searches too.  Cells
+    are flat indices ix * ny + iy; the heap key (f, h, flat index) breaks
+    ties the same way a key ending in the (ix, iy) tuple would.
     """
     start = grid.cell_of(a)
     goal = grid.cell_of(b)
@@ -130,17 +176,14 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
         raise ValueError("path endpoints must lie in free cells")
     if start == goal:
         return [start]
-    nx, ny = grid.dims
+    ny = grid.dims[1]
     res = grid.resolution
-    blocked = grid.blocked_flat
+    moves = grid.moves
+    n_moves = len(moves)
+    edges = grid.edge_list
     gx, gy = goal
     goal_flat = grid.flat_index(goal)
     start_flat = grid.flat_index(start)
-    # (dx, dy, flat offset, diagonal?, step cost) in _NEIGHBORS order.
-    moves = [
-        (dx, dy, dx * ny + dy, diag, res * _SQRT2 if diag else res)
-        for dx, dy, diag in _NEIGHBORS
-    ]
     hx, hy = abs(start[0] - gx), abs(start[1] - gy)
     h0 = res * (max(hx, hy) + _OCTILE * min(hx, hy))
 
@@ -162,20 +205,15 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
         closed.add(cur)
         cg = g_best[cur]
         cx, cy = divmod(cur, ny)
-        for dx, dy, offset, diag, cost in moves:
-            x, y = cx + dx, cy + dy
-            if not (0 <= x < nx and 0 <= y < ny):
-                continue
+        base = cur * n_moves
+        for dx, dy, offset, cost in compress(moves, edges[base:base + n_moves]):
             nxt = cur + offset
-            # A diagonal move needs both orthogonal companions free, or it
-            # could cut a corner across a zero-width wall.
-            if blocked[nxt] or (diag and (blocked[cur + dy] or blocked[cur + dx * ny])):
-                continue
             ng = cg + cost
             if ng < g_best.get(nxt, inf):
                 g_best[nxt] = ng
                 parent[nxt] = cur
                 # res * (max + (sqrt2 - 1) * min) of the cell offsets to the goal.
+                x, y = cx + dx, cy + dy
                 hx = x - gx if x >= gx else gx - x
                 hy = y - gy if y >= gy else gy - y
                 hh = res * (hx + _OCTILE * hy) if hx >= hy else res * (hy + _OCTILE * hx)
@@ -313,52 +351,15 @@ class DistanceProvider:
     """Batch shortest-path distances via cached per-source Dijkstra fields.
 
     Sources are snapped to cells; one field per distinct source cell is
-    computed on the grid graph and reused for every query against it.  The
-    graph has exactly the moves and octile step costs of `_astar_cells`.
-    `pairwise` computes the fields of all its uncached source cells in one
-    multi-source Dijkstra call; each row equals the single-source field.
+    computed on `grid.graph`, the edge set that A* expands too, and reused
+    for every query against it.  `pairwise` computes the fields of all its
+    uncached source cells in one multi-source Dijkstra call; each row equals
+    the single-source field.
     """
 
     def __init__(self, grid: NavGrid):
         self.grid = grid
-        self._graph: csr_matrix | None = None
         self._fields: dict[int, np.ndarray] = {}
-
-    def _build_graph(self) -> csr_matrix:
-        """CSR grid graph, built straight from shifted free-cell masks.
-
-        The free mask is padded by a blocked ring, so every shift is a plain
-        slice.  Moves are taken in (dx, dy) order, which is the order of
-        their target flat indices, so each row's columns come out sorted.
-        """
-        if self._graph is not None:
-            return self._graph
-        nx, ny = self.grid.dims
-        res = self.grid.resolution
-        free = np.zeros((nx + 2, ny + 2), dtype=bool)
-        free[1:-1, 1:-1] = ~self.grid.blocked
-
-        def shifted(dx, dy):
-            return free[1 + dx:nx + 1 + dx, 1 + dy:ny + 1 + dy]
-
-        moves = sorted(_NEIGHBORS)
-        ok = np.empty((nx, ny, len(moves)), dtype=bool)  # edge (cell, move) exists
-        for k, (dx, dy, diag) in enumerate(moves):
-            edge = shifted(0, 0) & shifted(dx, dy)
-            if diag:  # both orthogonal companions free, as in _astar_cells
-                edge &= shifted(0, dy) & shifted(dx, 0)
-            ok[:, :, k] = edge
-        ok = ok.reshape(nx * ny, len(moves))
-        indptr = np.zeros(nx * ny + 1, dtype=np.int32)
-        np.cumsum(ok.sum(axis=1), out=indptr[1:])
-        cell, move = np.nonzero(ok)  # row-major: by cell, then by move
-        offsets = np.array([dx * ny + dy for dx, dy, _ in moves], dtype=np.int32)
-        costs = np.array([res * _SQRT2 if diag else res for _, _, diag in moves])
-        self._graph = csr_matrix(
-            (costs[move], (cell + offsets[move]).astype(np.int32), indptr),
-            shape=(nx * ny, nx * ny),
-        )
-        return self._graph
 
     def _snap_index(self, point) -> int | None:
         cell = nearest_free_cell(self.grid, point)
@@ -370,7 +371,7 @@ class DistanceProvider:
             return np.full(self.grid.dims[0] * self.grid.dims[1], math.inf)
         cached = self._fields.get(idx)
         if cached is None:
-            cached = _sp_dijkstra(self._build_graph(), indices=idx, directed=True)
+            cached = _sp_dijkstra(self.grid.graph, indices=idx, directed=True)
             self._fields[idx] = cached
         return cached
 
@@ -381,7 +382,7 @@ class DistanceProvider:
             i for i in map(self._snap_index, sources) if i is not None and i not in self._fields
         ))
         if missing:
-            rows = _sp_dijkstra(self._build_graph(), indices=missing, directed=True)
+            rows = _sp_dijkstra(self.grid.graph, indices=missing, directed=True)
             self._fields.update(zip(missing, rows))  # each row a view of one block
         t_idx = [self._snap_index(t) for t in targets]
         out = np.empty((len(sources), len(targets)))

@@ -173,6 +173,7 @@ def validate_scenario(sc: Scenario) -> None:
         raise ScenarioError("scenario needs at least one agent")
     s = sc.workspace_size
     types = min(len(a.preference_row) for a in sc.agents)
+    first_of_type: dict[int, AgentSpec] = {}
     for i, a in enumerate(sc.agents):
         if a.id != i:
             raise ScenarioError(f"agent {i}: id {a.id} must equal its index")
@@ -184,6 +185,11 @@ def validate_scenario(sc: Scenario) -> None:
         if not all(0.0 <= p < math.inf for p in a.preference_row):
             raise ScenarioError(
                 f"agent {a.id}: preference entries {a.preference_row} must be finite and >= 0"
+            )
+        first = first_of_type.setdefault(a.agent_type, a)
+        if first.preference_row != a.preference_row:
+            raise ScenarioError(
+                f"agents {first.id} and {a.id} share type {a.agent_type} but not a preference row"
             )
         _check_inside(a.start_position, s, f"agent {a.id}")
     for j, t in enumerate(sc.tasks):

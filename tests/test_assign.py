@@ -191,7 +191,7 @@ def test_eg_objective_consistency(rng):
     for _ in range(100):
         u, w = random_instance(rng, 4)
         res = assign.solve_eg(u, w)
-        assert assign.eg_objective(res, u, w) == res.objective
+        assert assign.weighted_log_value(assign.task_utilities(res, u), w) == res.objective
 
 
 @given(seed=st.integers(0, 2**32 - 1), scale_idx=st.integers(0, 2))
@@ -219,14 +219,14 @@ def test_reduction_soundness(rng):
 
 
 # ---------------------------------------------------------------------------
-# eg_objective / pareto
+# weighted-log objective / pareto
 # ---------------------------------------------------------------------------
 
 
 def test_eg_objective_log_one_is_zero():
     u = assign.compute_utility(np.zeros((3, 3)), np.ones((3, 3)), 0.5)
     res = assign.Assignment(task_of_agent=np.arange(3), objective=0.0)
-    assert assign.eg_objective(res, u, np.ones(3)) == 0.0
+    assert assign.weighted_log_value(assign.task_utilities(res, u), np.ones(3)) == 0.0
 
 
 def test_eg_objective_single_task_log_e():
@@ -236,7 +236,7 @@ def test_eg_objective_single_task_log_e():
         preferences=np.array([[math.e]]),
     )
     res = assign.Assignment(task_of_agent=np.array([0]), objective=0.0)
-    assert assign.eg_objective(res, u, [2.0]) == pytest.approx(2.0)
+    assert assign.weighted_log_value(assign.task_utilities(res, u), [2.0]) == pytest.approx(2.0)
 
 
 def test_pareto_not_self_dominant(rng):

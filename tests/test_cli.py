@@ -182,18 +182,6 @@ def test_scenario_file_golden_reference(tmp_path):
     assert path.read_bytes() == (DATA / "golden_scenario_n3_seed123.json").read_bytes()
 
 
-def test_out_dir_env_override(tmp_path, monkeypatch):
-    target = tmp_path / "envdir"
-    monkeypatch.setenv(cli.OUT_DIR_ENV, str(target))
-    rc = run_cli([
-        "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
-        "--episodes", "1", "--seed", "3", "--out", str(tmp_path / "ignored"),
-    ])
-    assert rc == 0
-    assert (target / "results.csv").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 # ---------------------------------------------------------------------------
 # compare / sweep-k
 # ---------------------------------------------------------------------------
@@ -501,6 +489,9 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
                      id="float-seed"),
         pytest.param(lambda doc: doc["tasks"][0].update(task_type=-1),
                      "task 0: type -1 outside [0, 3)", id="negative-task-type"),
+        pytest.param(lambda doc: doc["agents"][1].update(agent_type=0),
+                     "agents 0 and 1 share type 0 but not a preference row",
+                     id="shared-agent-type"),
     ],
 )
 def test_malformed_scenario_files_are_config_errors(tmp_path, capsys, edit, message):

@@ -207,9 +207,19 @@ def test_minmax_optimizes_its_own_metric():
 
 @pytest.mark.parametrize("mode", ["eg-scripted", "eg-teleport", "online-k3"])
 def test_episode_reuses_the_generated_grid_and_task_fields(monkeypatch, mode):
-    # The generator's connectivity check builds the scenario's grid and a
-    # Dijkstra field per task; the episode runs on those same objects.
+    # The generator's connectivity check builds the scenario's grid, its edge
+    # set and a Dijkstra field per task; the episode runs on those same
+    # objects, and A* reads the edge set that Dijkstra searched.
+    edge_builds = []
+    build_edges = pathfind.NavGrid.edges.func
+
+    def counted_edges(grid):
+        edge_builds.append(grid)
+        return build_edges(grid)
+
+    monkeypatch.setattr(pathfind.NavGrid.edges, "func", counted_edges)
     sc = world.generate_scenario(7, 2.7, seed=42)
+    assert len(edge_builds) == 1 and edge_builds[0] is sc.distances.grid
     grid = pathfind.build_nav_grid(sc)
     task_cells = {
         grid.flat_index(pathfind.nearest_free_cell(grid, p)) for p in sc.task_positions()
@@ -233,6 +243,7 @@ def test_episode_reuses_the_generated_grid_and_task_fields(monkeypatch, mode):
         engine.run_centralized_episode(sc, "eg", execution=mode.split("-")[1])
     assert builds == []
     assert task_cells.isdisjoint(sources)
+    assert len(edge_builds) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -152,18 +152,18 @@ def test_centralized_optimum_near_euclidean_on_empty_map(rng):
 
 def test_realized_value_zero_distance_contribution():
     r = _result([0.8], [3.0])
-    assert metrics.realized_value(r) == pytest.approx(3.0 * math.log(0.8))
+    assert r.u_pi == pytest.approx(3.0 * math.log(0.8))
 
 
 def test_realized_value_unserved_task_is_neg_inf():
     r = _result([0.8, 0.0], [1.0, 1.0])
-    assert metrics.realized_value(r) == -math.inf
+    assert r.u_pi == -math.inf
 
 
 def test_longer_detour_strictly_decreases_value():
     short = _result([0.97**1.0 * 0.8], [1.0])
     long = _result([0.97**1.5 * 0.8], [1.0])
-    assert metrics.realized_value(long) < metrics.realized_value(short)
+    assert long.u_pi < short.u_pi
 
 
 def test_teleport_realized_equals_optimum_exactly():

@@ -257,7 +257,7 @@ def test_graph_matches_coo_oracle_on_generated_scenarios(seed):
     n_agents, map_size = ((3, 2.5), (7, 2.7), (12, 3.5))[seed % 3]
     generated = world.generate_scenario(n_agents, map_size, seed=seed).distances.grid
     for grid in (generated, _split_grid(), _sealed_grid()):
-        got = pathfind.DistanceProvider(grid)._build_graph()
+        got = grid.graph
         want = oracles.build_graph(grid)
         assert got.shape == want.shape
         for name in ("indptr", "indices", "data"):
