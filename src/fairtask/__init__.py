@@ -6,7 +6,7 @@ Subpackage map:
     assign    -- one-to-one assignment solvers (EG, Hungarian, min-max)
     online    -- explore-and-assign policy with subset-based assignment
     metrics   -- fairness / regret / efficiency evaluation quantities
-    engine    -- the one episode loop, scripted navigation, batching
+    engine    -- the one episode loop and its commit log, scripted navigation, batching
     cli       -- command-line experiment front end
 """
 

@@ -77,6 +77,17 @@ def _integer(doc: dict, key: str, owner: str = "") -> int:
     return doc[key]
 
 
+def _number(value, what: str) -> float:
+    """value as a float if it is a JSON number; a bool or string is rejected, not converted."""
+    if type(value) not in (int, float):  # bool is a subclass of int
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, what: str) -> tuple[float, ...]:
+    return tuple(_number(v, f"{what} entry") for v in values)
+
+
 def load_scenario(path: Path | str, alpha_override: float | None = None) -> world.Scenario:
     try:
         doc = json.loads(Path(path).read_text())
@@ -84,42 +95,44 @@ def load_scenario(path: Path | str, alpha_override: float | None = None) -> worl
         raise ConfigError(f"cannot read scenario file {path}: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"scenario file {path}: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != SCENARIO_FORMAT_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != SCENARIO_FORMAT_VERSION:
         raise ConfigError(f"scenario file {path}: unsupported version {doc.get('version')!r}")
     try:
         sc = world.Scenario(
-            workspace_size=float(doc["workspace_size"]),
+            workspace_size=_number(doc["workspace_size"], "workspace_size"),
             walls=tuple(
-                (tuple(map(float, a)), tuple(map(float, b))) for a, b in doc["walls"]
+                (_numbers(a, f"wall {w}: end"), _numbers(b, f"wall {w}: end"))
+                for w, (a, b) in enumerate(doc["walls"])
             ),
             obstacles=tuple(
-                (tuple(map(float, o["center"])), float(o["radius"]))
-                for o in doc["obstacles"]
+                (_numbers(o["center"], f"obstacle {k}: center"),
+                 _number(o["radius"], f"obstacle {k}: radius"))
+                for k, o in enumerate(doc["obstacles"])
             ),
             agents=tuple(
                 world.AgentSpec(
                     id=_integer(a, "id", f"agent {i}: "),
-                    start_position=tuple(map(float, a["start_position"])),
+                    start_position=_numbers(a["start_position"], f"agent {i}: start_position"),
                     agent_type=_integer(a, "agent_type", f"agent {i}: "),
-                    sensing_radius=float(a["sensing_radius"]),
-                    max_speed=float(a["max_speed"]),
-                    preference_row=tuple(map(float, a["preference_row"])),
+                    sensing_radius=_number(a["sensing_radius"], f"agent {i}: sensing_radius"),
+                    max_speed=_number(a["max_speed"], f"agent {i}: max_speed"),
+                    preference_row=_numbers(a["preference_row"], f"agent {i}: preference_row"),
                 )
                 for i, a in enumerate(doc["agents"])
             ),
             tasks=tuple(
                 world.TaskSpec(
                     id=_integer(t, "id", f"task {j}: "),
-                    position=tuple(map(float, t["position"])),
+                    position=_numbers(t["position"], f"task {j}: position"),
                     task_type=_integer(t, "task_type", f"task {j}: "),
-                    workload=float(t["workload"]),
-                    weight=float(t["weight"]),
+                    workload=_number(t["workload"], f"task {j}: workload"),
+                    weight=_number(t["weight"], f"task {j}: weight"),
                 )
                 for j, t in enumerate(doc["tasks"])
             ),
             seed=_integer(doc, "seed"),
-            dt=float(doc["dt"]),
-            alpha=float(doc["alpha"] if alpha_override is None else alpha_override),
+            dt=_number(doc["dt"], "dt"),
+            alpha=_number(doc["alpha"], "alpha") if alpha_override is None else alpha_override,
         )
     except (KeyError, TypeError, ValueError) as err:  # ValueError covers world.ScenarioError
         raise ConfigError(f"scenario file {path}: {err}") from err
@@ -152,6 +165,8 @@ def _parse_generate(text: str, alpha: float | None) -> dict:
         if key not in keymap:
             raise ConfigError(f"--generate: unknown key {key!r}")
         name, cast = keymap[key]
+        if name in out:
+            raise ConfigError(f"--generate lists the key {key} twice: {text!r}")
         try:
             out[name] = cast(value)
         except ValueError as err:

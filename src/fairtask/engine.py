@@ -200,16 +200,20 @@ def run_centralized_episode(
 
     ep = Episode(sc)
     ep.discover(range(sc.n_tasks))  # centralized rules see everything
-    ep.commit(solution.pairs())
+    ep.commit(solution)
     return run_episode(ep, rule, u_star)
 
 
 def _teleport_result(sc, rule, solution, u0, u_star):
-    n = sc.n_agents
+    n, m = sc.n_agents, sc.n_tasks
     per_agent = np.zeros(n)
-    realized = np.zeros(sc.n_tasks)
+    realized = np.zeros(m)
     t_done = 0.0
-    for agent, task in solution.pairs():
+    commit = metrics.Commitment(  # the one commit: every agent and task at t=0
+        0.0, tuple(range(n)), tuple(range(m)), sc.agent_positions(),
+        tuple(solution.pairs()), solution.objective,
+    )
+    for agent, task in commit.pairs:
         d = float(u0.distances[task, agent])
         per_agent[agent] = d
         realized[task] = u0.values[task, agent]
@@ -223,8 +227,8 @@ def _teleport_result(sc, rule, solution, u0, u_star):
         total_distance=float(per_agent.sum()),
         per_agent_distance=per_agent,
         collision_count=0,
-        discovery_times=np.zeros(sc.n_tasks),
-        assignment_log=tuple((0.0, a, t) for a, t in solution.pairs()),
+        discovery_times=np.zeros(m),
+        commits=(commit,),
         incomplete=not np.isfinite(t_done),
         rule=rule,
         u_star=u_star,
@@ -241,7 +245,8 @@ class Episode:
     """A running episode: world state, one navigator per agent, commitments.
 
     Assignment modes differ only in when they commit agents, so all of them
-    drive this one object through discover() and commit().  The episode is
+    drive this one object through discover() and commit(), and `commits` is
+    the episode's one record of who serves what, from when.  The episode is
     the world state's one owner and treats it as a value: discover() and the
     loop rebind `state` to the new states world's functions return, so
     re-read `ep.state` after either.
@@ -251,30 +256,38 @@ class Episode:
         self.sc = sc
         self.state = world.initial_state(sc)
         self.navs = [Navigator(sc.distances.grid) for _ in range(sc.n_agents)]
-        self.task_of: dict[int, int] = {}
-        self.committed = np.zeros(0, dtype=int)  # agents in task_of, ascending
-        self.goals = np.zeros((0, 2))            # their task positions
+        self.task_of = np.full(sc.n_agents, -1)        # -1 marks a free agent
+        self.goals = np.full((sc.n_agents, 2), math.nan)  # task positions, nan while free
         self.dist_at_assign = np.zeros(sc.n_agents)
         self.discovery_times = np.full(sc.n_tasks, math.nan)
-        self.assignment_log: list[tuple[float, int, int]] = []
+        self.commits: list[metrics.Commitment] = []
+
+    def free_agents(self) -> list[int]:
+        return [i for i, task in enumerate(self.task_of.tolist()) if task < 0]
+
+    def pending_tasks(self) -> list[int]:
+        """Discovered tasks that no agent serves yet, ascending."""
+        served = set(self.task_of.tolist())
+        return [t for t in np.flatnonzero(self.state.discovered).tolist() if t not in served]
 
     def discover(self, tasks) -> None:
         tasks = list(tasks)
         self.state = world.discover(self.state, tasks)
         self.discovery_times[tasks] = self.state.time
 
-    def commit(self, pairs) -> None:
-        """Bind (agent, task) pairs for good and steer each agent to its task."""
+    def commit(self, assignment: assign.Assignment) -> None:
+        """Bind the assignment's pairs for good and steer each agent to its task."""
+        state = self.state
+        pairs = tuple(assignment.pairs())
+        self.commits.append(metrics.Commitment(
+            state.time, tuple(self.free_agents()), tuple(self.pending_tasks()),
+            state.agent_positions.copy(), pairs, assignment.objective,
+        ))
         for agent, task in pairs:
             self.task_of[agent] = task
-            self.dist_at_assign[agent] = float(self.state.cumulative_distance[agent])
-            self.assignment_log.append((self.state.time, agent, task))
-            self.navs[agent].set_goal(
-                self.state.agent_positions[agent], self.sc.tasks[task].position
-            )
-        self.committed = np.array(sorted(self.task_of), dtype=int)
-        tasks = [self.task_of[agent] for agent in self.committed.tolist()]
-        self.goals = self.sc.motion.task_positions[tasks]
+            self.goals[agent] = self.sc.motion.task_positions[task]
+            self.dist_at_assign[agent] = float(state.cumulative_distance[agent])
+            self.navs[agent].set_goal(state.agent_positions[agent], self.sc.tasks[task].position)
 
 
 def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.EpisodeResult:
@@ -302,10 +315,10 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
             observe(ep)
 
         state = ep.state
-        gaps = state.agent_positions[ep.committed] - ep.goals
-        arrived = ep.committed[np.hypot(gaps[:, 0], gaps[:, 1]) <= ARRIVAL_RADIUS]
+        gaps = state.agent_positions - ep.goals  # nan for a free agent, which never arrives
+        arrived = np.flatnonzero(np.hypot(gaps[:, 0], gaps[:, 1]) <= ARRIVAL_RADIUS)
         for i in arrived.tolist():
-            t = ep.task_of[i]
+            t = int(ep.task_of[i])
             if math.isnan(realized_distance[t]):  # first arrival
                 realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
             if not state.completed[t]:
@@ -319,8 +332,8 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
     incomplete = not bool(np.all(state.completed))
     prefs = world.preference_matrix(sc)
     realized = np.zeros(m)
-    for a, t in ep.task_of.items():
-        if np.isfinite(realized_distance[t]):
+    for a, t in enumerate(ep.task_of.tolist()):
+        if t >= 0 and np.isfinite(realized_distance[t]):
             realized[t] = (sc.alpha ** realized_distance[t]) * prefs[t, a]
     return metrics.EpisodeResult(
         realized_utilities=realized,
@@ -330,7 +343,7 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
         per_agent_distance=state.cumulative_distance.copy(),
         collision_count=collisions,
         discovery_times=ep.discovery_times,
-        assignment_log=tuple(ep.assignment_log),
+        commits=tuple(ep.commits),
         incomplete=incomplete,
         rule=rule,
         u_star=u_star,

@@ -18,6 +18,18 @@ from fairtask import assign, world
 CV_SENTINEL = 1e9
 
 
+@dataclass(frozen=True)
+class Commitment:
+    """One commit of an episode, with what it was solved on: enough to recompute it."""
+
+    time: float
+    free_agents: tuple[int, ...]        # agents with no task just before it, ascending
+    pending_tasks: tuple[int, ...]      # discovered tasks with no agent, ascending
+    agent_positions: np.ndarray         # (N, 2) at the commit
+    pairs: tuple[tuple[int, int], ...]  # (agent, task), ascending agent
+    objective: float                    # the solver's objective on this subproblem
+
+
 @dataclass(eq=False)
 class EpisodeResult:
     """Executed-trajectory summary produced by the episode runners."""
@@ -29,14 +41,18 @@ class EpisodeResult:
     per_agent_distance: np.ndarray      # (N,)
     collision_count: int
     discovery_times: np.ndarray         # (m,)
-    assignment_log: tuple[tuple[float, int, int], ...]  # (time, agent, task)
+    commits: tuple[Commitment, ...]     # in time order
     incomplete: bool
     rule: str
     k: int | None = None
     u_star: float = math.nan
     seed: int = 0
     episode: int = 0
-    online_triggers: tuple = ()
+
+    @property
+    def assignment_log(self) -> tuple[tuple[float, int, int], ...]:
+        """(time, agent, task) of every committed pair, in commit order."""
+        return tuple((c.time, a, t) for c in self.commits for a, t in c.pairs)
 
     @property
     def u_pi(self) -> float:

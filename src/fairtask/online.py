@@ -4,10 +4,10 @@ Free agents sweep a shared lattice (spacing = half the smallest sensing
 radius), sampling targets with a distance softmax.  Whenever the pool of
 discovered-but-unassigned tasks reaches k (or everything is discovered),
 one rectangular weighted-log solve over the pending tasks and all free
-agents picks the agent subset and its tasks together, and commits them.
-Episodes run on engine.run_episode; ExplorationPolicy.observe is the
-observer that sweeps, discovers tasks, triggers commitments and gives each
-free agent its next lattice target.
+agents picks the agent subset and its tasks together.  Episodes run on
+engine.run_episode; ExplorationPolicy.observe is the observer that sweeps,
+discovers tasks, reads the episode's free agents and pending tasks, hands
+each solve to Episode.commit (which logs it) and retargets free agents.
 """
 
 from __future__ import annotations
@@ -96,18 +96,6 @@ def mark_swept(emap: ExplorationMap, positions, radii) -> ExplorationMap:
     return emap
 
 
-@dataclass(frozen=True)
-class TriggerRecord:
-    """Snapshot of one assignment trigger, sufficient to recompute it."""
-
-    time: float
-    free_agents: tuple[int, ...]
-    pending_tasks: tuple[int, ...]
-    agent_positions: np.ndarray
-    pairs: tuple[tuple[int, int], ...]
-    objective: float
-
-
 def select_subset_and_assign(
     free_agents,
     pending_tasks,
@@ -167,7 +155,6 @@ class ExplorationPolicy:
         self.emap = init_lattice(sc)
         self.k = k
         self.rng = rng
-        self.triggers: list[TriggerRecord] = []
 
     def observe(self, ep: engine.Episode) -> None:
         """Sweep around free agents, discover new tasks one by one, retarget.
@@ -178,7 +165,7 @@ class ExplorationPolicy:
         spent its navigator has no goal, so it brakes.
         """
         sc, state = ep.sc, ep.state
-        sweeping = [i for i in range(sc.n_agents) if i not in ep.task_of]
+        sweeping = ep.free_agents()
         if sweeping:
             radii = sc.motion.sensing_radius[sweeping]
             mark_swept(self.emap, state.agent_positions[sweeping], radii)
@@ -186,27 +173,12 @@ class ExplorationPolicy:
         for j in world.newly_visible_tasks(state, sc):
             ep.discover([j])
             state = ep.state  # discover() replaces the state
-            assigned = set(ep.task_of.values())
-            pending = [t for t in range(sc.n_tasks) if state.discovered[t] and t not in assigned]
+            pending = ep.pending_tasks()
             if len(pending) < self.k and not state.discovered.all():
                 continue
-            free = [i for i in range(sc.n_agents) if i not in ep.task_of]
-            partial = select_subset_and_assign(free, pending, self.k, sc, state.agent_positions)
-            pairs = tuple(partial.pairs())
-            self.triggers.append(
-                TriggerRecord(
-                    time=state.time,
-                    free_agents=tuple(free),
-                    pending_tasks=tuple(pending),
-                    agent_positions=state.agent_positions.copy(),
-                    pairs=pairs,
-                    objective=partial.objective,
-                )
-            )
-            ep.commit(pairs)
-        for i in range(sc.n_agents):  # ascending, the order of the target draws
-            if i in ep.task_of:
-                continue
+            free = ep.free_agents()
+            ep.commit(select_subset_and_assign(free, pending, self.k, sc, state.agent_positions))
+        for i in ep.free_agents():  # ascending, the order of the target draws
             nav, pos = ep.navs[i], state.agent_positions[i]
             if nav.goal is None or float(np.hypot(*(pos - nav.goal))) <= _TARGET_RADIUS:
                 if _next_reachable_target(self.emap, nav, pos, self.rng) is None:
@@ -232,5 +204,4 @@ def run_online_episode(
     policy.observe(ep)  # initial sensing and targets before any motion
     result = engine.run_episode(ep, "online", u_star, policy.observe)
     result.k = k
-    result.online_triggers = tuple(policy.triggers)
     return result

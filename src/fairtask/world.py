@@ -473,6 +473,7 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
 DEFAULT_MAP_SIZES = {3: 2.5, 7: 2.7, 10: 2.9}
 _MAX_OBSTACLE_RADIUS = 0.18
 _WALL_MARGIN = 0.3       # wall midpoints keep this far from the boundary
+_MAX_ATTEMPTS = 80       # candidate scenarios drawn before the generator gives up
 _WORKLOAD_RANGE = (0.5, 1.5)
 _WEIGHT_RANGE = (0.5, 2.0)
 _PREFERENCE_RANGE = (0.2, 1.0)  # per (task type, agent type) service rate
@@ -523,7 +524,6 @@ def generate_scenario(
     max_speed: float = 1.0,
     dt: float = 0.1,
     alpha: float = 0.97,
-    max_attempts: int = 80,
 ) -> Scenario:
     """Sample a random usable scenario (rejection sampling, fully seeded).
 
@@ -546,7 +546,7 @@ def generate_scenario(
 
     unplaced = unreachable = 0
     last_err: Exception | None = None
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         sc = _sample_candidate(
             n_agents, float(map_size), rng, n_obstacles, n_walls, types,
             sensing_radius, max_speed, dt, alpha, preference_table, seed,
@@ -562,9 +562,9 @@ def generate_scenario(
         if np.all(np.isfinite(d)):
             return sc
         unreachable += 1
-    blocked = max_attempts - unplaced - unreachable
+    blocked = _MAX_ATTEMPTS - unplaced - unreachable
     raise ScenarioError(
-        f"could not generate a usable scenario in {max_attempts} attempts: "
+        f"could not generate a usable scenario in {_MAX_ATTEMPTS} attempts: "
         f"{unplaced} could not place every entity with clearance, "
         f"{unreachable} left an agent-task pair unreachable, "
         f"{blocked} put an entity in a blocked grid cell"

@@ -186,13 +186,13 @@ def test_criterion_06_monotone_k_trend_and_k_equals_n():
         seed = engine.episode_seed(ROOT_SEED, i)
         sc = world.generate_scenario(seed=seed, **N7_FAMILY)
         res = online.run_online_episode(sc, 7, np.random.default_rng([seed, 1]))
-        assert len(res.online_triggers) == 1
-        trig = res.online_triggers[0]
+        assert len(res.commits) == 1
+        commit = res.commits[0]
         provider = pathfind.DistanceProvider(pathfind.build_nav_grid(sc))
-        d = provider.pairwise(sc.task_positions(), trig.agent_positions)
+        d = provider.pairwise(sc.task_positions(), commit.agent_positions)
         u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
         solution = assign.solve_eg(u, world.task_weights(sc))
-        assert sorted(trig.pairs) == sorted(solution.pairs())
+        assert sorted(commit.pairs) == sorted(solution.pairs())
     print(f"\nACCEPTANCE 6 PASS: mean completion time non-increasing in k "
           f"(Spearman {rho:.3f}); k=7 commits identical to the centralized "
           f"solve in all {EPISODES} episodes; mean T by k: "

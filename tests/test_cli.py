@@ -285,6 +285,15 @@ def test_repeated_batches_are_rejected(tmp_path, capsys, command, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_repeated_generate_key_is_rejected(tmp_path, capsys):
+    out = tmp_path / "never"
+    rc = run_cli(["run", "--generate", "N=3,N=7", "--algorithm", "eg", "--episodes", "1",
+                  "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: --generate lists the key N twice: 'N=3,N=7'\n"
+
+
 def test_sweep_table_shape(tmp_path):
     out = tmp_path / "s2"
     rc = run_cli([
@@ -468,7 +477,13 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
     "edit,message",
     [
         pytest.param(lambda doc: doc["tasks"][0].update(workload="abc"),
-                     "could not convert string to float: 'abc'", id="string-workload"),
+                     "task 0: workload must be a number, got 'abc'", id="string-workload"),
+        pytest.param(lambda doc: doc["tasks"][1].update(workload="1.2"),
+                     "task 1: workload must be a number, got '1.2'", id="numeric-string-workload"),
+        pytest.param(lambda doc: doc.update(dt=True), "dt must be a number, got True",
+                     id="bool-dt"),
+        pytest.param(lambda doc: doc.update(version=True), "unsupported version True",
+                     id="bool-version"),
         pytest.param(lambda doc: doc["agents"][0].update(start_position=[1.0]),
                      "not enough values to unpack", id="start-1d"),
         pytest.param(lambda doc: doc["agents"][1].update(start_position=[1.0, 1.0, 1.0]),

@@ -83,9 +83,7 @@ def test_controller_overhead_on_empty_map():
     # path on obstacle-free maps.  Post-arrival stationkeeping jitter counts
     # toward D but not toward the travel path.
     for seed in (1, 2, 3, 4, 5):
-        sc = world.generate_scenario(
-            1, 2.5, n_obstacles=0, n_walls=0, seed=seed, max_attempts=200
-        )
+        sc = world.generate_scenario(1, 2.5, n_obstacles=0, n_walls=0, seed=seed)
         grid = pathfind.build_nav_grid(sc)
         provider = pathfind.DistanceProvider(grid)
         d_star = provider.pairwise([sc.tasks[0].position], [sc.agents[0].start_position])[0, 0]
@@ -153,7 +151,7 @@ def _capped_eg_episode(monkeypatch, sc, step_cap):
     u_star, solution, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     ep.discover(range(sc.n_tasks))
-    ep.commit(solution.pairs())
+    ep.commit(solution)
     monkeypatch.setattr(engine, "DEFAULT_STEP_CAP", step_cap)
     return ep, engine.run_episode(ep, "eg", u_star)
 
@@ -244,6 +242,42 @@ def test_episode_reuses_the_generated_grid_and_task_fields(monkeypatch, mode):
     assert builds == []
     assert task_cells.isdisjoint(sources)
     assert len(edge_builds) == 1
+
+
+def test_every_mode_records_each_commitment_once():
+    # Commits ascend in time; each binds agents free at that commit to tasks
+    # pending at it, no agent twice, and together they cover every agent and
+    # task once.  A centralized rule makes one commit at t=0 over the whole
+    # team: the solver's own assignment and objective.
+    sc = world.generate_scenario(3, 2.5, seed=engine.episode_seed(16, 0))
+    u_star, optimum, u0 = metrics.centralized_optimum(sc)
+    runs = {rule: engine.run_centralized_episode(sc, rule) for rule in ("eg", "hungarian", "minmax")}
+    runs["eg-teleport"] = engine.run_centralized_episode(sc, "eg", execution="teleport")
+    runs["online-k2"] = online.run_online_episode(sc, 2, np.random.default_rng([7, 1]))
+    assert len(runs["online-k2"].commits) == 2
+    everyone = (0, 1, 2)
+    for mode, res in runs.items():
+        times = [c.time for c in res.commits]
+        assert times == sorted(times), mode
+        bound = set()
+        for c in res.commits:
+            for agent, task in c.pairs:
+                assert agent in c.free_agents and task in c.pending_tasks, mode
+                assert agent not in bound, mode
+                bound.add(agent)
+        assert tuple(sorted(a for _, a, _ in res.assignment_log)) == everyone, mode
+        assert tuple(sorted(t for _, _, t in res.assignment_log)) == everyone, mode
+    for mode in ("eg", "hungarian", "minmax", "eg-teleport"):
+        [commit] = runs[mode].commits
+        rule = mode.split("-")[0]
+        solution = optimum if rule == "eg" else engine.solve_assignment(rule, u0)
+        assert commit.time == 0.0
+        assert commit.free_agents == commit.pending_tasks == everyone
+        assert np.array_equal(commit.agent_positions, sc.agent_positions())
+        assert commit.pairs == tuple(solution.pairs())
+        assert commit.objective == solution.objective
+        if rule == "eg":
+            assert commit.objective == u_star
 
 
 # ---------------------------------------------------------------------------

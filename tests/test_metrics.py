@@ -23,7 +23,7 @@ def _result(utilities, weights, **kw):
         per_agent_distance=np.ones(m) / m,
         collision_count=0,
         discovery_times=np.zeros(m),
-        assignment_log=tuple((0.0, i, i) for i in range(m)),
+        commits=(),
         incomplete=False,
         rule="eg",
     )

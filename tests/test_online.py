@@ -311,11 +311,11 @@ def test_all_visible_k_equals_n_matches_centralized():
     sc = world.generate_scenario(4, 2.5, sensing_radius=4.0, seed=51)
     rng = np.random.default_rng(0)
     res = online.run_online_episode(sc, 4, rng)
-    assert len(res.online_triggers) == 1
-    trig = res.online_triggers[0]
-    assert trig.time == 0.0
+    assert len(res.commits) == 1
+    commit = res.commits[0]
+    assert commit.time == 0.0
     _, solution, _ = metrics.centralized_optimum(sc)
-    assert sorted(trig.pairs) == sorted(solution.pairs())
+    assert sorted(commit.pairs) == sorted(solution.pairs())
 
 
 def test_all_visible_k_equals_n_episode_equals_centralized_eg():
@@ -341,10 +341,10 @@ def test_phase_trigger_boundaries():
     rng = np.random.default_rng(4)
     res = online.run_online_episode(sc, 2, rng)
     assert not res.incomplete
-    assert res.online_triggers
-    for trig in res.online_triggers:
-        assert len(trig.pending_tasks) <= 2
-    full = {t for trig in res.online_triggers for _, t in trig.pairs}
+    assert res.commits
+    for commit in res.commits:
+        assert len(commit.pending_tasks) <= 2
+    full = {t for commit in res.commits for _, t in commit.pairs}
     assert full == set(range(5))
 
 
@@ -359,11 +359,11 @@ def test_online_trigger_invariants(n, map_size):
         for k in range(1, n + 1):
             res = online.run_online_episode(sc, k, np.random.default_rng([seed, 1]))
             assert not res.incomplete
-            for trig in res.online_triggers:
-                all_found = bool(np.all(res.discovery_times <= trig.time))
-                assert len(trig.pending_tasks) == k or all_found
-                assert sorted(t for _, t in trig.pairs) == list(trig.pending_tasks)
-                assert {a for a, _ in trig.pairs} <= set(trig.free_agents)
+            for commit in res.commits:
+                all_found = bool(np.all(res.discovery_times <= commit.time))
+                assert len(commit.pending_tasks) == k or all_found
+                assert sorted(t for _, t in commit.pairs) == list(commit.pending_tasks)
+                assert {a for a, _ in commit.pairs} <= set(commit.free_agents)
             assert sorted(a for _, a, _ in res.assignment_log) == list(range(n))
             assert sorted(t for _, _, t in res.assignment_log) == list(range(n))
 
@@ -382,11 +382,11 @@ def test_subset_commit_beats_alternatives():
     res = online.run_online_episode(sc, 2, np.random.default_rng(2))
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
-    for trig in res.online_triggers:
+    for commit in res.commits:
         _, best = oracles.subset_oracle(
-            trig.free_agents, trig.pending_tasks, sc, provider, trig.agent_positions
+            commit.free_agents, commit.pending_tasks, sc, provider, commit.agent_positions
         )
-        assert trig.objective >= best - 1e-9
+        assert commit.objective >= best - 1e-9
 
 
 def test_online_determinism():

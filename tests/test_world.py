@@ -461,8 +461,9 @@ def test_generate_scenario_default_map_sizes():
 def test_generator_rejects_maps_below_its_sampler_bounds(monkeypatch, n_obstacles, n_walls, smallest):
     counts = dict(n_obstacles=n_obstacles, n_walls=n_walls)
     # At the bound every draw range is valid: the generator succeeds or runs out of attempts.
+    monkeypatch.setattr(world, "_MAX_ATTEMPTS", 5)
     try:
-        world.generate_scenario(1, smallest, seed=0, max_attempts=5, **counts)
+        world.generate_scenario(1, smallest, seed=0, **counts)
     except world.ScenarioError as err:
         assert "could not generate" in str(err)
 
@@ -509,9 +510,10 @@ def test_generator_reports_the_scenario_rule_a_value_breaks(value, message):
         world.generate_scenario(3, 2.5, seed=0, **value)
 
 
-def test_generator_says_when_no_attempt_placed_its_entities():
+def test_generator_says_when_no_attempt_placed_its_entities(monkeypatch):
+    monkeypatch.setattr(world, "_MAX_ATTEMPTS", 3)
     with pytest.raises(world.ScenarioError) as info:
-        world.generate_scenario(40, 0.7, seed=0, n_obstacles=0, n_walls=0, max_attempts=3)
+        world.generate_scenario(40, 0.7, seed=0, n_obstacles=0, n_walls=0)
     message = str(info.value)
     assert "3 could not place every entity" in message
     assert "last: None" not in message
