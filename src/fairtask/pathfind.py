@@ -8,7 +8,8 @@ they slightly overestimate Euclidean lengths -- uniformly for every caller.
 The grid's edge set is one cached fact, `NavGrid.edges`, and both searches
 read it: A* for cell paths, and Dijkstra fields on its CSR form
 `NavGrid.graph` for batch distances.  `DistanceProvider.pairwise` computes
-all its uncached source fields in one multi-source call.
+all its uncached source fields in one multi-source call.  A waypoint request
+whose goal is in sight is answered with the straight segment and no search.
 """
 
 from __future__ import annotations
@@ -315,12 +316,16 @@ def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:
     """String-pulled waypoint chain from a to b (a excluded, b last).
 
     Consecutive waypoints are mutually visible.  Returns [] when a == b or
-    when no path exists.
+    when no path exists.  A goal in sight of a is answered [b] without an A*
+    search, as Theta* takes a clear straight segment; otherwise string
+    pulling from a skips the a-b pair it has just tested.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if float(np.hypot(*(b - a))) == 0.0:
         return []
+    if line_of_sight(grid, a, b):
+        return [b]
     ca = nearest_free_cell(grid, a)
     cb = nearest_free_cell(grid, b)
     if ca is None or cb is None:
@@ -339,7 +344,7 @@ def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:
     out: list[np.ndarray] = []
     i = 0
     while i < len(pts) - 1:
-        j = len(pts) - 1
+        j = max(len(pts) - 1 - (i == 0), i + 1)  # a-b was tested above
         while j > i + 1 and not line_of_sight(grid, pts[i], pts[j]):
             j -= 1
         out.append(pts[j])

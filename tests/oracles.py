@@ -133,6 +133,40 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     return True
 
 
+def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:
+    """String-pulled waypoint chain after an A* search on every request.
+
+    The sight test of a-b runs only as the first test of string pulling, so
+    an in-sight goal still pays for its search.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if float(np.hypot(*(b - a))) == 0.0:
+        return []
+    ca = pathfind.nearest_free_cell(grid, a)
+    cb = pathfind.nearest_free_cell(grid, b)
+    if ca is None or cb is None:
+        return []
+    cells = pathfind._astar_cells(grid, grid.center(ca), grid.center(cb))
+    if cells is None:
+        return []
+    centers = [grid.center(c) for c in cells]
+    if cells[0] == grid.cell_of(a):
+        centers = centers[1:]
+    if cells and cells[-1] == grid.cell_of(b) and centers:
+        centers = centers[:-1]
+    pts = [a] + centers + [b]
+    out: list[np.ndarray] = []
+    i = 0
+    while i < len(pts) - 1:
+        j = len(pts) - 1
+        while j > i + 1 and not pathfind.line_of_sight(grid, pts[i], pts[j]):
+            j -= 1
+        out.append(pts[j])
+        i = j
+    return out
+
+
 def build_graph(grid: NavGrid) -> csr_matrix:
     """Grid graph from per-move meshgrids, assembled as COO and converted to CSR."""
     nx, ny = grid.dims

@@ -2,7 +2,8 @@
 
 Each test prints one PASS line; failures surface through the assertions.
 The N=7 episode family (map 2.7, alpha 0.97, root seed 42) is shared by the
-desk-scale trend criteria.
+desk-scale trend criteria: the scripted rules' batches by criteria 05, 07 and
+11, and the online batches at every k by criteria 06 and 11.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from fairtask import assign, cli, engine, metrics, online, pathfind, world
 ROOT_SEED = 42
 N7_FAMILY = dict(n_agents=7, map_size=2.7, alpha=0.97)
 EPISODES = 100
+ONLINE_KS = tuple(range(2, 8))
 
 _PERM_CACHE: dict[int, np.ndarray] = {}
 
@@ -45,17 +47,32 @@ def exhaustive_eg_value(u, w):
     return float((w[perms] * logs[perms, cols]).sum(axis=1).max())
 
 
+def scripted_batches(family):
+    return {
+        algo: engine.batch_run(
+            algorithm=algo, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(family),
+        )
+        for algo in ("eg", "hungarian", "minmax")
+    }
+
+
 @pytest.fixture(scope="module")
 def n7_batches():
     start = time.perf_counter()
-    out = {}
-    for algo in ("eg", "hungarian", "minmax"):
-        out[algo] = engine.batch_run(
-            algorithm=algo, episodes=EPISODES, root_seed=ROOT_SEED,
-            generator=dict(N7_FAMILY),
-        )
+    out = scripted_batches(N7_FAMILY)
     out["elapsed"] = time.perf_counter() - start
     return out
+
+
+@pytest.fixture(scope="module")
+def online_batches():
+    return {
+        k: engine.batch_run(
+            algorithm="online", episodes=EPISODES, root_seed=ROOT_SEED, k=k,
+            generator=dict(N7_FAMILY),
+        )
+        for k in ONLINE_KS
+    }
 
 
 def per_episode_fairness(batch):
@@ -73,6 +90,17 @@ def bootstrap_fraction_positive(diffs, draws=2000, seed=7):
     samples = rng.integers(0, n, size=(draws, n))
     means = diffs[samples].mean(axis=1)
     return float((means > 0).mean())
+
+
+def assert_eg_fairest(fairness):
+    """EG beats Hungarian and min-max on mean F and J at the 95% bootstrap level."""
+    for rival in ("hungarian", "minmax"):
+        for metric_idx, name in ((0, "F"), (1, "J")):
+            mine = fairness["eg"][metric_idx]
+            other = fairness[rival][metric_idx]
+            assert mine.mean() > other.mean(), (rival, name)
+            frac = bootstrap_fraction_positive(mine - other)
+            assert frac >= 0.95, (rival, name, frac)
 
 
 # ---------------------------------------------------------------------------
@@ -150,13 +178,7 @@ def test_criterion_05_fairness_ordering_desk_scale(n7_batches):
     fairness = {
         a: per_episode_fairness(b) for a, b in n7_batches.items() if a != "elapsed"
     }
-    for rival in ("hungarian", "minmax"):
-        for metric_idx, name in ((0, "F"), (1, "J")):
-            mine = fairness["eg"][metric_idx]
-            other = fairness[rival][metric_idx]
-            assert mine.mean() > other.mean(), (rival, name)
-            frac = bootstrap_fraction_positive(mine - other)
-            assert frac >= 0.95, (rival, name, frac)
+    assert_eg_fairest(fairness)
     elapsed = n7_batches["elapsed"] + (time.perf_counter() - start)
     assert elapsed < 300.0
     means = {
@@ -167,17 +189,13 @@ def test_criterion_05_fairness_ordering_desk_scale(n7_batches):
           f"level in {elapsed:.1f}s; per-rule mean F/J: {means}")
 
 
-def test_criterion_06_monotone_k_trend_and_k_equals_n():
+def test_criterion_06_monotone_k_trend_and_k_equals_n(online_batches):
     mean_t = []
-    ks = list(range(2, 8))
-    for k in ks:
-        batch = engine.batch_run(
-            algorithm="online", episodes=EPISODES, root_seed=ROOT_SEED, k=k,
-            generator=dict(N7_FAMILY),
-        )
+    for k in ONLINE_KS:
+        batch = online_batches[k]
         assert batch.summary["incomplete"] == 0
         mean_t.append(batch.summary["mean"]["T"])
-    rho, _ = sp_stats.spearmanr(ks, mean_t)
+    rho, _ = sp_stats.spearmanr(ONLINE_KS, mean_t)
     assert rho <= -0.8
 
     # k = N: the single commit must equal the full-information weighted-log
@@ -278,3 +296,33 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
         assert (out_a / filename).read_bytes() == (out_b / filename).read_bytes()
     print("\nACCEPTANCE 10 PASS: run/online/compare re-runs are byte-identical "
           "under a fixed root seed")
+
+
+def test_criterion_11_fairness_across_team_sizes_and_online(n7_batches, online_batches):
+    start = time.perf_counter()
+    means = {}
+    for n_agents in (3, 10):
+        family = dict(N7_FAMILY, n_agents=n_agents, map_size=world.DEFAULT_MAP_SIZES[n_agents])
+        fairness = {a: per_episode_fairness(b) for a, b in scripted_batches(family).items()}
+        assert_eg_fairest(fairness)
+        means[n_agents] = {a: round(float(j.mean()), 3) for a, (_, j) in fairness.items()}
+
+    # Online J beats min-max's at every k; the other comparisons are reported.
+    rules = {a: per_episode_fairness(n7_batches[a]) for a in ("eg", "hungarian", "minmax")}
+    reported = {}
+    for k in ONLINE_KS:
+        f_online, j_online = per_episode_fairness(online_batches[k])
+        frac_j = bootstrap_fraction_positive(j_online - rules["minmax"][1])
+        assert frac_j >= 0.95, (k, frac_j)
+        reported[k] = tuple(
+            round(bootstrap_fraction_positive(mine - rules[rival][idx]), 2)
+            for mine, rival, idx in (
+                (f_online, "minmax", 0), (j_online, "hungarian", 1), (j_online, "eg", 1),
+            )
+        )
+    elapsed = time.perf_counter() - start
+    print(f"\nACCEPTANCE 11 PASS: EG beats Hungarian and min-max on F and J at "
+          f"N=3 and N=10 at the 95% bootstrap level in {elapsed:.1f}s (mean J: "
+          f"{means}); online J beats min-max's at k={ONLINE_KS[0]}..{ONLINE_KS[-1]}; "
+          f"reported, not tested, the bootstrap fractions by k of online F over "
+          f"min-max, J over Hungarian and J over EG: {reported}")

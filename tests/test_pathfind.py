@@ -371,6 +371,79 @@ def test_waypoints_single_corner_detour():
     assert pathfind.line_of_sight(grid, wps[0], wps[1])
 
 
+def _count_searches(monkeypatch):
+    """Record each A* search and each line-of-sight pair path_waypoints makes."""
+    searches, sights = [], []
+    astar, los = pathfind._astar_cells, pathfind.line_of_sight
+
+    def counted_astar(grid, a, b):
+        searches.append((tuple(a), tuple(b)))
+        return astar(grid, a, b)
+
+    def counted_los(grid, a, b):
+        sights.append((tuple(map(float, a)), tuple(map(float, b))))
+        return los(grid, a, b)
+
+    monkeypatch.setattr(pathfind, "_astar_cells", counted_astar)
+    monkeypatch.setattr(pathfind, "line_of_sight", counted_los)
+    return searches, sights
+
+
+def test_waypoints_search_only_when_the_goal_is_out_of_sight(empty_scenario, monkeypatch):
+    grid = pathfind.build_nav_grid(empty_scenario)
+    searches, sights = _count_searches(monkeypatch)
+    a, b = (0.5, 0.5), (2.0, 1.7)
+    assert [w.tolist() for w in pathfind.path_waypoints(grid, a, b)] == [[2.0, 1.7]]
+    assert searches == []
+    assert sights == [(a, b)]
+
+    sc = make_scenario(
+        [(0.625, 0.625)], [(1.875, 0.725)], walls=[((1.25, 0.0), (1.25, 1.05))]
+    )
+    grid = pathfind.build_nav_grid(sc)
+    a, b = (0.625, 0.625), (1.875, 0.725)
+    searches.clear()
+    sights.clear()
+    assert len(pathfind.path_waypoints(grid, a, b)) == 2
+    assert len(searches) == 1
+    assert sights.count((a, b)) == 1
+    assert len(set(sights)) == len(sights)  # no pair is tested twice
+
+
+def _wall_pressed_points(grid, rng, count):
+    """Points inside blocked cells that touch a free cell, as motion clipping leaves them."""
+    nx, ny = grid.dims
+    free = np.zeros((nx + 2, ny + 2), dtype=bool)
+    free[1:-1, 1:-1] = ~grid.blocked
+    near_free = np.zeros((nx, ny), dtype=bool)
+    for dx, dy, _ in pathfind._NEIGHBORS:
+        near_free |= free[1 + dx:nx + 1 + dx, 1 + dy:ny + 1 + dy]
+    cells = np.argwhere(grid.blocked & near_free)
+    picks = cells[rng.integers(len(cells), size=count)]
+    return list((picks + rng.uniform(0.0, 1.0, size=(count, 2))) * grid.resolution)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=12, deadline=None)
+def test_waypoints_match_search_every_request_oracle(seed):
+    n_agents, map_size = ((7, 2.7), (12, 3.5), (40, 6.0))[seed % 3]
+    sc = world.generate_scenario(n_agents, map_size, seed=seed)
+    grid = sc.distances.grid
+    rng = np.random.default_rng(seed)
+    entities = [np.asarray(p) for p in (*sc.agent_positions(), *sc.task_positions())]
+    free = _free_random_points(grid, rng, 8)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=8)
+    hops = [p + 0.2 * np.array([math.cos(t), math.sin(t)]) for p, t in zip(free, angles)]
+    # Free to free, agent to task, lattice-like hops, and wall-pressed starts.
+    starts = free + entities[:4] + free + _wall_pressed_points(grid, rng, 8)
+    goals = free[::-1] + entities[-4:] + hops + entities[-8:]
+    for a, b in zip(starts, goals):
+        got = pathfind.path_waypoints(grid, a, b)
+        want = oracles.path_waypoints(grid, a, b)
+        assert len(got) == len(want), (a, b)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), (a, b)
+
+
 def test_waypoints_disconnected_empty():
     sc = make_scenario(
         [(0.5, 0.5)], [(2.0, 0.5)], walls=[((0.0, 1.25), (2.5, 1.25))]
