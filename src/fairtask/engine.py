@@ -39,94 +39,100 @@ _LEG_CHECK_INTERVAL = 15    # steps between leg line-of-sight revalidations
 # ---------------------------------------------------------------------------
 
 
+def within_radius(dx: float, dy: float, r: float) -> bool:
+    """float(np.hypot(dx, dy)) <= r, decided by math.hypot away from the edge.
+
+    math.hypot and np.hypot both lie within 1 ulp of the exact length, so
+    they can disagree about `<= r` only within a few ulp of r; np.hypot
+    decides inside a band hundreds of ulp wide.
+    """
+    h = math.hypot(dx, dy)
+    if abs(h - r) > 1e-13 * r:
+        return h <= r
+    return float(np.hypot(dx, dy)) <= r
+
+
 def _axis_action(dx, dy, quantum: float) -> int:
     """Accelerate along the larger component of the velocity change (dx, dy).
 
     Idles once the change is within half a quantum; a tie goes to x.
     """
-    if float(np.hypot(dx, dy)) <= 0.5 * quantum:
+    if within_radius(dx, dy, 0.5 * quantum):
         return ACTION_IDLE
     if abs(dx) >= abs(dy):
         return world.ACTION_ACCEL_PX if dx > 0 else world.ACTION_ACCEL_NX
     return world.ACTION_ACCEL_PY if dy > 0 else world.ACTION_ACCEL_NY
 
 
-def brake_action(v: np.ndarray, quantum: float) -> int:
+def brake_action(v, quantum: float) -> int:
     """Largest-axis counter-acceleration until speed is within half a quantum."""
     return _axis_action(-v[0], -v[1], quantum)
 
 
-def scripted_goto_policy(
-    state: world.WorldState,
-    sc: world.Scenario,
-    agent: int,
-    goal,
-    waypoints: list[np.ndarray],
-) -> int:
-    """Greedy waypoint-following action selection.
-
-    Accelerates toward the active waypoint, caps speed so the agent can slow
-    for corners and stop at the goal, and idles once parked there.  An empty
-    chain away from the goal means the goal is unreachable, which yields idle.
-    """
-    p = state.agent_positions[agent]
-    v = state.agent_velocities[agent]
-    spec = sc.agents[agent]
-    quantum = float(sc.motion.quantum[agent])
-    goal = np.asarray(goal, dtype=float)
-
-    if not waypoints:
-        d_goal = float(np.hypot(*(goal - p)))
-        if d_goal > ARRIVAL_RADIUS:
-            return ACTION_IDLE  # unreachable goal: hold position
-        return brake_action(v, quantum)
-
-    # Speed cap from the remaining chain: slow for corners, stop at the end.
-    accel = quantum / sc.dt
-    chain = [p] + [np.asarray(w, dtype=float) for w in waypoints]
-    v_cap = spec.max_speed
-    run = 0.0
-    for idx in range(1, len(chain)):
-        run += float(np.hypot(*(chain[idx] - chain[idx - 1])))
-        target_speed = 0.0 if idx == len(chain) - 1 else _CORNER_SPEED_FRACTION * spec.max_speed
-        slack = max(run - ARRIVAL_RADIUS / 2.0, 0.0)
-        v_cap = min(v_cap, math.sqrt(target_speed ** 2 + 2.0 * accel * slack))
-
-    target = chain[1]
-    delta = target - p
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist < 1e-12:
-        return brake_action(v, quantum)
-    dv = delta / dist * v_cap - v
-    return _axis_action(dv[0], dv[1], quantum)
-
-
 class Navigator:
-    """Per-agent waypoint cache with stuck detection and replanning."""
+    """Per-agent greedy waypoint controller with stuck detection and replanning.
+
+    Steers on Python floats; the chain legs keep np.hypot's bits and the
+    corner test np.dot's sign, and radius tests go through within_radius.
+    """
 
     def __init__(self, grid: pathfind.NavGrid):
         self.grid = grid
         self.goal: np.ndarray | None = None
         self.waypoints: list[np.ndarray] = []
-        self._last_pos: np.ndarray | None = None  # set with every goal
+        self._last_pos: tuple[float, float] | None = None  # set with every goal
         self._stall_steps = 0
         self._steps_since_check = 0
 
     def set_goal(self, pos: np.ndarray, goal) -> None:
         self.goal = np.asarray(goal, dtype=float)
         self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal)
-        self._last_pos = pos.copy()
+        self._last_pos = tuple(pos.tolist())
         self._stall_steps = 0
         self._steps_since_check = 0
 
     def action(self, state: world.WorldState, sc: world.Scenario, agent: int) -> int:
-        pos = state.agent_positions[agent]
+        """Accelerate toward the active waypoint under a speed cap.
+
+        The cap slows the agent for corners and stops it at the goal; it
+        brakes once parked there, or with no goal.  An empty chain away from
+        the goal means the goal is unreachable, which yields idle.
+        """
+        v = state.agent_velocities[agent].tolist()
+        quantum = float(sc.motion.quantum[agent])
         if self.goal is None:
-            return brake_action(state.agent_velocities[agent], sc.motion.quantum[agent])
-        self._advance(pos)
-        self._check_stuck(pos)
+            return brake_action(v, quantum)
+        pos = state.agent_positions[agent]
+        px, py = pos.tolist()
+        self._advance(pos, px, py)
+        self._check_stuck(pos, px, py)
         self._revalidate_leg(pos)
-        return scripted_goto_policy(state, sc, agent, self.goal, self.waypoints)
+
+        if not self.waypoints:
+            gx, gy = self.goal.tolist()
+            if not within_radius(gx - px, gy - py, ARRIVAL_RADIUS):
+                return ACTION_IDLE  # unreachable goal: hold position
+            return brake_action(v, quantum)
+        chain = [w.tolist() for w in self.waypoints]
+        dx, dy = chain[0][0] - px, chain[0][1] - py
+        dist = float(np.hypot(dx, dy))
+        if dist < 1e-12:
+            return brake_action(v, quantum)
+
+        # Speed cap from the remaining chain: slow for corners, stop at the end.
+        spec = sc.agents[agent]
+        accel = quantum / sc.dt
+        legs = [dist] + [
+            float(np.hypot(bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(chain, chain[1:])
+        ]
+        v_cap = spec.max_speed
+        run = 0.0
+        for idx, leg in enumerate(legs, 1):
+            run += leg
+            target_speed = 0.0 if idx == len(legs) else _CORNER_SPEED_FRACTION * spec.max_speed
+            slack = max(run - ARRIVAL_RADIUS / 2.0, 0.0)
+            v_cap = min(v_cap, math.sqrt(target_speed ** 2 + 2.0 * accel * slack))
+        return _axis_action(dx / dist * v_cap - v[0], dy / dist * v_cap - v[1], quantum)
 
     def _revalidate_leg(self, pos: np.ndarray) -> None:
         # A deflected agent can end up sliding a wall while its leg crosses
@@ -138,25 +144,28 @@ class Navigator:
         if not pathfind.line_of_sight(self.grid, pos, self.waypoints[0]):
             self.set_goal(pos, self.goal)
 
-    def _advance(self, pos: np.ndarray) -> None:
-        while len(self.waypoints) > 1:
-            w0 = self.waypoints[0]
-            d0 = float(np.hypot(*(w0 - pos)))
-            if d0 <= _WAYPOINT_SNAP:
-                self.waypoints.pop(0)
+    def _advance(self, pos: np.ndarray, px: float, py: float) -> None:
+        waypoints = self.waypoints
+        while len(waypoints) > 1:
+            w0 = waypoints[0]
+            x0, y0 = w0.tolist()
+            dx, dy = x0 - px, y0 - py
+            if within_radius(dx, dy, _WAYPOINT_SNAP):
+                waypoints.pop(0)
                 continue
-            w1 = self.waypoints[1]
-            passed = float(np.dot(w0 - pos, w1 - w0)) < 0.0
-            if (d0 <= _WAYPOINT_TOLERANCE or passed) and pathfind.line_of_sight(
+            w1 = waypoints[1]
+            near = within_radius(dx, dy, _WAYPOINT_TOLERANCE)
+            if (near or float(np.dot(w0 - pos, w1 - w0)) < 0.0) and pathfind.line_of_sight(
                 self.grid, pos, w1
             ):  # only skip a corner the next leg can actually see past
-                self.waypoints.pop(0)
+                waypoints.pop(0)
                 continue
             break
 
-    def _check_stuck(self, pos: np.ndarray) -> None:
-        if float(np.hypot(*(pos - self._last_pos))) > _STUCK_DISTANCE:
-            self._last_pos = pos.copy()
+    def _check_stuck(self, pos: np.ndarray, px: float, py: float) -> None:
+        lx, ly = self._last_pos
+        if not within_radius(px - lx, py - ly, _STUCK_DISTANCE):
+            self._last_pos = (px, py)
             self._stall_steps = 0
             return
         self._stall_steps += 1

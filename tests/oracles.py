@@ -2,9 +2,10 @@
 
 The navigation and world functions are the straightforward versions of
 routines in `src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO
-grid-graph build, the separate braking and goto axis rules, the per-agent
-dynamics step with a motion clip that tests every wall and disc, the
-task-by-agent sensing loop and the one-ball lattice sweep.  The differential
+grid-graph build, the separate braking and goto axis rules, the waypoint
+controller on numpy scalars, the per-agent dynamics step with a motion clip
+that tests every wall and disc, the task-by-agent sensing loop and the
+one-ball lattice sweep.  The differential
 tests require the fast routines to return exactly what these return.  The
 assignment oracles enumerate every permutation or agent subset, independent
 of the solvers they check.
@@ -20,7 +21,7 @@ import math
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from fairtask import assign, pathfind, world
+from fairtask import assign, engine, pathfind, world
 from fairtask.assign import Assignment, UtilityMatrix
 from fairtask.pathfind import _NEIGHBORS, _SQRT2, NavGrid
 from fairtask.world import (
@@ -199,7 +200,7 @@ def build_graph(grid: NavGrid) -> csr_matrix:
 
 
 def brake_action(v, quantum: float) -> int:
-    """Largest-axis counter-acceleration until speed is within one quantum."""
+    """Largest-axis counter-acceleration until speed is within half a quantum."""
     if float(np.hypot(v[0], v[1])) <= 0.5 * quantum:
         return ACTION_IDLE
     axis = 0 if abs(v[0]) >= abs(v[1]) else 1
@@ -216,6 +217,101 @@ def goto_axis_action(dv, quantum: float) -> int:
     if axis == 0:
         return 0 if dv[0] > 0 else 1
     return 2 if dv[1] > 0 else 3
+
+
+def scripted_goto_policy(state, sc, agent, goal, waypoints) -> int:
+    """Greedy waypoint following on numpy arrays, every leg rebuilt each call."""
+    p = state.agent_positions[agent]
+    v = state.agent_velocities[agent]
+    spec = sc.agents[agent]
+    quantum = float(sc.motion.quantum[agent])
+    goal = np.asarray(goal, dtype=float)
+
+    if not waypoints:
+        d_goal = float(np.hypot(*(goal - p)))
+        if d_goal > world.ARRIVAL_RADIUS:
+            return ACTION_IDLE  # unreachable goal: hold position
+        return brake_action(v, quantum)
+
+    accel = quantum / sc.dt
+    chain = [p] + [np.asarray(w, dtype=float) for w in waypoints]
+    v_cap = spec.max_speed
+    run = 0.0
+    for idx in range(1, len(chain)):
+        run += float(np.hypot(*(chain[idx] - chain[idx - 1])))
+        target_speed = 0.0 if idx == len(chain) - 1 else engine._CORNER_SPEED_FRACTION * spec.max_speed
+        slack = max(run - world.ARRIVAL_RADIUS / 2.0, 0.0)
+        v_cap = min(v_cap, math.sqrt(target_speed ** 2 + 2.0 * accel * slack))
+
+    target = chain[1]
+    delta = target - p
+    dist = float(np.hypot(delta[0], delta[1]))
+    if dist < 1e-12:
+        return brake_action(v, quantum)
+    dv = delta / dist * v_cap - v
+    return goto_axis_action(dv, quantum)
+
+
+class Navigator:
+    """The per-agent controller on numpy arrays: waypoint pops, stuck replans, leg checks."""
+
+    def __init__(self, grid: NavGrid):
+        self.grid = grid
+        self.goal = None
+        self.waypoints: list[np.ndarray] = []
+        self._last_pos = None
+        self._stall_steps = 0
+        self._steps_since_check = 0
+
+    def set_goal(self, pos, goal) -> None:
+        self.goal = np.asarray(goal, dtype=float)
+        self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal)
+        self._last_pos = pos.copy()
+        self._stall_steps = 0
+        self._steps_since_check = 0
+
+    def action(self, state, sc, agent: int) -> int:
+        pos = state.agent_positions[agent]
+        if self.goal is None:
+            return brake_action(state.agent_velocities[agent], sc.motion.quantum[agent])
+        self._advance(pos)
+        self._check_stuck(pos)
+        self._revalidate_leg(pos)
+        return scripted_goto_policy(state, sc, agent, self.goal, self.waypoints)
+
+    def _revalidate_leg(self, pos) -> None:
+        self._steps_since_check += 1
+        if self._steps_since_check < engine._LEG_CHECK_INTERVAL or not self.waypoints:
+            return
+        self._steps_since_check = 0
+        if not pathfind.line_of_sight(self.grid, pos, self.waypoints[0]):
+            self.set_goal(pos, self.goal)
+
+    def _advance(self, pos) -> None:
+        while len(self.waypoints) > 1:
+            w0 = self.waypoints[0]
+            d0 = float(np.hypot(*(w0 - pos)))
+            if d0 <= engine._WAYPOINT_SNAP:
+                self.waypoints.pop(0)
+                continue
+            w1 = self.waypoints[1]
+            passed = float(np.dot(w0 - pos, w1 - w0)) < 0.0
+            if (d0 <= engine._WAYPOINT_TOLERANCE or passed) and pathfind.line_of_sight(
+                self.grid, pos, w1
+            ):
+                self.waypoints.pop(0)
+                continue
+            break
+
+    def _check_stuck(self, pos) -> None:
+        if float(np.hypot(*(pos - self._last_pos))) > engine._STUCK_DISTANCE:
+            self._last_pos = pos.copy()
+            self._stall_steps = 0
+            return
+        self._stall_steps += 1
+        if self._stall_steps >= engine._STUCK_WINDOW:
+            self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal)
+            self._stall_steps = 0
 
 
 # ---------------------------------------------------------------------------

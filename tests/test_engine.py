@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairtask import cli, engine, metrics, online, pathfind, world
-from fairtask.world import ACTION_IDLE
+from fairtask.world import _SURFACE_BACKOFF, ACTION_IDLE
 
 import oracles
 from conftest import make_scenario
@@ -21,22 +23,24 @@ from conftest import make_scenario
 # ---------------------------------------------------------------------------
 
 
+def _first_action(sc, goal):
+    """A fresh navigator's goal set and first action for agent 0 at t=0."""
+    state = world.initial_state(sc)
+    nav = engine.Navigator(pathfind.build_nav_grid(sc))
+    nav.set_goal(state.agent_positions[0], goal)
+    return nav, nav.action(state, sc, 0)
+
+
 def test_policy_idles_when_parked(empty_scenario):
     sc = empty_scenario
-    state = world.initial_state(sc)
-    grid = pathfind.build_nav_grid(sc)
-    p = state.agent_positions[0]
-    goal = p.copy()
-    waypoints = pathfind.path_waypoints(grid, p, goal)
-    assert engine.scripted_goto_policy(state, sc, 0, goal, waypoints) == ACTION_IDLE
+    goal = world.initial_state(sc).agent_positions[0].copy()
+    nav, action = _first_action(sc, goal)
+    assert nav.waypoints == []
+    assert action == ACTION_IDLE
 
 
 def test_policy_accelerates_toward_distant_goal(empty_scenario):
-    sc = empty_scenario
-    state = world.initial_state(sc)
-    grid = pathfind.build_nav_grid(sc)
-    p, goal = state.agent_positions[0], (2.0, 0.525)
-    action = engine.scripted_goto_policy(state, sc, 0, goal, pathfind.path_waypoints(grid, p, goal))
+    _, action = _first_action(empty_scenario, (2.0, 0.525))
     assert action == world.ACTION_ACCEL_PX
 
 
@@ -44,12 +48,9 @@ def test_policy_unreachable_goal_idles():
     sc = make_scenario(
         [(0.5, 0.5)], [(2.0, 0.5)], walls=[((0.0, 1.25), (2.5, 1.25))]
     )
-    state = world.initial_state(sc)
-    grid = pathfind.build_nav_grid(sc)
-    p, goal = state.agent_positions[0], (0.5, 2.0)
-    waypoints = pathfind.path_waypoints(grid, p, goal)
-    assert waypoints == []
-    assert engine.scripted_goto_policy(state, sc, 0, goal, waypoints) == ACTION_IDLE
+    nav, action = _first_action(sc, (0.5, 2.0))
+    assert nav.waypoints == []
+    assert action == ACTION_IDLE
 
 
 _COMPONENTS = st.one_of(
@@ -75,6 +76,166 @@ def test_axis_rule_matches_the_braking_and_goto_oracles(x, y, quantum, shape):
     v = np.array([x, y])
     assert engine.brake_action(v, quantum) == oracles.brake_action(v, quantum)
     assert engine._axis_action(x, y, quantum) == oracles.goto_axis_action(v, quantum)
+
+
+# A pair whose math.hypot is 1 ulp below its np.hypot: with r at the
+# math.hypot value, a bare math.hypot test would wrongly say "within".
+_LOW_X, _LOW_Y = 2.878132251057939, 2.8439064291141314
+
+
+def _nudged(r: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        r = float(np.nextafter(r, math.copysign(math.inf, ulps)))
+    return r
+
+
+@settings(max_examples=400, deadline=None)
+@given(dx=st.floats(-10.0, 10.0), dy=st.floats(-10.0, 10.0), r=st.floats(0.0, 15.0),
+       edge=st.booleans(), ulps=st.integers(-4, 4))
+@example(dx=_LOW_X, dy=_LOW_Y, r=math.hypot(_LOW_X, _LOW_Y), edge=False, ulps=0)
+@example(dx=_LOW_X, dy=_LOW_Y, r=0.0, edge=True, ulps=-1)
+@example(dx=0.0, dy=-0.0, r=0.0, edge=False, ulps=0)
+@example(dx=0.125, dy=0.0, r=0.125, edge=False, ulps=0)
+def test_within_radius_decides_like_numpy_hypot(dx, dy, r, edge, ulps):
+    """within_radius(dx, dy, r) is exactly float(np.hypot(dx, dy)) <= r, also
+    when np.hypot lands on r or a few ulp either side of it."""
+    if edge:
+        r = _nudged(float(np.hypot(dx, dy)), ulps)
+    assert engine.within_radius(dx, dy, r) == (float(np.hypot(dx, dy)) <= r)
+
+
+_SCENARIO_MAPS = {7: 2.7, 12: 3.5}
+
+
+@functools.cache
+def _steering_scenario(n: int, seed: int) -> world.Scenario:
+    return world.generate_scenario(n, _SCENARIO_MAPS[n], seed=seed)
+
+
+def _draw_position(data, sc, i) -> np.ndarray:
+    s = sc.workspace_size
+    where = data.draw(st.sampled_from(["start", "free", "wall", "disc"]))
+    if where == "start":
+        return np.array(sc.agents[i].start_position, dtype=float)
+    if where == "free":
+        return np.array([data.draw(st.floats(0.05, s - 0.05)) for _ in range(2)])
+    side = data.draw(st.sampled_from([-1.0, 1.0]))
+    if where == "wall":  # pressed on a wall, as the motion clip leaves an agent
+        (x1, y1), (x2, y2) = sc.walls[data.draw(st.integers(0, len(sc.walls) - 1))]
+        t = data.draw(st.floats(0.0, 1.0))
+        normal = np.array([y1 - y2, x2 - x1]) / math.hypot(x2 - x1, y2 - y1)
+        p = np.array([x1 + t * (x2 - x1), y1 + t * (y2 - y1)]) + side * _SURFACE_BACKOFF * normal
+    else:  # on the rim of a disc, just outside or just inside
+        (cx, cy), r = sc.obstacles[data.draw(st.integers(0, len(sc.obstacles) - 1))]
+        a = data.draw(st.floats(0.0, 2.0 * math.pi))
+        p = np.array([cx, cy]) + (r + side * _SURFACE_BACKOFF) * np.array([math.cos(a), math.sin(a)])
+    return np.clip(p, 0.0, s)
+
+
+def _draw_agent(data, sc, i, pos):
+    """(velocity, goal, waypoints) of one agent; goal None means it brakes."""
+    s, vmax = sc.workspace_size, sc.agents[i].max_speed
+    quantum = float(sc.motion.quantum[i])
+    point = st.tuples(st.floats(0.0, s), st.floats(0.0, s)).map(np.array)
+    u = data.draw(st.floats(-vmax, vmax))
+    velocity = data.draw(st.sampled_from([
+        (0.0, 0.0), (0.5 * quantum, 0.0), (0.0, -0.5 * quantum), (u, u), (u, -u),
+        tuple(data.draw(st.tuples(st.floats(-vmax, vmax), st.floats(-vmax, vmax)))),
+    ]))
+    kind = data.draw(st.sampled_from(["none", "planned", "chain", "zero-leg", "tie", "threshold"]))
+    if kind == "none":
+        return velocity, None, None
+    if kind == "planned":
+        goal = sc.tasks[data.draw(st.integers(0, sc.n_tasks - 1))].position
+        return velocity, np.array(goal, dtype=float), None
+    chain = data.draw(st.lists(point, max_size=3 if kind != "chain" else 4))
+    x, y = pos.tolist()
+    if kind == "zero-leg":
+        chain.insert(0, pos.copy())
+    elif kind == "tie":  # |dx| == |dy| toward the first waypoint and |vx| == |vy|
+        chain.insert(0, np.array([y, x]))
+        velocity = (u, -u)
+    elif kind == "threshold":  # v_cap = max speed, so |dv| sits exactly at 0.5 * quantum
+        sign = 1.0 if x + 0.5 <= s else -1.0
+        chain = [np.array([x + sign * 0.5, y])]
+        velocity = (sign * (vmax - 0.5 * quantum), 0.0)
+    goal = chain[-1].copy() if chain else data.draw(point)
+    return velocity, goal, chain
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([7, 12]), seed=st.integers(0, 2), data=st.data())
+def test_navigator_matches_the_numpy_controller_oracle(n, seed, data):
+    """The float controller takes the array oracle's action and leaves its
+    waypoints, stall counter, leg-check counter and last position, tick by tick."""
+    sc = _steering_scenario(n, seed)
+    grid = sc.distances.grid
+    positions, velocities = [], []
+    navs = [engine.Navigator(grid) for _ in range(n)]
+    refs = [oracles.Navigator(grid) for _ in range(n)]
+    for i, (nav, ref) in enumerate(zip(navs, refs)):
+        pos = _draw_position(data, sc, i)
+        velocity, goal, chain = _draw_agent(data, sc, i, pos)
+        positions.append(pos)
+        velocities.append(velocity)
+        if goal is None:
+            continue
+        for nv in (nav, ref):
+            nv.set_goal(pos, goal.copy())
+        if chain is not None:
+            last = pos + [data.draw(st.floats(0.0, 0.01)), 0.0]
+            stall = data.draw(st.integers(0, 19))
+            since_check = data.draw(st.integers(0, 14))
+            for nv, last_pos in ((nav, tuple(last.tolist())), (ref, last.copy())):
+                nv.waypoints = [w.copy() for w in chain]
+                nv._last_pos = last_pos
+                nv._stall_steps, nv._steps_since_check = stall, since_check
+    state = dataclasses.replace(
+        world.initial_state(sc),
+        agent_positions=np.array(positions),
+        agent_velocities=np.array(velocities, dtype=float),
+    )
+    for _tick in range(6):
+        actions = []
+        for i, (nav, ref) in enumerate(zip(navs, refs)):
+            action = nav.action(state, sc, i)
+            assert action == ref.action(state, sc, i)
+            assert (nav.goal is None) == (ref.goal is None)
+            assert len(nav.waypoints) == len(ref.waypoints)
+            assert all(np.array_equal(a, b) for a, b in zip(nav.waypoints, ref.waypoints))
+            assert nav._stall_steps == ref._stall_steps
+            assert nav._steps_since_check == ref._steps_since_check
+            if ref._last_pos is not None:
+                assert list(nav._last_pos) == ref._last_pos.tolist()
+            actions.append(action)
+        state, _ = world.step_dynamics_events(state, actions, sc)
+
+
+# Single ticks found by search where a math.hypot length, one ulp off
+# np.hypot's, flips the x/y tie of the velocity change: the first leg (also
+# the direction's norm) and an inner leg of the speed cap's chain.
+_LENGTH_BITS_CASES = {
+    "first-leg": ((0.6290047804491996, 2.1081782167528886), 0.3873309872801368,
+                  [(1.412737197846086, 1.6718784532860205)]),
+    "inner-leg": ((1.68924894880477, 2.3315482532686302), 0.8972378914555225,
+                  [(1.7328760679191746, 2.4294551804407396), (1.7429655122143837, 2.430623824274178)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LENGTH_BITS_CASES))
+def test_chain_lengths_keep_numpy_hypot_bits(case):
+    pos, vy, chain = _LENGTH_BITS_CASES[case]
+    leg = np.subtract(chain[-1], chain[-2] if len(chain) > 1 else pos)
+    assert math.hypot(*leg) != float(np.hypot(*leg))  # the case is on the edge
+    sc = make_scenario([pos], [chain[-1]])
+    state = dataclasses.replace(world.initial_state(sc), agent_velocities=np.array([[0.0, vy]]))
+    actions = []
+    for nav in (engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)):
+        nav.goal = np.array(chain[-1])
+        nav.waypoints = [np.array(w) for w in chain]
+        nav._last_pos = np.array(pos)
+        actions.append(nav.action(state, sc, 0))
+    assert actions[0] == actions[1] == world.ACTION_ACCEL_PX
 
 
 def test_controller_overhead_on_empty_map():
