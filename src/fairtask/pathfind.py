@@ -6,10 +6,12 @@ obstacle inflated by the same clearance, are blocked.  Distances are
 8-connected path lengths with octile edge costs (res, res*sqrt(2)), so
 they slightly overestimate Euclidean lengths -- uniformly for every caller.
 The grid's edge set is one cached fact, `NavGrid.edges`, and both searches
-read it: A* for cell paths, and Dijkstra fields on its CSR form
-`NavGrid.graph` for batch distances.  `DistanceProvider.pairwise` computes
-all its uncached source fields in one multi-source call.  A waypoint request
-whose goal is in sight is answered with the straight segment and no search.
+read it: A* for cell paths, expanding each cell's 8-bit move mask
+`NavGrid.masks` through the table `NavGrid.moves_by_mask`, and Dijkstra
+fields on its CSR form `NavGrid.graph` for batch distances.
+`DistanceProvider.pairwise` computes all its uncached source fields in one
+multi-source call.  A waypoint request whose goal is in sight is answered
+with the straight segment and no search.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import functools
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -99,17 +100,26 @@ class NavGrid:
         return ok.reshape(nx * ny, len(_NEIGHBORS))
 
     @functools.cached_property
-    def edge_list(self) -> list[bool]:
-        """`edges` as a flat Python list (cell * moves + move), for the A* loop."""
-        return self.edges.ravel().tolist()
+    def masks(self) -> list[int]:
+        """`edges` as one int per flat cell: bit k is set when move k may leave it."""
+        return np.packbits(self.edges, axis=1, bitorder="little").ravel().tolist()
+
+    @functools.cached_property
+    def moves_by_mask(self) -> list[tuple]:
+        """The `moves` of each mask's set bits, in _NEIGHBORS order, for the A* loop."""
+        table: list[tuple] = [()]
+        for move in self.moves:  # masks with bit k set extend those below 2**k
+            table += [moves + (move,) for moves in table]
+        return table
 
     @functools.cached_property
     def graph(self) -> csr_matrix:
         """`edges` weighted by step cost as a CSR graph (sorted rows), for Dijkstra."""
         n = self.dims[0] * self.dims[1]
-        indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(self.edges.sum(axis=1), out=indptr[1:])
-        cell, move = np.nonzero(self.edges)
+        flat = np.flatnonzero(self.edges)  # cell * moves + move, ascending
+        shift = len(_NEIGHBORS).bit_length() - 1  # moves are a power of two
+        cell, move = flat >> shift, flat & (len(_NEIGHBORS) - 1)
+        indptr = np.searchsorted(cell, np.arange(n + 1)).astype(np.int32)
         _, _, offsets, costs = map(np.array, zip(*self.moves))
         return csr_matrix(
             (costs[move], (cell + offsets[move]).astype(np.int32), indptr), shape=(n, n)
@@ -167,8 +177,9 @@ def _segment_distance_field(cx, cy, x1, y1, x2, y2):
 def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
     """Octile A* cell path from a's cell to b's cell, or None when disconnected.
 
-    Expands along `grid.edges`, the edge set Dijkstra searches too.  Cells
-    are flat indices ix * ny + iy; the heap key (f, h, flat index) breaks
+    Expands along `grid.edges`, the edge set Dijkstra searches too, reading
+    a cell's moves as `grid.moves_by_mask[grid.masks[cell]]`.  Cells are
+    flat indices ix * ny + iy; the heap key (f, h, flat index) breaks
     ties the same way a key ending in the (ix, iy) tuple would.
     """
     start = grid.cell_of(a)
@@ -179,9 +190,8 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
         return [start]
     ny = grid.dims[1]
     res = grid.resolution
-    moves = grid.moves
-    n_moves = len(moves)
-    edges = grid.edge_list
+    masks = grid.masks
+    by_mask = grid.moves_by_mask
     gx, gy = goal
     goal_flat = grid.flat_index(goal)
     start_flat = grid.flat_index(start)
@@ -206,8 +216,7 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
         closed.add(cur)
         cg = g_best[cur]
         cx, cy = divmod(cur, ny)
-        base = cur * n_moves
-        for dx, dy, offset, cost in compress(moves, edges[base:base + n_moves]):
+        for dx, dy, offset, cost in by_mask[masks[cur]]:
             nxt = cur + offset
             ng = cg + cost
             if ng < g_best.get(nxt, inf):
@@ -291,25 +300,26 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     inflated blocked band) with exact segment tests against walls and discs;
     sampling alone can miss a diagonal wall slipping between cell centers.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    length = float(np.hypot(*(b - a)))
+    p = float(a[0]), float(a[1])
+    q = float(b[0]), float(b[1])
+    length = float(np.hypot(q[0] - p[0], q[1] - p[1]))
     if length == 0.0:
-        return grid.is_free(a)
-    if _segment_crosses_wall(grid, a, b):
+        return grid.is_free(p)
+    if _segment_crosses_wall(grid, p, q):
         return False
     for (cx, cy), r in grid.obstacles:
-        if _segment_hits_disc(a, b, cx, cy, r):
+        if _segment_hits_disc(p, q, cx, cy, r):
             return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
     t = np.arange(steps + 1) / steps
-    pts = a + (b - a) * t[:, None]
+    start = np.array(p)
+    pts = start + (np.array(q) - start) * t[:, None]
     # astype truncates toward zero, as int() does in NavGrid.cell_of.
     cells = (pts / grid.resolution).astype(np.int64)
     nx, ny = grid.dims
-    ix = np.clip(cells[:, 0], 0, nx - 1)
-    iy = np.clip(cells[:, 1], 0, ny - 1)
-    return not grid.blocked[ix, iy].any()
+    np.minimum(cells, (nx - 1, ny - 1), out=cells)
+    np.maximum(cells, 0, out=cells)  # endpoints may lie outside the workspace
+    return not grid.blocked[cells[:, 0], cells[:, 1]].any()
 
 
 def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:

@@ -20,6 +20,7 @@ ACTION_VECTORS = np.array(
     [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]
 )
 ACTION_ACCEL_PX, ACTION_ACCEL_NX, ACTION_ACCEL_PY, ACTION_ACCEL_NY, ACTION_IDLE = range(5)
+_N_ACTIONS = len(ACTION_VECTORS)
 
 ACCEL_STEPS = 4          # quanta from rest to max speed; quantum = max_speed / 4
 ARRIVAL_RADIUS = 0.05    # service contact threshold (world units)
@@ -135,24 +136,28 @@ _CACHED_PROPERTIES = frozenset(
 class MotionGeometry:
     """A scenario's per-tick arrays, built once per Scenario (`Scenario.motion`).
 
-    `boxes` is the (S, 4) array of wall then disc boxes (xmin, xmax, ymin,
-    ymax), padded by _BOX_PAD, for `_touching`.  A wall or disc hit needs a
-    contact point on both the motion segment and the shape, so a shape whose
-    box misses the segment's box cannot be hit.  Per-agent speeds and
-    sensing radii and the task positions are (N,) and (M, 2) arrays.
+    `box_lo` and `box_hi` are the (S, 2) lower and upper corners of the
+    wall then disc boxes, padded by _BOX_PAD, for `_touching`.  A wall or
+    disc hit needs a contact point on both the motion segment and the shape,
+    so a shape whose box misses the segment's box cannot be hit.  Per-agent
+    speeds and sensing radii and the task positions are (N,) and (M, 2)
+    arrays; `deltas` (N, 5, 2) holds each agent's velocity change per action.
     """
 
     def __init__(self, sc: Scenario) -> None:
         self.walls = sc.wall_segments()
         self.discs = [(np.array([cx, cy]), r) for (cx, cy), r in sc.obstacles]
-        bounds = [
-            (min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2))
+        corners = np.array([
+            ((min(x1, x2), min(y1, y2)), (max(x1, x2), max(y1, y2)))
             for (x1, y1), (x2, y2) in self.walls.tolist()
-        ] + [(cx - r, cx + r, cy - r, cy + r) for (cx, cy), r in sc.obstacles]
-        self.boxes = np.array(bounds) + [-_BOX_PAD, _BOX_PAD, -_BOX_PAD, _BOX_PAD]
+        ] + [((cx - r, cy - r), (cx + r, cy + r)) for (cx, cy), r in sc.obstacles])
+        self.box_lo = corners[:, 0] - _BOX_PAD
+        self.box_hi = corners[:, 1] + _BOX_PAD
         self.pairs = np.triu_indices(sc.n_agents, 1)  # agent pairs (i, k), i < k
         self.max_speed = np.array([a.max_speed for a in sc.agents], dtype=float)
         self.quantum = self.max_speed / ACCEL_STEPS
+        self.agents = np.arange(sc.n_agents)
+        self.deltas = self.quantum[:, None, None] * ACTION_VECTORS  # [i, a]: i's velocity change
         self.sensing_radius = np.array([a.sensing_radius for a in sc.agents], dtype=float)
         self.task_positions = sc.task_positions()
 
@@ -277,22 +282,29 @@ def step_dynamics_events(
     or disc box go through the exact scalar clip, in ascending agent order,
     and it tests only the shapes touched.  Every array op is the elementwise
     IEEE op the per-agent loop did, so the result is the loop's, bit for bit.
+    A list of Python ints, as `engine.run_episode` passes, is checked in one
+    Python pass; any other input gets numpy's checks.
     """
     n = sc.n_agents
-    actions = np.asarray(joint_action)
-    if actions.shape != (n,):
-        raise ValueError(f"expected {n} actions, got shape {actions.shape}")
-    # A cast would read 0.9 as 0 and True as 1; numpy reads [4, True] as ints.
-    if actions.dtype.kind not in "iu" or not _BOOL_TYPES.isdisjoint(map(type, joint_action)):
-        i = next(i for i, a in enumerate(joint_action) if np.asarray(a).dtype.kind not in "iu")
-        raise ValueError(f"agent {i}: action {joint_action[i]!r} is not an integer")
-    bad = np.flatnonzero((actions < 0) | (actions >= len(ACTION_VECTORS)))
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(f"agent {i}: action {int(actions[i])} is not in 0..4")
+    actions = joint_action
+    if not (
+        type(actions) is list and len(actions) == n
+        and all(type(a) is int and 0 <= a < _N_ACTIONS for a in actions)
+    ):
+        actions = np.asarray(joint_action)
+        if actions.shape != (n,):
+            raise ValueError(f"expected {n} actions, got shape {actions.shape}")
+        # A cast would read 0.9 as 0 and True as 1; numpy reads [4, True] as ints.
+        if actions.dtype.kind not in "iu" or not _BOOL_TYPES.isdisjoint(map(type, joint_action)):
+            i = next(i for i, a in enumerate(joint_action) if np.asarray(a).dtype.kind not in "iu")
+            raise ValueError(f"agent {i}: action {joint_action[i]!r} is not an integer")
+        bad = np.flatnonzero((actions < 0) | (actions >= _N_ACTIONS))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"agent {i}: action {int(actions[i])} is not in 0..4")
     geom = sc.motion
 
-    v = state.agent_velocities + geom.quantum[:, None] * ACTION_VECTORS[actions]
+    v = state.agent_velocities + geom.deltas[geom.agents, actions]
     speed = np.hypot(v[:, 0], v[:, 1])
     over = speed > geom.max_speed
     if over.any():
@@ -303,7 +315,7 @@ def step_dynamics_events(
 
     touched = _touching(geom, p, new_p)
     events: list[CollisionEvent] = []
-    for i in np.flatnonzero(touched.any(axis=1)).tolist():
+    for i in touched.any(axis=1).nonzero()[0].tolist():
         new_p[i], hit = _clip_motion(p[i], disp[i], geom, touched[i])
         if hit is not None:
             kind, n_hat = hit
@@ -314,26 +326,28 @@ def step_dynamics_events(
     first, second = geom.pairs
     gaps = new_p[first] - new_p[second]
     close = np.hypot(gaps[:, 0], gaps[:, 1]) < 2.0 * AGENT_RADIUS
-    events.extend(
-        CollisionEvent(kind="agent", agents=(i, k))
-        for i, k in zip(first[close].tolist(), second[close].tolist())
-    )
+    if close.any():
+        events.extend(
+            CollisionEvent(kind="agent", agents=(i, k))
+            for i, k in zip(first[close].tolist(), second[close].tolist())
+        )
 
     step = new_p - p
-    return replace(
-        state,
+    return WorldState(
         time=state.time + sc.dt,
         agent_positions=new_p,
         agent_velocities=v,
+        remaining_workloads=state.remaining_workloads,
+        discovered=state.discovered,
+        completed=state.completed,
         cumulative_distance=state.cumulative_distance + np.hypot(step[:, 0], step[:, 1]),
     ), events
 
 
 def _touching(geom: MotionGeometry, p, q) -> np.ndarray:
     """(n, S) mask of the shape boxes that each motion box p[k] -> q[k] touches."""
-    lo, hi = np.minimum(p, q), np.maximum(p, q)
-    x0, x1, y0, y1 = geom.boxes.T
-    return ~((x1 < lo[:, :1]) | (hi[:, :1] < x0) | (y1 < lo[:, 1:]) | (hi[:, 1:] < y0))
+    lo, hi = np.minimum(p, q)[:, None], np.maximum(p, q)[:, None]
+    return ~((geom.box_hi < lo) | (hi < geom.box_lo)).any(axis=2)
 
 
 def _clip_motion(p, disp, geom: MotionGeometry, touched, allow_slide: bool = True):

@@ -192,9 +192,10 @@ def test_metric_sanity(rng):
 # ---------------------------------------------------------------------------
 
 
-def _generated_grid(seed):
-    # N=3 and N=7 at their default map sizes; the generator caches the grid.
-    return world.generate_scenario(3 + 4 * (seed % 2), seed=seed).distances.grid
+def _generated_grid(seed, teams=((3, 2.5), (7, 2.7))):
+    # One of `teams` (N, map size) by seed; the generator caches the grid.
+    n_agents, map_size = teams[seed % len(teams)]
+    return world.generate_scenario(n_agents, map_size, seed=seed).distances.grid
 
 
 def _split_grid():
@@ -211,7 +212,9 @@ def _split_grid():
 def test_astar_matches_oracle_on_generated_scenarios(seed):
     rng = np.random.default_rng(seed)
     split = _split_grid()
-    for grid in (_generated_grid(seed), split):
+    # The larger maps have other ny, through which the move masks are indexed.
+    large = _generated_grid(seed, teams=((12, 3.5), (40, 6.0)))
+    for grid in (_generated_grid(seed), large, split):
         pts = _free_random_points(grid, rng, 12)
         for a, b in zip(pts[::2], pts[1::2]):
             assert pathfind._astar_cells(grid, a, b) == oracles.astar_cells(grid, a, b)
@@ -226,22 +229,41 @@ def test_astar_matches_oracle_on_generated_scenarios(seed):
     assert oracles.astar_cells(split, *across) is None
 
 
+def _far_edge_grid():
+    # Walls along the far sides block the last two columns and rows, so a
+    # negative cell index that wrapped around instead of clamping to 0 would
+    # read a blocked cell.
+    sc = make_scenario(
+        [(0.5, 0.5)], [(2.0, 0.5)], walls=[((2.45, 0.0), (2.45, 2.5)), ((0.0, 2.45), (2.5, 2.45))],
+    )
+    return pathfind.build_nav_grid(sc)
+
+
 @given(seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=12, deadline=None)
 def test_line_of_sight_matches_oracle_on_generated_scenarios(seed):
     rng = np.random.default_rng(seed)
-    grid = _generated_grid(seed)
-    size = grid.dims[0] * grid.resolution
-    for _ in range(40):
-        # Endpoints may leave the workspace, where cells are clamped.
-        a = rng.uniform(-0.1, size + 0.1, size=2)
-        far = rng.uniform(-0.1, size + 0.1, size=2)
-        near = a + rng.normal(scale=0.15, size=2)
-        for b in (far, near, a):
+    for grid in (_generated_grid(seed), _far_edge_grid()):
+        size = grid.dims[0] * grid.resolution
+        for _ in range(40):
+            # Endpoints may leave the workspace, where cells are clamped.
+            a = rng.uniform(-0.1, size + 0.1, size=2)
+            far = rng.uniform(-0.1, size + 0.1, size=2)
+            near = a + rng.normal(scale=0.15, size=2)
+            for b in (far, near, a):
+                want = oracles.line_of_sight(grid, a, b)
+                for ends in ((a, b), (tuple(a), list(b)), (a.tolist(), tuple(b.tolist()))):
+                    assert pathfind.line_of_sight(grid, *ends) == want
+        # Endpoints on cell boundaries, up to the far edge x = nx * res.
+        nx, res = grid.dims[0], grid.resolution
+        for _ in range(40):
+            a, b = rng.integers(0, nx + 1, size=(2, 2)) * res
+            edge = (nx * res, float(b[1]))
+            for p, q in ((a, b), (a, edge), (edge, a), (tuple(a), (float(b[0]), nx * res))):
+                assert pathfind.line_of_sight(grid, p, q) == oracles.line_of_sight(grid, p, q)
+        pts = _free_random_points(grid, rng, 20)
+        for a, b in zip(pts, pts[1:]):
             assert pathfind.line_of_sight(grid, a, b) == oracles.line_of_sight(grid, a, b)
-    pts = _free_random_points(grid, rng, 20)
-    for a, b in zip(pts, pts[1:]):
-        assert pathfind.line_of_sight(grid, a, b) == oracles.line_of_sight(grid, a, b)
 
 
 def _sealed_grid():
@@ -249,6 +271,16 @@ def _sealed_grid():
     # so it snaps to no cell at all.
     sc = make_scenario([(0.3, 0.3)], [(2.2, 2.2)], obstacles=[((1.25, 1.25), 0.45)])
     return pathfind.build_nav_grid(sc)
+
+
+def test_move_masks_unpack_to_the_edge_set():
+    for grid in (_generated_grid(7), _split_grid(), _sealed_grid()):
+        masks = np.array(grid.masks, dtype=np.uint8)
+        bits = np.unpackbits(masks, bitorder="little").reshape(grid.edges.shape)
+        assert np.array_equal(bits.astype(bool), grid.edges)
+        assert len(grid.moves_by_mask) == 2 ** len(grid.moves)
+        for mask, moves in enumerate(grid.moves_by_mask):
+            assert moves == tuple(m for k, m in enumerate(grid.moves) if mask & (1 << k))
 
 
 @given(seed=st.integers(0, 2**32 - 1))

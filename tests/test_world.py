@@ -214,14 +214,17 @@ def test_dynamics_match_exhaustive_clip_oracle(n, map_size, seed):
 
 
 @pytest.mark.parametrize(
-    "action, problem",
-    [pytest.param(a, r"is not in 0\.\.4", id=str(a)) for a in (-1, -2, 5)]
-    + [pytest.param(a, "is not an integer", id=str(a)) for a in (0.9, True, 2.0)],
+    "action, message",
+    [pytest.param(a, rf"{a} is not in 0\.\.4", id=repr(a)) for a in (-1, -2, 5, np.int64(5))]
+    + [
+        pytest.param(a, rf"{re.escape(repr(a))} is not an integer", id=repr(a))
+        for a in (0.9, True, 2.0, np.bool_(True), np.float64(2.0))
+    ],
 )
-def test_step_rejects_actions_outside_the_action_space(action, problem):
+def test_step_rejects_actions_outside_the_action_space(action, message):
     sc = make_scenario([(1.0, 1.0), (2.0, 1.0)], [(2.0, 2.0), (1.0, 2.0)])
     state = world.initial_state(sc)
-    with pytest.raises(ValueError, match=rf"agent 1: action {action} {problem}"):
+    with pytest.raises(ValueError, match=rf"agent 1: action {message}"):
         world.step_dynamics_events(state, [ACTION_IDLE, action], sc)
 
 
@@ -229,16 +232,19 @@ def test_trajectory_determinism():
     sc = make_scenario([(0.5, 0.5), (2.0, 2.0)], [(1.0, 2.0), (2.0, 0.5)])
     actions = np.random.default_rng(3).integers(0, 5, size=(50, 2))
 
-    def run():
+    def run(as_actions):
         state = world.initial_state(sc)
         for a in actions:
-            state = world.step_dynamics_events(state, a, sc)[0]
+            state = world.step_dynamics_events(state, as_actions(a), sc)[0]
         return state
 
-    s1, s2 = run(), run()
-    assert np.array_equal(s1.agent_positions, s2.agent_positions)
-    assert np.array_equal(s1.agent_velocities, s2.agent_velocities)
-    assert np.array_equal(s1.cumulative_distance, s2.cumulative_distance)
+    # Python ints take the one-pass check; an int array and np.int64
+    # entries take numpy's, and all three give the same trajectory.
+    s1, s2, s3, s4 = run(np.ndarray.tolist), run(np.ndarray.tolist), run(np.asarray), run(list)
+    for other in (s2, s3, s4):
+        assert np.array_equal(s1.agent_positions, other.agent_positions)
+        assert np.array_equal(s1.agent_velocities, other.agent_velocities)
+        assert np.array_equal(s1.cumulative_distance, other.cumulative_distance)
 
 
 # The array dynamics, sensing, sweeping and arrival tests are byte-identical
