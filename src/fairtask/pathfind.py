@@ -102,7 +102,7 @@ class NavGrid:
     @functools.cached_property
     def masks(self) -> list[int]:
         """`edges` as one int per flat cell: bit k is set when move k may leave it."""
-        return np.packbits(self.edges, axis=1, bitorder="little").ravel().tolist()
+        return (self.edges @ (1 << np.arange(len(_NEIGHBORS)))).tolist()
 
     @functools.cached_property
     def moves_by_mask(self) -> list[tuple]:
@@ -116,10 +116,9 @@ class NavGrid:
     def graph(self) -> csr_matrix:
         """`edges` weighted by step cost as a CSR graph (sorted rows), for Dijkstra."""
         n = self.dims[0] * self.dims[1]
-        flat = np.flatnonzero(self.edges)  # cell * moves + move, ascending
-        shift = len(_NEIGHBORS).bit_length() - 1  # moves are a power of two
-        cell, move = flat >> shift, flat & (len(_NEIGHBORS) - 1)
-        indptr = np.searchsorted(cell, np.arange(n + 1)).astype(np.int32)
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(self.edges.sum(axis=1), out=indptr[1:])
+        cell, move = np.nonzero(self.edges)
         _, _, offsets, costs = map(np.array, zip(*self.moves))
         return csr_matrix(
             (costs[move], (cell + offsets[move]).astype(np.int32), indptr), shape=(n, n)

@@ -30,7 +30,8 @@ MIN_CLEARANCE = 0.1      # rejection-sampling clearance used by the generator
 _WALL_ANGLES_DEG = (0.0, 45.0, 90.0, 135.0)
 _SURFACE_BACKOFF = 1e-9  # stop just short of a hit surface to avoid re-penetration
 _BOX_PAD = 1e-9          # broad-phase slack around wall and disc boxes
-_BOOL_TYPES = frozenset((bool, np.bool_))
+_INT_TYPES = (int, np.integer)
+_BOOL_TYPES = (bool, np.bool_)
 
 
 class ScenarioError(ValueError):
@@ -282,29 +283,19 @@ def step_dynamics_events(
     or disc box go through the exact scalar clip, in ascending agent order,
     and it tests only the shapes touched.  Every array op is the elementwise
     IEEE op the per-agent loop did, so the result is the loop's, bit for bit.
-    A list of Python ints, as `engine.run_episode` passes, is checked in one
-    Python pass; any other input gets numpy's checks.
     """
     n = sc.n_agents
-    actions = joint_action
-    if not (
-        type(actions) is list and len(actions) == n
-        and all(type(a) is int and 0 <= a < _N_ACTIONS for a in actions)
-    ):
-        actions = np.asarray(joint_action)
-        if actions.shape != (n,):
-            raise ValueError(f"expected {n} actions, got shape {actions.shape}")
-        # A cast would read 0.9 as 0 and True as 1; numpy reads [4, True] as ints.
-        if actions.dtype.kind not in "iu" or not _BOOL_TYPES.isdisjoint(map(type, joint_action)):
-            i = next(i for i, a in enumerate(joint_action) if np.asarray(a).dtype.kind not in "iu")
-            raise ValueError(f"agent {i}: action {joint_action[i]!r} is not an integer")
-        bad = np.flatnonzero((actions < 0) | (actions >= _N_ACTIONS))
-        if bad.size:
-            i = int(bad[0])
-            raise ValueError(f"agent {i}: action {int(actions[i])} is not in 0..4")
+    if len(joint_action) != n:
+        raise ValueError(f"expected {n} actions, got {len(joint_action)}")
+    for i, a in enumerate(joint_action):
+        # A cast would read 0.9 as 0 and True as 1.
+        if not isinstance(a, _INT_TYPES) or isinstance(a, _BOOL_TYPES):
+            raise ValueError(f"agent {i}: action {a!r} is not an integer")
+        if not 0 <= a < _N_ACTIONS:
+            raise ValueError(f"agent {i}: action {a} is not in 0..4")
     geom = sc.motion
 
-    v = state.agent_velocities + geom.deltas[geom.agents, actions]
+    v = state.agent_velocities + geom.deltas[geom.agents, joint_action]
     speed = np.hypot(v[:, 0], v[:, 1])
     over = speed > geom.max_speed
     if over.any():

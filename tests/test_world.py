@@ -228,6 +228,14 @@ def test_step_rejects_actions_outside_the_action_space(action, message):
         world.step_dynamics_events(state, [ACTION_IDLE, action], sc)
 
 
+def test_step_rejects_a_joint_action_of_the_wrong_length():
+    sc = make_scenario([(1.0, 1.0), (2.0, 1.0)], [(2.0, 2.0), (1.0, 2.0)])
+    state = world.initial_state(sc)
+    for joint_action in ([ACTION_IDLE], np.zeros(3, dtype=int)):
+        with pytest.raises(ValueError, match=rf"expected 2 actions, got {len(joint_action)}"):
+            world.step_dynamics_events(state, joint_action, sc)
+
+
 def test_trajectory_determinism():
     sc = make_scenario([(0.5, 0.5), (2.0, 2.0)], [(1.0, 2.0), (2.0, 0.5)])
     actions = np.random.default_rng(3).integers(0, 5, size=(50, 2))
@@ -238,8 +246,7 @@ def test_trajectory_determinism():
             state = world.step_dynamics_events(state, as_actions(a), sc)[0]
         return state
 
-    # Python ints take the one-pass check; an int array and np.int64
-    # entries take numpy's, and all three give the same trajectory.
+    # Python ints, an int array and np.int64 entries give the same trajectory.
     s1, s2, s3, s4 = run(np.ndarray.tolist), run(np.ndarray.tolist), run(np.asarray), run(list)
     for other in (s2, s3, s4):
         assert np.array_equal(s1.agent_positions, other.agent_positions)
