@@ -67,7 +67,7 @@ def save_scenario(sc: world.Scenario, path: Path | str) -> None:
         "agents": [dataclasses.asdict(a) for a in sc.agents],
         "tasks": [dataclasses.asdict(t) for t in sc.tasks],
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json_text(doc))
 
 
 def _integer(doc: dict, key: str, owner: str = "") -> int:
@@ -211,27 +211,34 @@ def format_result_rows(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _strict(value):
+    """value with every non-finite float (NaN, +-inf) replaced by None, for strict JSON."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _strict(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
+def _json_text(doc) -> str:
+    """The one JSON writer: sorted keys, non-finite floats written as null."""
+    return json.dumps(_strict(doc), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _dump_rows_json(rows) -> str:
-    payload = [
+    return _json_text([
         {
-            **{key: (None if isinstance(v, float) and math.isnan(v) else v)
-               for key, v in _row(r).items()},
-            "realized_utilities": [float(x) for x in r.realized_utilities],
-            "weights": [float(x) for x in r.weights],
-            "per_agent_distance": [float(x) for x in r.per_agent_distance],
-            "discovery_times": [None if math.isnan(float(x)) else float(x)
-                                for x in r.discovery_times],
-            "assignment_log": [[t, a, j] for t, a, j in r.assignment_log],
+            **_row(r),
+            "realized_utilities": r.realized_utilities.tolist(),
+            "weights": r.weights.tolist(),
+            "per_agent_distance": r.per_agent_distance.tolist(),
+            "discovery_times": r.discovery_times.tolist(),
+            "assignment_log": r.assignment_log,
         }
         for r in rows
-    ]
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _summary_doc(summary: dict, extra: dict) -> str:
-    doc = dict(extra)
-    doc.update(summary)
-    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=True) + "\n"
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +265,9 @@ def cmd_run(config: ExperimentConfig) -> int:
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(format_result_rows(batch.rows))
-    (out / "summary.json").write_text(
-        _summary_doc(batch.summary, {"algorithm": algorithm, "k": k, "root_seed": config.root_seed})
-    )
+    (out / "summary.json").write_text(_json_text(
+        {"algorithm": algorithm, "k": k, "root_seed": config.root_seed, **batch.summary}
+    ))
     if config.dump_json:
         (out / "results.json").write_text(_dump_rows_json(batch.rows))
     print(f"wrote {out / 'results.csv'} ({config.episodes} episodes)")

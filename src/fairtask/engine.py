@@ -408,12 +408,21 @@ def batch_run(
     Episode i draws its own seed from (root_seed, i), so any single episode
     can be reproduced in isolation.  Incomplete episodes are kept in the rows
     and counted, but excluded from the regret aggregate (a capped episode has
-    no realized value).
+    no realized value).  A configuration no episode would run as asked
+    raises ValueError before any episode runs.
     """
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
     if (scenario is None) == (generator is None):
         raise ValueError("pass exactly one of scenario or generator")
+    if execution not in (EXECUTION_SCRIPTED, EXECUTION_TELEPORT):
+        raise ValueError(f"unknown execution mode {execution!r}")
+    if (algorithm == "online") != (k is not None):
+        raise ValueError(f"k is required for online and invalid otherwise, got k={k}")
+    if algorithm == "online" and execution == EXECUTION_TELEPORT:
+        raise ValueError("teleport execution applies to centralized rules only, not online")
     jobs = [
         (i, root_seed, algorithm, k, generator, scenario, execution)
         for i in range(episodes)

@@ -47,15 +47,9 @@ def init_lattice(sc: world.Scenario) -> ExplorationMap:
     coords = np.minimum(np.arange(math.ceil(size / g) + 1) * g, size)
     xs, ys = np.meshgrid(coords, coords, indexing="ij")
     points = np.column_stack([xs.ravel(), ys.ravel()])
-    explored = np.zeros(len(points), dtype=bool)
-    for idx, (px, py) in enumerate(points):
-        for (cx, cy), r in sc.obstacles:
-            if math.hypot(px - cx, py - cy) <= r:
-                explored[idx] = True
-                break
-        else:
-            if not grid.is_free((px, py)):
-                explored[idx] = True  # unreachable: wall-adjacent blocked cell
+    centers = np.array([c for c, _ in sc.obstacles], dtype=float).reshape(-1, 2)
+    radii = np.array([r for _, r in sc.obstacles], dtype=float)
+    explored = world.in_any_ball(points, centers, radii) | grid.blocked_at(points)
     return ExplorationMap(points=points, explored=explored)
 
 
@@ -81,7 +75,7 @@ def mark_swept(emap: ExplorationMap, positions, radii) -> ExplorationMap:
     """Mark every lattice point within some closed sensing ball (in place).
 
     positions is (F, 2) and radii (F,): one ball per sweeping agent, all
-    tested against the unexplored points in one (F, unexplored) array op.
+    tested against the unexplored points in one `world.in_any_ball` call.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     radii = np.asarray(radii, dtype=float).reshape(-1)
@@ -90,9 +84,7 @@ def mark_swept(emap: ExplorationMap, positions, radii) -> ExplorationMap:
     if np.any(radii <= 0):
         raise ValueError("radius must be positive")
     open_points = np.flatnonzero(~emap.explored)
-    dx = emap.points[open_points, 0] - positions[:, :1]
-    dy = emap.points[open_points, 1] - positions[:, 1:]
-    emap.explored[open_points[(np.hypot(dx, dy) <= radii[:, None]).any(axis=0)]] = True
+    emap.explored[open_points[world.in_any_ball(emap.points[open_points], positions, radii)]] = True
     return emap
 
 

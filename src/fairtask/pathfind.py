@@ -8,10 +8,11 @@ they slightly overestimate Euclidean lengths -- uniformly for every caller.
 The grid's edge set is one cached fact, `NavGrid.edges`, and both searches
 read it: A* for cell paths, expanding each cell's 8-bit move mask
 `NavGrid.masks` through the table `NavGrid.moves_by_mask`, and Dijkstra
-fields on its CSR form `NavGrid.graph` for batch distances.
-`DistanceProvider.pairwise` computes all its uncached source fields in one
-multi-source call.  A waypoint request whose goal is in sight is answered
-with the straight segment and no search.
+fields on its CSR form `NavGrid.graph` for batch distances.  Every field,
+`DistanceProvider.field`'s cache misses included, comes from the one batch
+call: `DistanceProvider.pairwise` computes all its uncached source fields in
+one multi-source call.  A waypoint request whose goal is in sight is
+answered with the straight segment and no search.
 """
 
 from __future__ import annotations
@@ -65,6 +66,15 @@ class NavGrid:
     def is_free(self, point) -> bool:
         ix, iy = self.cell_of(point)
         return not bool(self.blocked[ix, iy])
+
+    def blocked_at(self, points: np.ndarray) -> np.ndarray:
+        """Bool (P,): whether each point's cell, as `cell_of` clamps it, is blocked."""
+        # astype truncates toward zero, as int() does in cell_of.
+        cells = (points / self.resolution).astype(np.int64)
+        nx, ny = self.dims
+        np.minimum(cells, (nx - 1, ny - 1), out=cells)
+        np.maximum(cells, 0, out=cells)  # points may lie outside the workspace
+        return self.blocked[cells[:, 0], cells[:, 1]]
 
     def flat_index(self, cell: tuple[int, int]) -> int:
         return cell[0] * self.dims[1] + cell[1]
@@ -313,12 +323,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     t = np.arange(steps + 1) / steps
     start = np.array(p)
     pts = start + (np.array(q) - start) * t[:, None]
-    # astype truncates toward zero, as int() does in NavGrid.cell_of.
-    cells = (pts / grid.resolution).astype(np.int64)
-    nx, ny = grid.dims
-    np.minimum(cells, (nx - 1, ny - 1), out=cells)
-    np.maximum(cells, 0, out=cells)  # endpoints may lie outside the workspace
-    return not grid.blocked[cells[:, 0], cells[:, 1]].any()
+    return not grid.blocked_at(pts).any()
 
 
 def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:
@@ -367,8 +372,8 @@ class DistanceProvider:
     Sources are snapped to cells; one field per distinct source cell is
     computed on `grid.graph`, the edge set that A* expands too, and reused
     for every query against it.  `pairwise` computes the fields of all its
-    uncached source cells in one multi-source Dijkstra call; each row equals
-    the single-source field.
+    uncached source cells in one multi-source Dijkstra call, and `field` a
+    miss through the same call; each row equals the single-source field.
     """
 
     def __init__(self, grid: NavGrid):
@@ -383,21 +388,22 @@ class DistanceProvider:
         idx = self._snap_index(source)
         if idx is None:
             return np.full(self.grid.dims[0] * self.grid.dims[1], math.inf)
-        cached = self._fields.get(idx)
-        if cached is None:
-            cached = _sp_dijkstra(self.grid.graph, indices=idx, directed=True)
-            self._fields[idx] = cached
-        return cached
+        if idx not in self._fields:
+            self._compute([idx])
+        return self._fields[idx]
+
+    def _compute(self, cells: list[int]) -> None:
+        """Cache the fields of the uncached flat `cells` from one multi-source call."""
+        if cells:
+            rows = _sp_dijkstra(self.grid.graph, indices=cells, directed=True)
+            self._fields.update(zip(cells, rows))  # each row a view of one block
 
     def pairwise(self, sources, targets) -> np.ndarray:
         sources = np.asarray(sources, dtype=float).reshape(-1, 2)
         targets = np.asarray(targets, dtype=float).reshape(-1, 2)
-        missing = list(dict.fromkeys(
+        self._compute(list(dict.fromkeys(
             i for i in map(self._snap_index, sources) if i is not None and i not in self._fields
-        ))
-        if missing:
-            rows = _sp_dijkstra(self.grid.graph, indices=missing, directed=True)
-            self._fields.update(zip(missing, rows))  # each row a view of one block
+        )))
         t_idx = [self._snap_index(t) for t in targets]
         out = np.empty((len(sources), len(targets)))
         for i, s in enumerate(sources):

@@ -428,17 +428,18 @@ def _circle_hit(p, disp, center, radius):
 
 
 def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
-    """Undiscovered tasks currently inside some agent's closed sensing ball.
-
-    One (N, undiscovered) distance test; tasks come out in ascending order.
-    """
+    """Undiscovered tasks now inside some agent's closed sensing ball, ascending."""
     geom = sc.motion
     hidden = np.flatnonzero(~state.discovered)
-    p = state.agent_positions
-    dx = p[:, :1] - geom.task_positions[hidden, 0]
-    dy = p[:, 1:] - geom.task_positions[hidden, 1]
-    seen = np.hypot(dx, dy) <= geom.sensing_radius[:, None]
-    return hidden[seen.any(axis=0)].tolist()
+    seen = in_any_ball(geom.task_positions[hidden], state.agent_positions, geom.sensing_radius)
+    return hidden[seen].tolist()
+
+
+def in_any_ball(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(P,) mask of the points in some closed ball (centers (B, 2), radii (B,)), one (B, P) test."""
+    dx = points[:, 0] - centers[:, :1]
+    dy = points[:, 1] - centers[:, 1:]
+    return (np.hypot(dx, dy) <= radii[:, None]).any(axis=0)
 
 
 def discover(state: WorldState, tasks) -> WorldState:

@@ -182,6 +182,46 @@ def test_scenario_file_golden_reference(tmp_path):
     assert path.read_bytes() == (DATA / "golden_scenario_n3_seed123.json").read_bytes()
 
 
+def _strict_json(path: Path):
+    """path's JSON document; NaN and Infinity, which strict JSON lacks, are refused."""
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_outputs_write_non_finite_values_as_null(tmp_path):
+    # One task: the fairness index of a single ratio is NaN.
+    out = tmp_path / "n1"
+    assert run_cli([
+        "run", "--generate", "N=1,map=1.0,obstacles=0,walls=0", "--algorithm", "eg",
+        "--episodes", "2", "--dump-json", "--out", str(out),
+    ]) == 0
+    summary = _strict_json(out / "summary.json")
+    assert summary["mean"]["F_rho"] is None and summary["std"]["F_rho"] is None
+    assert [row["F_rho"] for row in _strict_json(out / "results.json")] == [None, None]
+    csv_row = (out / "results.csv").read_text().splitlines()[1].split(",")
+    assert dict(zip(cli.RESULT_COLUMNS, csv_row))["F_rho"] == "nan"  # the CSVs keep nan and inf
+    # An agent with a zero preference row: its task's utility is 0 (U* is
+    # -inf) and its service never ends (T is inf).
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(world.generate_scenario(3, 2.5, seed=123), path)
+    doc = json.loads(path.read_text())
+    doc["agents"][0]["preference_row"] = [0.0, 0.0, 0.0]
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "zero-row"
+    assert run_cli([
+        "run", "--scenario", str(path), "--algorithm", "hungarian", "--execution", "teleport",
+        "--episodes", "1", "--dump-json", "--out", str(out),
+    ]) == 0
+    [row] = _strict_json(out / "results.json")
+    assert row["T"] is None and row["U_star"] is None
+    _strict_json(out / "summary.json")
+    csv_row = (out / "results.csv").read_text().splitlines()[1].split(",")
+    assert dict(zip(cli.RESULT_COLUMNS, csv_row))["T"] == "inf"
+    assert dict(zip(cli.RESULT_COLUMNS, csv_row))["U_star"] == "-inf"
+
+
 # ---------------------------------------------------------------------------
 # compare / sweep-k
 # ---------------------------------------------------------------------------
@@ -283,6 +323,31 @@ def test_repeated_batches_are_rejected(tmp_path, capsys, command, message):
     assert rc == 1
     assert not out.exists()
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        (["run", "--generate", "N=3,map=2.5", "--algorithm", "eg", "--parallel", "0"],
+         "parallel must be >= 1"),
+        (["compare", "--generate", "N=3,map=2.5", "--algorithms", "eg,bogus"],
+         "unknown algorithms: bogus"),
+        (["compare", "--generate", "N=3,map=2.5", "--algorithms", "eg,minmax", "--k", "2"],
+         "--k is required exactly when online is listed"),
+        (["sweep-k", "--generate", "N=3,map=2.5", "--k-values", "1,two"],
+         "bad --k-values: '1,two'"),
+        (["run", "--scenario", "missing.json", "--algorithm", "eg"],
+         "cannot read scenario file missing.json: "),
+    ],
+    ids=["parallel-0", "unknown-algorithm", "k-without-online", "bad-k-values",
+         "unreadable-scenario"],
+)
+def test_bad_options_are_config_errors(tmp_path, monkeypatch, capsys, command, message):
+    monkeypatch.chdir(tmp_path)  # missing.json is relative to an empty directory
+    rc = run_cli([*command, "--episodes", "1", "--out", "never"])
+    assert rc == 1
+    assert not (tmp_path / "never").exists()
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_repeated_generate_key_is_rejected(tmp_path, capsys):
@@ -411,6 +476,8 @@ def test_teleport_rejected_for_online_runs(tmp_path, command):
             ("N=3,map=2.5,types=-1", "types", "n_types must be >= 1, got -1"),
             ("N=3,map=2.5,obstacles=-2", "obstacles", "n_obstacles must be >= 0, got -2"),
             ("N=3,map=2.5,walls=-1", "walls", "n_walls must be >= 0, got -1"),
+            ("N=3,map", "map", "--generate: expected key=value, got 'map'"),
+            ("N=three", "N", "--generate: bad value for N: 'three'"),
         ]
     ],
 )
@@ -507,6 +574,17 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
         pytest.param(lambda doc: doc["agents"][1].update(agent_type=0),
                      "agents 0 and 1 share type 0 but not a preference row",
                      id="shared-agent-type"),
+        pytest.param(lambda doc: doc.update(workspace_size=0),
+                     "workspace_size must be finite and positive, got 0.0", id="workspace-size"),
+        pytest.param(lambda doc: doc.update(agents=[], tasks=[]),
+                     "scenario needs at least one agent", id="no-agents"),
+        pytest.param(lambda doc: doc["tasks"][1].update(id=0),
+                     "task 1: id 0 must equal its index", id="repeated-task-id"),
+        pytest.param(lambda doc: doc["tasks"][0].update(position=doc["obstacles"][0]["center"]),
+                     "task 0 lies inside an obstacle", id="task-in-obstacle"),
+        pytest.param(lambda doc: doc["agents"][0].update(start_position=[-0.5, 1.0]),
+                     "agent 0 position (-0.5, 1.0) not strictly inside workspace",
+                     id="outside-workspace"),
     ],
 )
 def test_malformed_scenario_files_are_config_errors(tmp_path, capsys, edit, message):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -391,7 +392,7 @@ def test_episode_reuses_the_generated_grid_and_task_fields(monkeypatch, mode):
         return build_nav_grid(*args, **kwargs)
 
     def counted_dijkstra(graph, *, indices, **kwargs):
-        sources.append(int(indices))
+        sources.extend(indices)  # the one batch call takes a list of source cells
         return sp_dijkstra(graph, indices=indices, **kwargs)
 
     monkeypatch.setattr(pathfind, "build_nav_grid", counted_build)
@@ -439,6 +440,29 @@ def test_every_mode_records_each_commitment_once():
         assert commit.objective == solution.objective
         if rule == "eg":
             assert commit.objective == u_star
+
+
+@pytest.mark.parametrize("mode", ["eg", "hungarian", "minmax", "online-k1", "online-kN"])
+@pytest.mark.parametrize("n", [3, 7])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=5, deadline=None)
+def test_realized_distance_is_at_most_the_agents_cumulative_distance(n, mode, seed):
+    # An agent travels at most its whole distance before it reaches its task,
+    # so each realized utility is at least alpha ** per_agent_distance times
+    # the preference.  4 eps covers the rounding of pow.
+    sc = world.generate_scenario(n, seed=seed)
+    if mode.startswith("online"):
+        k = 1 if mode == "online-k1" else n
+        res = online.run_online_episode(sc, k, np.random.default_rng([seed, 1]))
+    else:
+        res = engine.run_centralized_episode(sc, mode)
+    if res.incomplete:
+        return
+    prefs = world.preference_matrix(sc)
+    slack = 1.0 - 4 * np.finfo(float).eps
+    for _, a, t in res.assignment_log:
+        bound = sc.alpha ** res.per_agent_distance[a] * prefs[t, a] * slack
+        assert res.realized_utilities[t] >= bound, (a, t)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +517,39 @@ def test_batch_online_requires_k():
             algorithm="online", episodes=1, root_seed=0,
             generator=dict(n_agents=3, map_size=2.5),
         )
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    [
+        (dict(episodes=0), "episodes must be >= 1"),
+        (dict(parallel=0), "parallel must be >= 1, got 0"),
+        (dict(parallel=-4), "parallel must be >= 1, got -4"),
+        (dict(generator=None), "pass exactly one of scenario or generator"),
+        (dict(scenario=world.generate_scenario(3, 2.5, seed=0)),
+         "pass exactly one of scenario or generator"),
+        (dict(execution="bogus"), "unknown execution mode 'bogus'"),
+        (dict(k=2), "k is required for online and invalid otherwise, got k=2"),
+        (dict(algorithm="online", k=2, execution="teleport"),
+         "teleport execution applies to centralized rules only"),
+    ],
+    ids=["no-episodes", "parallel-0", "parallel-negative", "no-source", "both-sources",
+         "unknown-execution", "eg-with-k", "online-teleport"],
+)
+def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, message):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before the batch was checked")
+
+    monkeypatch.setattr(engine, "_run_one_episode", no_episodes)
+    kw = dict(algorithm="eg", episodes=2, root_seed=0, generator=dict(n_agents=3, map_size=2.5))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        engine.batch_run(**{**kw, **overrides})
+
+
+def test_centralized_episode_rejects_an_unknown_execution():
+    sc = world.generate_scenario(3, 2.5, seed=0)
+    with pytest.raises(ValueError, match="unknown execution mode 'bogus'"):
+        engine.run_centralized_episode(sc, "eg", execution="bogus")
 
 
 def test_batch_seed_derivation_isolated():

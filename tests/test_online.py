@@ -44,10 +44,16 @@ def test_lattice_point_inside_obstacle_premarked():
     assert not emap.explored[~covered].any()
 
 
-@pytest.mark.parametrize("n, map_size", [(3, 2.5), (7, 2.7)], ids=["N3", "N7"])
-def test_lattice_premarks_exactly_obstacle_and_blocked_cell_points(n, map_size):
+@pytest.mark.parametrize(
+    "n, map_size, seeds",
+    [(3, 2.5, 6), (7, 2.7, 6), (12, 3.5, 10), (40, 6.0, 10)],
+    ids=["N3", "N7", "N12", "N40"],
+)
+def test_lattice_premarks_exactly_obstacle_and_blocked_cell_points(n, map_size, seeds):
+    # The scalar pre-mark with math.hypot and one NavGrid.is_free per point
+    # is the oracle of init_lattice's array pre-mark.
     grid_only = 0  # points only the blocked-cell test marks, over all seeds
-    for seed in range(6):
+    for seed in range(seeds):
         sc = world.generate_scenario(n, map_size, seed=seed)
         assert sc.walls
         emap = online.init_lattice(sc)

@@ -371,6 +371,29 @@ def test_pairwise_runs_one_dijkstra_for_its_uncached_sources(monkeypatch):
     assert batches[1:] == [[grid.flat_index(grid.cell_of(a)) for a in agents[:3]]]
 
 
+def test_field_miss_runs_the_batch_call(monkeypatch):
+    sc = world.generate_scenario(7, seed=3)
+    grid = sc.distances.grid
+    batches = []
+    sp_dijkstra = pathfind._sp_dijkstra
+
+    def counting_dijkstra(graph, indices, **kw):
+        batches.append(indices)
+        return sp_dijkstra(graph, indices=indices, **kw)
+
+    monkeypatch.setattr(pathfind, "_sp_dijkstra", counting_dijkstra)
+    provider = pathfind.DistanceProvider(grid)  # fresh: no cached field
+    source, targets = sc.agent_positions()[0], sc.task_positions()
+    cell = grid.flat_index(pathfind.nearest_free_cell(grid, source))
+    field = provider.field(source)
+    assert batches == [[cell]]
+    cols = [grid.flat_index(pathfind.nearest_free_cell(grid, t)) for t in targets]
+    assert np.array_equal(field[cols], _single_source_rows(grid, [source], targets)[0])
+    assert np.array_equal(field, dijkstra(oracles.build_graph(grid), indices=cell, directed=True))
+    assert provider.field(source) is field
+    assert len(batches) == 1
+
+
 # ---------------------------------------------------------------------------
 # path_waypoints
 # ---------------------------------------------------------------------------

@@ -532,6 +532,28 @@ def test_generator_says_when_no_attempt_placed_its_entities(monkeypatch):
     assert "last: None" not in message
 
 
+def test_generator_counts_each_rejected_candidate_by_its_reason(monkeypatch):
+    corners = [(0.3, 0.3), (0.7, 0.3), (0.7, 0.7), (0.3, 0.7)]
+    box = [(corners[i - 1], corners[i]) for i in range(4)]
+
+    def sealed():  # the agent is walled into a box, away from its task
+        return make_scenario([(0.5, 0.5)], [(2.0, 2.0)], walls=box)
+
+    def pressed():  # the start's cell lies in the wall's clearance band
+        return make_scenario([(1.0, 1.02)], [(2.0, 2.0)], walls=[((0.5, 1.03), (1.5, 1.03))])
+
+    candidates = iter([lambda: None, sealed, pressed, sealed])
+    monkeypatch.setattr(world, "_sample_candidate", lambda *args: next(candidates)())
+    monkeypatch.setattr(world, "_MAX_ATTEMPTS", 4)
+    with pytest.raises(world.ScenarioError) as info:
+        world.generate_scenario(1, 2.5, seed=0)
+    assert str(info.value) == (
+        "could not generate a usable scenario in 4 attempts: 1 could not place every entity "
+        "with clearance, 2 left an agent-task pair unreachable, 1 put an entity in a blocked "
+        "grid cell (last: agent 0 start is in a blocked cell)"
+    )
+
+
 GENERATED_GOLDEN = Path(__file__).resolve().parent / "data" / "generated_scenarios.json"
 
 
