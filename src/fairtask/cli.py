@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from fairtask import engine, world
+from fairtask.engine import ConfigError  # invalid experiment configuration: exit code 1
 
 SCENARIO_FORMAT_VERSION = 1
 
@@ -31,10 +32,6 @@ RESULT_COLUMNS = (
 )
 
 _ALGORITHMS = ("eg", "hungarian", "minmax", "online")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; reported with exit code 1."""
 
 
 @dataclass
@@ -246,14 +243,15 @@ def _dump_rows_json(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_batch(config: ExperimentConfig, algorithm: str, k: int | None) -> engine.BatchResult:
-    return engine.batch_run(
+def _batch_args(config: ExperimentConfig, algorithm: str, k: int | None) -> dict:
+    """The engine.batch_run (and engine.check_batch) arguments of one batch."""
+    return dict(
         algorithm=algorithm,
+        k=k,
         episodes=config.episodes,
         root_seed=config.root_seed,
         generator=config.generator,
         scenario=config.scenario,
-        k=k,
         execution=config.execution,
         parallel=config.parallel,
     )
@@ -261,7 +259,7 @@ def _run_batch(config: ExperimentConfig, algorithm: str, k: int | None) -> engin
 
 def cmd_run(config: ExperimentConfig) -> int:
     [(algorithm, k)] = config.batches
-    batch = _run_batch(config, algorithm, k)
+    batch = engine.batch_run(**_batch_args(config, algorithm, k))
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(format_result_rows(batch.rows))
@@ -280,7 +278,10 @@ def _write_table(config: ExperimentConfig, file_name: str, label: str, keys) -> 
     file_name gets the summary mean and std of each key, stdout the means.
     """
     column = ("algorithm", "k").index(label)
-    rows = [(str(batch[column]), _run_batch(config, *batch).summary) for batch in config.batches]
+    rows = [
+        (str(batch[column]), engine.batch_run(**_batch_args(config, *batch)).summary)
+        for batch in config.batches
+    ]
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     stats = [(stat, key) for key in keys for stat in ("mean", "std")]
@@ -357,13 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.episodes < 1:
-        raise ConfigError("episodes must be >= 1")
-    if args.parallel < 1:
-        raise ConfigError("parallel must be >= 1")
-    if args.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {args.seed}")
-
+    """The parsed options as a config whose every batch engine.check_batch accepts."""
     scenario = None
     generator = None
     if args.scenario is not None:
@@ -372,8 +367,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         generator = _parse_generate(args.generate, args.alpha)
 
     if args.command == "run":
-        if (args.algorithm == "online") != (args.k is not None):
-            raise ConfigError("--k is required for online and invalid otherwise")
         batches = ((args.algorithm, args.k),)
     elif args.command == "compare":
         algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
@@ -384,7 +377,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"unknown algorithms: {', '.join(bad)}")
         if len(set(algorithms)) < len(algorithms):
             raise ConfigError(f"--algorithms lists an algorithm twice: {args.algorithms!r}")
-        if ("online" in algorithms) != (args.k is not None):
+        if "online" not in algorithms and args.k is not None:  # no batch would get it
             raise ConfigError("--k is required exactly when online is listed")
         batches = tuple((a, args.k if a == "online" else None) for a in algorithms)
     else:
@@ -394,14 +387,8 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(f"bad --k-values: {args.k_values!r}") from err
         if len(set(batches)) < len(batches):
             raise ConfigError(f"--k-values lists a value twice: {args.k_values!r}")
-    if any(a == "online" for a, _ in batches) and args.execution == engine.EXECUTION_TELEPORT:
-        raise ConfigError("--execution teleport applies to centralized rules only, not online")
-    n_agents = scenario.n_agents if scenario is not None else generator["n_agents"]
-    for _, k in batches:
-        if k is not None and not 1 <= k <= n_agents:
-            raise ConfigError(f"k={k} outside [1, {n_agents}]")
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         batches=batches,
         episodes=args.episodes,
         root_seed=args.seed,
@@ -412,6 +399,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         execution=args.execution,
         dump_json=bool(getattr(args, "dump_json", False)),
     )
+    for batch in batches:
+        engine.check_batch(**_batch_args(config, *batch))
+    return config
 
 
 def main(argv=None) -> int:

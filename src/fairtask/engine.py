@@ -64,6 +64,20 @@ def _axis_action(dx, dy, quantum: float) -> int:
     return world.ACTION_ACCEL_PY if dy > 0 else world.ACTION_ACCEL_NY
 
 
+def _turns_back(dx: float, dy: float, ex: float, ey: float) -> bool:
+    """float(np.dot((dx, dy), (ex, ey))) < 0, decided in floats away from zero.
+
+    np.dot may fuse a multiply-add, so it can round differently from
+    dx * ex + dy * ey.  Both miss the exact product by a few ulp of
+    |dx * ex| + |dy * ey|, so they can disagree about the sign only when
+    the float sum is within 1e-12 of that from zero, where np.dot decides.
+    """
+    dot = dx * ex + dy * ey
+    if abs(dot) > 1e-12 * (abs(dx * ex) + abs(dy * ey)):
+        return dot < 0.0
+    return float(np.dot((dx, dy), (ex, ey))) < 0.0
+
+
 def brake_action(v, quantum: float) -> int:
     """Largest-axis counter-acceleration until speed is within half a quantum."""
     return _axis_action(-v[0], -v[1], quantum)
@@ -72,17 +86,34 @@ def brake_action(v, quantum: float) -> int:
 class Navigator:
     """Per-agent greedy waypoint controller with stuck detection and replanning.
 
-    Steers on Python floats; the chain legs keep np.hypot's bits and the
-    corner test np.dot's sign, and radius tests go through within_radius.
+    Steers on Python floats.  Alongside `waypoints` it keeps a copy of the
+    chain as float pairs and the np.hypot length of each leg between
+    waypoints.  Every write to the chain (set_goal, each pop in _advance,
+    the stuck replan, any direct assignment) goes through the `waypoints`
+    setter, the one place the copy refreshes.  The legs keep np.hypot's
+    bits, the corner test np.dot's sign, and radius tests go through
+    within_radius.
     """
 
     def __init__(self, grid: pathfind.NavGrid):
         self.grid = grid
         self.goal: np.ndarray | None = None
-        self.waypoints: list[np.ndarray] = []
+        self.waypoints = []
         self._last_pos: tuple[float, float] | None = None  # set with every goal
         self._stall_steps = 0
         self._steps_since_check = 0
+
+    @property
+    def waypoints(self) -> list[np.ndarray]:
+        return self._waypoints
+
+    @waypoints.setter
+    def waypoints(self, waypoints: list[np.ndarray]) -> None:
+        self._waypoints = waypoints
+        self._chain = chain = [w.tolist() for w in waypoints]
+        self._legs = [
+            float(np.hypot(bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(chain, chain[1:])
+        ]
 
     def set_goal(self, pos: np.ndarray, goal) -> None:
         self.goal = np.asarray(goal, dtype=float)
@@ -104,61 +135,60 @@ class Navigator:
             return brake_action(v, quantum)
         pos = state.agent_positions[agent]
         px, py = pos.tolist()
-        self._advance(pos, px, py)
+        self._advance(px, py)
         self._check_stuck(pos, px, py)
         self._revalidate_leg(pos)
 
-        if not self.waypoints:
+        chain = self._chain
+        if not chain:
             gx, gy = self.goal.tolist()
             if not within_radius(gx - px, gy - py, ARRIVAL_RADIUS):
                 return ACTION_IDLE  # unreachable goal: hold position
             return brake_action(v, quantum)
-        chain = [w.tolist() for w in self.waypoints]
         dx, dy = chain[0][0] - px, chain[0][1] - py
         dist = float(np.hypot(dx, dy))
         if dist < 1e-12:
             return brake_action(v, quantum)
 
-        # Speed cap from the remaining chain: slow for corners, stop at the end.
+        # Speed cap from the remaining chain: slow for corners, stop at the
+        # end.  A corner's bound grows with the chain length run up to it,
+        # so the first corner's bound is the least of them.
         spec = sc.agents[agent]
         accel = quantum / sc.dt
-        legs = [dist] + [
-            float(np.hypot(bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(chain, chain[1:])
-        ]
         v_cap = spec.max_speed
-        run = 0.0
-        for idx, leg in enumerate(legs, 1):
-            run += leg
-            target_speed = 0.0 if idx == len(legs) else _CORNER_SPEED_FRACTION * spec.max_speed
+        run = dist
+        if self._legs:
+            corner_speed = _CORNER_SPEED_FRACTION * spec.max_speed
             slack = max(run - ARRIVAL_RADIUS / 2.0, 0.0)
-            v_cap = min(v_cap, math.sqrt(target_speed ** 2 + 2.0 * accel * slack))
+            v_cap = min(v_cap, math.sqrt(corner_speed ** 2 + 2.0 * accel * slack))
+            for leg in self._legs:
+                run += leg
+        slack = max(run - ARRIVAL_RADIUS / 2.0, 0.0)
+        v_cap = min(v_cap, math.sqrt(2.0 * accel * slack))
         return _axis_action(dx / dist * v_cap - v[0], dy / dist * v_cap - v[1], quantum)
 
     def _revalidate_leg(self, pos: np.ndarray) -> None:
         # A deflected agent can end up sliding a wall while its leg crosses
         # it; periodic line-of-sight checks catch that and force a replan.
         self._steps_since_check += 1
-        if self._steps_since_check < _LEG_CHECK_INTERVAL or not self.waypoints:
+        if self._steps_since_check < _LEG_CHECK_INTERVAL or not self._chain:
             return
         self._steps_since_check = 0
-        if not pathfind.line_of_sight(self.grid, pos, self.waypoints[0]):
+        if not pathfind.line_of_sight(self.grid, pos, self._chain[0]):
             self.set_goal(pos, self.goal)
 
-    def _advance(self, pos: np.ndarray, px: float, py: float) -> None:
-        waypoints = self.waypoints
-        while len(waypoints) > 1:
-            w0 = waypoints[0]
-            x0, y0 = w0.tolist()
+    def _advance(self, px: float, py: float) -> None:
+        while len(self._chain) > 1:
+            (x0, y0), w1 = self._chain[0], self._chain[1]
             dx, dy = x0 - px, y0 - py
             if within_radius(dx, dy, _WAYPOINT_SNAP):
-                waypoints.pop(0)
+                self.waypoints = self._waypoints[1:]
                 continue
-            w1 = waypoints[1]
             near = within_radius(dx, dy, _WAYPOINT_TOLERANCE)
-            if (near or float(np.dot(w0 - pos, w1 - w0)) < 0.0) and pathfind.line_of_sight(
-                self.grid, pos, w1
+            if (near or _turns_back(dx, dy, w1[0] - x0, w1[1] - y0)) and pathfind.line_of_sight(
+                self.grid, (px, py), w1
             ):  # only skip a corner the next leg can actually see past
-                waypoints.pop(0)
+                self.waypoints = self._waypoints[1:]
                 continue
             break
 
@@ -315,7 +345,7 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
 
     for _step in range(DEFAULT_STEP_CAP):
         state = ep.state
-        if np.all(state.completed):
+        if np.count_nonzero(state.completed) == m:
             break
         actions = [nav.action(state, sc, i) for i, nav in enumerate(ep.navs)]
         ep.state, events = world.step_dynamics_events(state, actions, sc)
@@ -392,6 +422,45 @@ def _run_one_episode(args) -> metrics.EpisodeResult:
     return result
 
 
+class ConfigError(ValueError):
+    """A run configuration that breaks a batch rule; fairtask.cli exits 1 on it."""
+
+
+def check_batch(
+    algorithm: str,
+    k: int | None,
+    *,
+    generator: dict | None = None,
+    scenario: world.Scenario | None = None,
+    episodes: int = 1,
+    root_seed: int = 0,
+    execution: str = EXECUTION_SCRIPTED,
+    parallel: int = 1,
+) -> None:
+    """Raise ConfigError when no episode of the batch would run as asked.
+
+    These are the one copy of the batch rules: batch_run, the CLI (for
+    every batch before the first runs) and run_online_episode apply them.
+    """
+    if episodes < 1:
+        raise ConfigError("episodes must be >= 1")
+    if parallel < 1:
+        raise ConfigError(f"parallel must be >= 1, got {parallel}")
+    if root_seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {root_seed}")
+    if (scenario is None) == (generator is None):
+        raise ConfigError("pass exactly one of scenario or generator")
+    if execution not in (EXECUTION_SCRIPTED, EXECUTION_TELEPORT):
+        raise ConfigError(f"unknown execution mode {execution!r}")
+    if (algorithm == "online") != (k is not None):
+        raise ConfigError(f"k is required for online and invalid otherwise, got k={k}")
+    if algorithm == "online" and execution == EXECUTION_TELEPORT:
+        raise ConfigError("teleport execution applies to centralized rules only, not online")
+    n_agents = scenario.n_agents if scenario is not None else generator["n_agents"]
+    if k is not None and not 1 <= k <= n_agents:
+        raise ConfigError(f"k={k} outside [1, {n_agents}]")
+
+
 def batch_run(
     *,
     algorithm: str,
@@ -408,21 +477,13 @@ def batch_run(
     Episode i draws its own seed from (root_seed, i), so any single episode
     can be reproduced in isolation.  Incomplete episodes are kept in the rows
     and counted, but excluded from the regret aggregate (a capped episode has
-    no realized value).  A configuration no episode would run as asked
-    raises ValueError before any episode runs.
+    no realized value).  A batch that check_batch rejects raises ConfigError
+    before any episode runs.
     """
-    if episodes < 1:
-        raise ValueError("episodes must be >= 1")
-    if parallel < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if (scenario is None) == (generator is None):
-        raise ValueError("pass exactly one of scenario or generator")
-    if execution not in (EXECUTION_SCRIPTED, EXECUTION_TELEPORT):
-        raise ValueError(f"unknown execution mode {execution!r}")
-    if (algorithm == "online") != (k is not None):
-        raise ValueError(f"k is required for online and invalid otherwise, got k={k}")
-    if algorithm == "online" and execution == EXECUTION_TELEPORT:
-        raise ValueError("teleport execution applies to centralized rules only, not online")
+    check_batch(
+        algorithm, k, generator=generator, scenario=scenario, episodes=episodes,
+        root_seed=root_seed, execution=execution, parallel=parallel,
+    )
     jobs = [
         (i, root_seed, algorithm, k, generator, scenario, execution)
         for i in range(episodes)

@@ -186,10 +186,10 @@ def run_online_episode(
 
     Discoveries commit one task at a time, so the pending pool never
     overshoots k.  Assigned agents are redirected immediately and stop
-    sweeping the lattice; only free agents explore.
+    sweeping the lattice; only free agents explore.  A k outside [1, N]
+    raises engine.ConfigError.
     """
-    if k is None or not 1 <= k <= sc.n_agents:
-        raise ValueError(f"k={k} outside [1, {sc.n_agents}]")
+    engine.check_batch("online", k, scenario=sc)
     u_star, _, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)

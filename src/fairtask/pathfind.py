@@ -8,11 +8,14 @@ they slightly overestimate Euclidean lengths -- uniformly for every caller.
 The grid's edge set is one cached fact, `NavGrid.edges`, and both searches
 read it: A* for cell paths, expanding each cell's 8-bit move mask
 `NavGrid.masks` through the table `NavGrid.moves_by_mask`, and Dijkstra
-fields on its CSR form `NavGrid.graph` for batch distances.  Every field,
-`DistanceProvider.field`'s cache misses included, comes from the one batch
-call: `DistanceProvider.pairwise` computes all its uncached source fields in
-one multi-source call.  A waypoint request whose goal is in sight is
-answered with the straight segment and no search.
+fields on its CSR form `NavGrid.graph` for batch distances.  The CSR
+arrays come from indexing (cell, move) tables with the edge mask itself:
+row-major order keeps each row's columns sorted, and the row counts give
+the row pointers.  Every field, `DistanceProvider.field`'s cache misses
+included, comes from the one batch call: `DistanceProvider.pairwise`
+computes all its uncached source fields in one multi-source call.  A
+waypoint request whose goal is in sight is answered with the straight
+segment and no search.
 """
 
 from __future__ import annotations
@@ -125,14 +128,16 @@ class NavGrid:
     @functools.cached_property
     def graph(self) -> csr_matrix:
         """`edges` weighted by step cost as a CSR graph (sorted rows), for Dijkstra."""
-        n = self.dims[0] * self.dims[1]
+        edges = self.edges
+        n = len(edges)
         indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(self.edges.sum(axis=1), out=indptr[1:])
-        cell, move = np.nonzero(self.edges)
+        np.cumsum(np.count_nonzero(edges, axis=1), out=indptr[1:])
         _, _, offsets, costs = map(np.array, zip(*self.moves))
-        return csr_matrix(
-            (costs[move], (cell + offsets[move]).astype(np.int32), indptr), shape=(n, n)
-        )
+        # Row-major mask indexing keeps each row's moves in order: sorted columns.
+        cells = np.arange(n, dtype=np.int32)[:, None]
+        indices = (cells + offsets.astype(np.int32))[edges]
+        data = np.broadcast_to(costs, edges.shape)[edges]
+        return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def build_nav_grid(sc: world.Scenario) -> NavGrid:
@@ -323,7 +328,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     t = np.arange(steps + 1) / steps
     start = np.array(p)
     pts = start + (np.array(q) - start) * t[:, None]
-    return not grid.blocked_at(pts).any()
+    return not np.count_nonzero(grid.blocked_at(pts))
 
 
 def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:

@@ -298,7 +298,7 @@ def step_dynamics_events(
     v = state.agent_velocities + geom.deltas[geom.agents, joint_action]
     speed = np.hypot(v[:, 0], v[:, 1])
     over = speed > geom.max_speed
-    if over.any():
+    if np.count_nonzero(over):
         v[over] *= (geom.max_speed[over] / speed[over])[:, None]
     p = state.agent_positions
     disp = v * sc.dt
@@ -317,7 +317,7 @@ def step_dynamics_events(
     first, second = geom.pairs
     gaps = new_p[first] - new_p[second]
     close = np.hypot(gaps[:, 0], gaps[:, 1]) < 2.0 * AGENT_RADIUS
-    if close.any():
+    if np.count_nonzero(close):
         events.extend(
             CollisionEvent(kind="agent", agents=(i, k))
             for i, k in zip(first[close].tolist(), second[close].tolist())
@@ -469,7 +469,15 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
         remaining[task] = 0.0
         completed = completed.copy()
         completed[task] = True
-    return replace(state, remaining_workloads=remaining, completed=completed)
+    return WorldState(
+        time=state.time,
+        agent_positions=state.agent_positions,
+        agent_velocities=state.agent_velocities,
+        remaining_workloads=remaining,
+        discovered=state.discovered,
+        completed=completed,
+        cumulative_distance=state.cumulative_distance,
+    )
 
 
 # ---------------------------------------------------------------------------

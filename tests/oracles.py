@@ -4,16 +4,17 @@ The navigation and world functions are the straightforward versions of
 routines in `src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO
 grid-graph build, the separate braking and goto axis rules, the waypoint
 controller on numpy scalars, the per-agent dynamics step with a motion clip
-that tests every wall and disc, the task-by-agent sensing loop and the
-one-ball lattice sweep.  The differential
-tests require the fast routines to return exactly what these return.  The
-assignment oracles enumerate every permutation or agent subset, independent
-of the solvers they check.
+that tests every wall and disc, the task-by-agent sensing loop, the service
+tick built with dataclasses.replace and the one-ball lattice sweep.  The
+differential tests require the fast routines to return exactly what these
+return.  The assignment oracles enumerate every permutation or agent
+subset, independent of the solvers they check.
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import heapq
 import itertools
 import math
@@ -415,6 +416,26 @@ def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
                 found.append(j)
                 break
     return found
+
+
+def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> WorldState:
+    """One service interval, built with dataclasses.replace from the changed arrays."""
+    if state.completed[task]:
+        return state
+    if not state.discovered[task]:
+        raise ValueError(f"task {task} serviced before discovery")
+    p = state.agent_positions[agent]
+    if math.dist(tuple(p), sc.tasks[task].position) > world.ARRIVAL_RADIUS + 1e-12:
+        raise ValueError(f"agent {agent} outside arrival radius of task {task}")
+    rate = sc.agents[agent].preference_row[sc.tasks[task].task_type]
+    remaining = state.remaining_workloads.copy()
+    remaining[task] -= min(rate * sc.dt, float(remaining[task]))
+    completed = state.completed
+    if remaining[task] <= 0.0:
+        remaining[task] = 0.0
+        completed = completed.copy()
+        completed[task] = True
+    return dataclasses.replace(state, remaining_workloads=remaining, completed=completed)
 
 
 # ---------------------------------------------------------------------------

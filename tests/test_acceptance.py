@@ -199,11 +199,15 @@ def test_criterion_06_monotone_k_trend_and_k_equals_n(online_batches):
     assert rho <= -0.8
 
     # k = N: the single commit must equal the full-information weighted-log
-    # solve on the recorded discovered state, episode by episode.
-    for i in range(EPISODES):
+    # solve on the recorded discovered state, episode by episode.  The batch's
+    # rows hold each episode's commits; the scenario, its grid and the
+    # provider are built afresh.
+    rows = online_batches[7].rows
+    assert [res.episode for res in rows] == list(range(EPISODES))
+    for i, res in enumerate(rows):
         seed = engine.episode_seed(ROOT_SEED, i)
+        assert res.seed == seed
         sc = world.generate_scenario(seed=seed, **N7_FAMILY)
-        res = online.run_online_episode(sc, 7, np.random.default_rng([seed, 1]))
         assert len(res.commits) == 1
         commit = res.commits[0]
         provider = pathfind.DistanceProvider(pathfind.build_nav_grid(sc))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fairtask import cli, metrics, world
+from fairtask import cli, engine, metrics, world
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -338,11 +338,20 @@ def test_repeated_batches_are_rejected(tmp_path, capsys, command, message):
          "bad --k-values: '1,two'"),
         (["run", "--scenario", "missing.json", "--algorithm", "eg"],
          "cannot read scenario file missing.json: "),
+        (["run", "--generate", "N=3,map=2.5", "--algorithm", "online"],
+         "k is required for online and invalid otherwise, got k=None"),
+        (["compare", "--generate", "N=3,map=2.5", "--algorithms", "eg,online", "--k", "2",
+          "--execution", "teleport"],
+         "teleport execution applies to centralized rules only, not online"),
     ],
     ids=["parallel-0", "unknown-algorithm", "k-without-online", "bad-k-values",
-         "unreadable-scenario"],
+         "unreadable-scenario", "online-without-k", "online-teleport"],
 )
 def test_bad_options_are_config_errors(tmp_path, monkeypatch, capsys, command, message):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before every batch was checked")
+
+    monkeypatch.setattr(engine, "_run_one_episode", no_episodes)
     monkeypatch.chdir(tmp_path)  # missing.json is relative to an empty directory
     rc = run_cli([*command, "--episodes", "1", "--out", "never"])
     assert rc == 1

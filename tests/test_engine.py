@@ -196,7 +196,7 @@ def test_navigator_matches_the_numpy_controller_oracle(n, seed, data):
         agent_positions=np.array(positions),
         agent_velocities=np.array(velocities, dtype=float),
     )
-    for _tick in range(6):
+    for _tick in range(30):  # long enough for pops, stall replans and failed leg checks
         actions = []
         for i, (nav, ref) in enumerate(zip(navs, refs)):
             action = nav.action(state, sc, i)
@@ -230,6 +230,69 @@ def test_chain_lengths_keep_numpy_hypot_bits(case):
     assert math.hypot(*leg) != float(np.hypot(*leg))  # the case is on the edge
     sc = make_scenario([pos], [chain[-1]])
     state = dataclasses.replace(world.initial_state(sc), agent_velocities=np.array([[0.0, vy]]))
+    actions = []
+    for nav in (engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)):
+        nav.goal = np.array(chain[-1])
+        nav.waypoints = [np.array(w) for w in chain]
+        nav._last_pos = np.array(pos)
+        actions.append(nav.action(state, sc, 0))
+    assert actions[0] == actions[1] == world.ACTION_ACCEL_PX
+
+
+# (pos, w0, w1) on a 2-decimal lattice whose two dot products, np.dot's and
+# dx * ex + dy * ey, differ in the last bit, found by search on a host where
+# np.dot fuses a multiply-add: at a right angle np.dot reads a few 1e-17
+# below zero where the float sum reads 0.0, so only np.dot passes the corner.
+_CORNER_CASES = {
+    "right-angle": ((1.06, 2.01), (0.68, 1.25), (1.44, 0.87)),
+    "right-angle-short": ((1.07, 0.77), (1.27, 1.05), (0.43, 1.65)),
+    "collinear-ahead": ((0.44, 1.87), (1.14, 1.24), (1.84, 0.61)),
+    "collinear-back": ((0.68, 1.54), (0.88, 1.36), (0.78, 1.45)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CORNER_CASES))
+def test_corner_test_takes_numpy_dot_sign(case):
+    """The float corner test decides as np.dot does, and a navigator at the
+    corner pops (or keeps) the waypoint exactly as the array oracle does."""
+    pos, w0, w1 = (np.array(p) for p in _CORNER_CASES[case])
+    d, e = w0 - pos, w1 - w0
+    dot = float(np.dot(d, e))
+    assert d[0] * e[0] + d[1] * e[1] != dot  # the case is on the edge
+    assert engine._turns_back(*d.tolist(), *e.tolist()) == (dot < 0.0)
+    sc = make_scenario([pos], [w1])
+    state = world.initial_state(sc)
+    navs = [engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)]
+    for nav in navs:
+        nav.goal = w1.copy()
+        nav.waypoints = [w0.copy(), w1.copy()]
+        nav._last_pos = pos.copy()
+    assert navs[0].action(state, sc, 0) == navs[1].action(state, sc, 0)
+    assert [w.tolist() for w in navs[0].waypoints] == [w.tolist() for w in navs[1].waypoints]
+    assert len(navs[0].waypoints) == (1 if dot < 0.0 else 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0), s=st.floats(-2.0, 2.0),
+       tilt=st.floats(-1e-15, 1e-15))
+def test_turns_back_decides_like_numpy_dot(a, b, s, tilt):
+    """Near-perpendicular pairs, where the two dot products round apart."""
+    ex, ey = (-b + tilt) * s, a * s
+    assert engine._turns_back(a, b, ex, ey) == (float(np.dot((a, b), (ex, ey))) < 0.0)
+
+
+def test_end_term_sums_the_legs_in_order():
+    """A tick found by search where adding the chain's legs to the first leg
+    one by one, and adding their sum, give speed caps 1 ulp apart; the
+    velocity change is an exact x/y tie under the in-order cap only."""
+    pos = (1.0856883706965823, 1.6969008291455314)
+    velocity = (0.6099538552193103, 0.3801167186805988)
+    chain = [(1.2099427551361401, 1.780929681021221), (1.217176630871799, 1.7899454286044167),
+             (1.227080886319469, 1.7929508647836774)]
+    dist, *legs = (float(np.hypot(*np.subtract(b, a))) for a, b in zip([pos] + chain, chain))
+    assert dist + legs[0] + legs[1] != dist + (legs[0] + legs[1])  # the case is on the edge
+    sc = make_scenario([pos], [chain[-1]])
+    state = dataclasses.replace(world.initial_state(sc), agent_velocities=np.array([velocity]))
     actions = []
     for nav in (engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)):
         nav.goal = np.array(chain[-1])
@@ -532,9 +595,11 @@ def test_batch_online_requires_k():
         (dict(k=2), "k is required for online and invalid otherwise, got k=2"),
         (dict(algorithm="online", k=2, execution="teleport"),
          "teleport execution applies to centralized rules only"),
+        (dict(root_seed=-1), "seed must be >= 0, got -1"),
+        (dict(algorithm="online", k=4), "k=4 outside [1, 3]"),
     ],
     ids=["no-episodes", "parallel-0", "parallel-negative", "no-source", "both-sources",
-         "unknown-execution", "eg-with-k", "online-teleport"],
+         "unknown-execution", "eg-with-k", "online-teleport", "negative-seed", "k-above-n"],
 )
 def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, message):
     def no_episodes(*args, **kwargs):
@@ -542,7 +607,7 @@ def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, messa
 
     monkeypatch.setattr(engine, "_run_one_episode", no_episodes)
     kw = dict(algorithm="eg", episodes=2, root_seed=0, generator=dict(n_agents=3, map_size=2.5))
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(engine.ConfigError, match=re.escape(message)):
         engine.batch_run(**{**kw, **overrides})
 
 

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra
 
@@ -283,10 +283,14 @@ def test_move_masks_unpack_to_the_edge_set():
             assert moves == tuple(m for k, m in enumerate(grid.moves) if mask & (1 << k))
 
 
-@given(seed=st.integers(0, 2**32 - 1))
+_GRAPH_TEAMS = ((3, 2.5), (7, 2.7), (12, 3.5), (40, 6.0))
+
+
+@given(seed=st.integers(0, 2**32 - 1), team=st.sampled_from(_GRAPH_TEAMS))
+@example(seed=0, team=_GRAPH_TEAMS[-1])
 @settings(max_examples=12, deadline=None)
-def test_graph_matches_coo_oracle_on_generated_scenarios(seed):
-    n_agents, map_size = ((3, 2.5), (7, 2.7), (12, 3.5))[seed % 3]
+def test_graph_matches_coo_oracle_on_generated_scenarios(seed, team):
+    n_agents, map_size = team
     generated = world.generate_scenario(n_agents, map_size, seed=seed).distances.grid
     for grid in (generated, _split_grid(), _sealed_grid()):
         got = grid.graph

@@ -416,6 +416,32 @@ def test_completion_tick_count_closed_form(workload, pref, dt):
     assert ticks == math.ceil(workload / (pref * dt))
 
 
+@settings(max_examples=60, deadline=None)
+@given(workload=st.floats(0.1, 3.0), pref=st.floats(0.05, 1.0), dt=st.floats(0.01, 0.5),
+       left=st.floats(0.0, 1.0), kind=st.sampled_from(["partial", "completing", "completed"]))
+def test_service_tick_matches_the_replace_oracle(workload, pref, dt, left, kind):
+    """The direct WorldState build returns the oracle's bits, and shares
+    exactly the arrays the oracle's dataclasses.replace shares."""
+    sc = _service_scenario(workload=workload, pref=pref, dt=dt)
+    state = world.discover(world.initial_state(sc), [0])
+    served = pref * dt
+    state.remaining_workloads[0] = {
+        "partial": served + 1e-3 + left * workload, "completing": left * served, "completed": 0.0,
+    }[kind]
+    state.completed[0] = kind == "completed"
+    got = world.service_tick(state, sc, 0, 0)
+    want = oracles.service_tick(state, sc, 0, 0)
+    assert bool(got.completed[0]) == (kind != "partial")
+    assert (got is state) == (want is state) == (kind == "completed")
+    for field in dataclasses.fields(world.WorldState):
+        a, b, before = (getattr(x, field.name) for x in (got, want, state))
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            assert (a is before) == (b is before), field.name
+        else:
+            assert a == b, field.name
+
+
 def test_workload_conservation_identity():
     sc = _service_scenario(workload=1.3, pref=0.7, dt=0.07)
     state = world.discover(world.initial_state(sc), [0])
