@@ -31,19 +31,11 @@ RESULT_COLUMNS = (
     "U_star", "U_pi", "regret", "collisions", "incomplete",
 )
 
-_ALGORITHMS = ("eg", "hungarian", "minmax", "online")
-
 
 @dataclass
 class ExperimentConfig:
-    batches: tuple[tuple[str, int | None], ...]  # (algorithm, k) per batch, in output order
-    episodes: int
-    root_seed: int
+    batches: tuple[engine.Batch, ...]  # in output order
     out_dir: Path
-    scenario: world.Scenario | None
-    generator: dict | None
-    parallel: int
-    execution: str
     dump_json: bool
 
 
@@ -243,43 +235,29 @@ def _dump_rows_json(rows) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _batch_args(config: ExperimentConfig, algorithm: str, k: int | None) -> dict:
-    """The engine.batch_run (and engine.check_batch) arguments of one batch."""
-    return dict(
-        algorithm=algorithm,
-        k=k,
-        episodes=config.episodes,
-        root_seed=config.root_seed,
-        generator=config.generator,
-        scenario=config.scenario,
-        execution=config.execution,
-        parallel=config.parallel,
-    )
-
-
 def cmd_run(config: ExperimentConfig) -> int:
-    [(algorithm, k)] = config.batches
-    batch = engine.batch_run(**_batch_args(config, algorithm, k))
+    [batch] = config.batches
+    result = engine.batch_run(batch)
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    (out / "results.csv").write_text(format_result_rows(batch.rows))
+    (out / "results.csv").write_text(format_result_rows(result.rows))
     (out / "summary.json").write_text(_json_text(
-        {"algorithm": algorithm, "k": k, "root_seed": config.root_seed, **batch.summary}
+        {"algorithm": batch.algorithm, "k": batch.k, "root_seed": batch.root_seed,
+         **result.summary}
     ))
     if config.dump_json:
-        (out / "results.json").write_text(_dump_rows_json(batch.rows))
-    print(f"wrote {out / 'results.csv'} ({config.episodes} episodes)")
+        (out / "results.json").write_text(_dump_rows_json(result.rows))
+    print(f"wrote {out / 'results.csv'} ({batch.episodes} episodes)")
     return 0
 
 
 def _write_table(config: ExperimentConfig, file_name: str, label: str, keys) -> int:
-    """One row per (algorithm, k) batch, named by its `label` field.
+    """One row per batch, named by its `label` field ("algorithm" or "k").
 
     file_name gets the summary mean and std of each key, stdout the means.
     """
-    column = ("algorithm", "k").index(label)
     rows = [
-        (str(batch[column]), engine.batch_run(**_batch_args(config, *batch)).summary)
+        (str(getattr(batch, label)), engine.batch_run(batch).summary)
         for batch in config.batches
     ]
     out = config.out_dir
@@ -330,12 +308,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output dir")
         p.add_argument("--parallel", type=int, default=1)
         p.add_argument(
-            "--execution", choices=("scripted", "teleport"), default="scripted"
+            "--execution", choices=engine.EXECUTION_MODES, default=engine.EXECUTION_SCRIPTED
         )
 
     p_run = sub.add_parser("run", help="run one algorithm over an episode family")
     _common(p_run)
-    p_run.add_argument("--algorithm", choices=_ALGORITHMS, required=True)
+    p_run.add_argument("--algorithm", choices=engine.ALGORITHMS, required=True)
     p_run.add_argument("--k", type=int, default=None, help="subset size (online only)")
     p_run.add_argument("--dump-json", action="store_true", help="full-precision dump")
     p_run.set_defaults(func=cmd_run)
@@ -344,7 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _common(p_cmp)
     p_cmp.add_argument(
         "--algorithms", required=True,
-        help="comma-separated list from: " + ",".join(_ALGORITHMS),
+        help="comma-separated list from: " + ",".join(engine.ALGORITHMS),
     )
     p_cmp.add_argument("--k", type=int, default=None, help="subset size when online listed")
     p_cmp.set_defaults(func=cmd_compare)
@@ -358,50 +336,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The parsed options as a config whose every batch engine.check_batch accepts."""
-    scenario = None
-    generator = None
-    if args.scenario is not None:
-        scenario = load_scenario(args.scenario, alpha_override=args.alpha)
-    else:
-        generator = _parse_generate(args.generate, args.alpha)
+    """The parsed options as a config of engine.Batch values, all built before any runs.
 
-    if args.command == "run":
-        batches = ((args.algorithm, args.k),)
+    A bad option raises ConfigError here, so no file is written.
+    """
+    if args.scenario is not None:
+        source = dict(scenario=load_scenario(args.scenario, alpha_override=args.alpha))
+    else:
+        source = dict(generator=_parse_generate(args.generate, args.alpha))
+
+    if args.command == "run":  # runs: (algorithm, k) of each batch, in output order
+        runs = ((args.algorithm, args.k),)
     elif args.command == "compare":
         algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
         if len(algorithms) < 2:
             raise ConfigError("compare needs at least two algorithms")
-        bad = [a for a in algorithms if a not in _ALGORITHMS]
-        if bad:
-            raise ConfigError(f"unknown algorithms: {', '.join(bad)}")
         if len(set(algorithms)) < len(algorithms):
             raise ConfigError(f"--algorithms lists an algorithm twice: {args.algorithms!r}")
         if "online" not in algorithms and args.k is not None:  # no batch would get it
             raise ConfigError("--k is required exactly when online is listed")
-        batches = tuple((a, args.k if a == "online" else None) for a in algorithms)
+        runs = tuple((a, args.k if a == "online" else None) for a in algorithms)
     else:
         try:
-            batches = tuple(("online", int(x)) for x in args.k_values.split(","))
+            runs = tuple(("online", int(x)) for x in args.k_values.split(","))
         except ValueError as err:
             raise ConfigError(f"bad --k-values: {args.k_values!r}") from err
-        if len(set(batches)) < len(batches):
+        if len(set(runs)) < len(runs):
             raise ConfigError(f"--k-values lists a value twice: {args.k_values!r}")
 
-    config = ExperimentConfig(
-        batches=batches,
-        episodes=args.episodes,
-        root_seed=args.seed,
-        out_dir=Path(args.out),
-        scenario=scenario,
-        generator=generator,
-        parallel=args.parallel,
-        execution=args.execution,
-        dump_json=bool(getattr(args, "dump_json", False)),
+    batches = tuple(
+        engine.Batch(
+            algorithm, k, args.episodes, args.seed,
+            execution=args.execution, parallel=args.parallel, **source,
+        )
+        for algorithm, k in runs
     )
-    for batch in batches:
-        engine.check_batch(**_batch_args(config, *batch))
-    return config
+    return ExperimentConfig(batches, Path(args.out), bool(getattr(args, "dump_json", False)))
 
 
 def main(argv=None) -> int:

@@ -6,9 +6,11 @@ only in when they commit agents: centralized baselines discover every task
 and commit their whole assignment at t=0, while the online mode
 (fairtask.online) passes an observer that explores and commits subsets as
 tasks are found.  Every agent follows its navigator, a greedy waypoint
-controller, and an agent with no navigation goal brakes.  All randomness is
-owned by the caller through seeds; a (root seed, config) pair fully
-determines every emitted number.
+controller, and an agent with no navigation goal brakes.  A Batch is one
+seeded episode family, checked against every batch rule when it is built;
+batch_run runs its episodes serially or over a process pool.  All
+randomness is owned by the caller through seeds; a Batch fully determines
+every emitted number.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from fairtask.world import ACTION_IDLE, ARRIVAL_RADIUS
 
 EXECUTION_SCRIPTED = "scripted"
 EXECUTION_TELEPORT = "teleport"
+EXECUTION_MODES = (EXECUTION_SCRIPTED, EXECUTION_TELEPORT)
+ALGORITHMS = (assign.RULE_EG, assign.RULE_HUNGARIAN, assign.RULE_MINMAX, "online")
 
 DEFAULT_STEP_CAP = 3000
 _WAYPOINT_TOLERANCE = 0.1   # waypoint capture radius when the next leg is visible
@@ -228,14 +232,14 @@ def run_centralized_episode(
 
     execution="teleport" skips kinematics entirely: realized distances equal
     the shortest-path distances, giving the zero-overhead reference point.
+    A rule or execution mode that no Batch accepts raises ConfigError.
     """
+    Batch(rule, scenario=sc, execution=execution)
     u_star, optimum, u0 = metrics.centralized_optimum(sc)
     solution = optimum if rule == assign.RULE_EG else solve_assignment(rule, u0)
 
     if execution == EXECUTION_TELEPORT:
         return _teleport_result(sc, rule, solution, u0, u_star)
-    if execution != EXECUTION_SCRIPTED:
-        raise ValueError(f"unknown execution mode {execution!r}")
 
     ep = Episode(sc)
     ep.discover(range(sc.n_tasks))  # centralized rules see everything
@@ -406,94 +410,86 @@ class BatchResult:
     summary: dict
 
 
-def _run_one_episode(args) -> metrics.EpisodeResult:
-    index, root_seed, algorithm, k, generator, scenario, execution = args
-    seed = episode_seed(root_seed, index)
-    sc = scenario if scenario is not None else world.generate_scenario(seed=seed, **generator)
-    if algorithm == "online":
-        from fairtask import online  # deferred: online builds on this module
-
-        rng = np.random.default_rng([seed, 1])
-        result = online.run_online_episode(sc, k, rng)
-    else:
-        result = run_centralized_episode(sc, algorithm, execution=execution)
-    result.episode = index
-    result.seed = seed
-    return result
-
-
 class ConfigError(ValueError):
     """A run configuration that breaks a batch rule; fairtask.cli exits 1 on it."""
 
 
-def check_batch(
-    algorithm: str,
-    k: int | None,
-    *,
-    generator: dict | None = None,
-    scenario: world.Scenario | None = None,
-    episodes: int = 1,
-    root_seed: int = 0,
-    execution: str = EXECUTION_SCRIPTED,
-    parallel: int = 1,
-) -> None:
-    """Raise ConfigError when no episode of the batch would run as asked.
+@dataclass(frozen=True)
+class Batch:
+    """A seeded episode family: one algorithm over a generator or a fixed scenario.
 
-    These are the one copy of the batch rules: batch_run, the CLI (for
-    every batch before the first runs) and run_online_episode apply them.
+    Construction applies every batch rule and raises ConfigError on the
+    first one broken, so a Batch that exists runs as asked.  The CLI builds
+    every batch before the first runs, and run_centralized_episode and
+    run_online_episode check their own arguments by building one.
     """
-    if episodes < 1:
-        raise ConfigError("episodes must be >= 1")
-    if parallel < 1:
-        raise ConfigError(f"parallel must be >= 1, got {parallel}")
-    if root_seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {root_seed}")
-    if (scenario is None) == (generator is None):
-        raise ConfigError("pass exactly one of scenario or generator")
-    if execution not in (EXECUTION_SCRIPTED, EXECUTION_TELEPORT):
-        raise ConfigError(f"unknown execution mode {execution!r}")
-    if (algorithm == "online") != (k is not None):
-        raise ConfigError(f"k is required for online and invalid otherwise, got k={k}")
-    if algorithm == "online" and execution == EXECUTION_TELEPORT:
-        raise ConfigError("teleport execution applies to centralized rules only, not online")
-    n_agents = scenario.n_agents if scenario is not None else generator["n_agents"]
-    if k is not None and not 1 <= k <= n_agents:
-        raise ConfigError(f"k={k} outside [1, {n_agents}]")
+
+    algorithm: str
+    k: int | None = None
+    episodes: int = 1
+    root_seed: int = 0
+    generator: dict | None = None
+    scenario: world.Scenario | None = None
+    execution: str = EXECUTION_SCRIPTED
+    parallel: int = 1
+
+    def __post_init__(self) -> None:
+        if self.algorithm not in ALGORITHMS:
+            raise ConfigError(
+                f"unknown algorithm {self.algorithm!r}, expected one of {', '.join(ALGORITHMS)}"
+            )
+        if self.episodes < 1:
+            raise ConfigError("episodes must be >= 1")
+        if self.parallel < 1:
+            raise ConfigError(f"parallel must be >= 1, got {self.parallel}")
+        if self.root_seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.root_seed}")
+        if (self.scenario is None) == (self.generator is None):
+            raise ConfigError("pass exactly one of scenario or generator")
+        if self.execution not in EXECUTION_MODES:
+            raise ConfigError(f"unknown execution mode {self.execution!r}")
+        if (self.algorithm == "online") != (self.k is not None):
+            raise ConfigError(f"k is required for online and invalid otherwise, got k={self.k}")
+        if self.k is None:
+            return
+        if self.execution == EXECUTION_TELEPORT:
+            raise ConfigError("teleport execution applies to centralized rules only, not online")
+        n = self.generator["n_agents"] if self.scenario is None else self.scenario.n_agents
+        if not 1 <= self.k <= n:
+            raise ConfigError(f"k={self.k} outside [1, {n}]")
+
+    def run_one(self, index: int) -> metrics.EpisodeResult:
+        """Episode `index`, from its own seed (root_seed, index)."""
+        seed = episode_seed(self.root_seed, index)
+        sc = self.scenario
+        if sc is None:
+            sc = world.generate_scenario(seed=seed, **self.generator)
+        if self.algorithm == "online":
+            from fairtask import online  # deferred: online builds on this module
+
+            result = online.run_online_episode(sc, self.k, np.random.default_rng([seed, 1]))
+        else:
+            result = run_centralized_episode(sc, self.algorithm, execution=self.execution)
+        result.episode = index
+        result.seed = seed
+        return result
 
 
-def batch_run(
-    *,
-    algorithm: str,
-    episodes: int,
-    root_seed: int,
-    generator: dict | None = None,
-    scenario: world.Scenario | None = None,
-    k: int | None = None,
-    execution: str = EXECUTION_SCRIPTED,
-    parallel: int = 1,
-) -> BatchResult:
-    """Run a seeded episode family and aggregate summary statistics.
+def batch_run(batch: Batch) -> BatchResult:
+    """Run every episode of the batch and aggregate summary statistics.
 
     Episode i draws its own seed from (root_seed, i), so any single episode
-    can be reproduced in isolation.  Incomplete episodes are kept in the rows
-    and counted, but excluded from the regret aggregate (a capped episode has
-    no realized value).  A batch that check_batch rejects raises ConfigError
-    before any episode runs.
+    can be reproduced in isolation.  Rows come back in episode order for
+    any `parallel`.  Incomplete episodes are kept in the rows and counted,
+    but excluded from the regret aggregate (a capped episode has no
+    realized value).
     """
-    check_batch(
-        algorithm, k, generator=generator, scenario=scenario, episodes=episodes,
-        root_seed=root_seed, execution=execution, parallel=parallel,
-    )
-    jobs = [
-        (i, root_seed, algorithm, k, generator, scenario, execution)
-        for i in range(episodes)
-    ]
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            rows = list(pool.map(_run_one_episode, jobs))
+    indices = range(batch.episodes)
+    if batch.parallel > 1:
+        with ProcessPoolExecutor(max_workers=batch.parallel) as pool:
+            rows = list(pool.map(batch.run_one, indices))
     else:
-        rows = [_run_one_episode(j) for j in jobs]
-    rows.sort(key=lambda r: r.episode)
+        rows = [batch.run_one(i) for i in indices]
     return BatchResult(rows=rows, summary=summarize(rows))
 
 

@@ -186,10 +186,11 @@ def run_online_episode(
 
     Discoveries commit one task at a time, so the pending pool never
     overshoots k.  Assigned agents are redirected immediately and stop
-    sweeping the lattice; only free agents explore.  A k outside [1, N]
-    raises engine.ConfigError.
+    sweeping the lattice; only free agents explore.  A k that no online
+    engine.Batch on sc accepts (None, or outside [1, N]) raises
+    engine.ConfigError.
     """
-    engine.check_batch("online", k, scenario=sc)
+    engine.Batch("online", k, scenario=sc)
     u_star, _, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)

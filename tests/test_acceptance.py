@@ -49,9 +49,9 @@ def exhaustive_eg_value(u, w):
 
 def scripted_batches(family):
     return {
-        algo: engine.batch_run(
-            algorithm=algo, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(family),
-        )
+        algo: engine.batch_run(engine.Batch(
+            algo, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(family),
+        ))
         for algo in ("eg", "hungarian", "minmax")
     }
 
@@ -67,10 +67,9 @@ def n7_batches():
 @pytest.fixture(scope="module")
 def online_batches():
     return {
-        k: engine.batch_run(
-            algorithm="online", episodes=EPISODES, root_seed=ROOT_SEED, k=k,
-            generator=dict(N7_FAMILY),
-        )
+        k: engine.batch_run(engine.Batch(
+            "online", k, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(N7_FAMILY),
+        ))
         for k in ONLINE_KS
     }
 

@@ -331,7 +331,7 @@ def test_repeated_batches_are_rejected(tmp_path, capsys, command, message):
         (["run", "--generate", "N=3,map=2.5", "--algorithm", "eg", "--parallel", "0"],
          "parallel must be >= 1"),
         (["compare", "--generate", "N=3,map=2.5", "--algorithms", "eg,bogus"],
-         "unknown algorithms: bogus"),
+         "unknown algorithm 'bogus', expected one of eg, hungarian, minmax, online"),
         (["compare", "--generate", "N=3,map=2.5", "--algorithms", "eg,minmax", "--k", "2"],
          "--k is required exactly when online is listed"),
         (["sweep-k", "--generate", "N=3,map=2.5", "--k-values", "1,two"],
@@ -351,7 +351,7 @@ def test_bad_options_are_config_errors(tmp_path, monkeypatch, capsys, command, m
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode ran before every batch was checked")
 
-    monkeypatch.setattr(engine, "_run_one_episode", no_episodes)
+    monkeypatch.setattr(engine.Batch, "run_one", no_episodes)
     monkeypatch.chdir(tmp_path)  # missing.json is relative to an empty directory
     rc = run_cli([*command, "--episodes", "1", "--out", "never"])
     assert rc == 1

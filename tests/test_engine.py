@@ -105,7 +105,7 @@ def test_within_radius_decides_like_numpy_hypot(dx, dy, r, edge, ulps):
     assert engine.within_radius(dx, dy, r) == (float(np.hypot(dx, dy)) <= r)
 
 
-_SCENARIO_MAPS = {7: 2.7, 12: 3.5}
+_SCENARIO_MAPS = {3: 2.5, 7: 2.7, 12: 3.5}
 
 
 @functools.cache
@@ -534,10 +534,9 @@ def test_realized_distance_is_at_most_the_agents_cumulative_distance(n, mode, se
 
 
 def test_batch_single_episode_equals_row():
-    batch = engine.batch_run(
-        algorithm="eg", episodes=1, root_seed=5,
-        generator=dict(n_agents=3, map_size=2.5),
-    )
+    batch = engine.batch_run(engine.Batch(
+        "eg", episodes=1, root_seed=5, generator=dict(n_agents=3, map_size=2.5),
+    ))
     assert len(batch.rows) == 1
     stats = engine.episode_stats(batch.rows[0])
     assert batch.summary["mean"]["T"] == pytest.approx(stats["T"])
@@ -545,10 +544,9 @@ def test_batch_single_episode_equals_row():
 
 
 def test_batch_reruns_identically():
-    kw = dict(algorithm="eg", episodes=4, root_seed=11,
-              generator=dict(n_agents=3, map_size=2.5))
-    a = engine.batch_run(**kw)
-    b = engine.batch_run(**kw)
+    batch = engine.Batch("eg", episodes=4, root_seed=11, generator=dict(n_agents=3, map_size=2.5))
+    a = engine.batch_run(batch)
+    b = engine.batch_run(batch)
     assert a.summary == b.summary
     for ra, rb in zip(a.rows, b.rows):
         assert ra.seed == rb.seed
@@ -568,18 +566,15 @@ def test_batch_parallel_matches_serial(algorithm, k, fixed_scenario):
     else:
         source = dict(generator=dict(n_agents=3, map_size=2.5))
     kw = dict(algorithm=algorithm, k=k, episodes=4, root_seed=19, **source)
-    serial = engine.batch_run(**kw, parallel=1)
-    parallel = engine.batch_run(**kw, parallel=2)
+    serial = engine.batch_run(engine.Batch(**kw, parallel=1))
+    parallel = engine.batch_run(engine.Batch(**kw, parallel=2))
     assert serial.summary == parallel.summary
     assert cli.format_result_rows(serial.rows) == cli.format_result_rows(parallel.rows)
 
 
 def test_batch_online_requires_k():
     with pytest.raises(ValueError):
-        engine.batch_run(
-            algorithm="online", episodes=1, root_seed=0,
-            generator=dict(n_agents=3, map_size=2.5),
-        )
+        engine.Batch("online", episodes=1, root_seed=0, generator=dict(n_agents=3, map_size=2.5))
 
 
 @pytest.mark.parametrize(
@@ -597,24 +592,94 @@ def test_batch_online_requires_k():
          "teleport execution applies to centralized rules only"),
         (dict(root_seed=-1), "seed must be >= 0, got -1"),
         (dict(algorithm="online", k=4), "k=4 outside [1, 3]"),
+        (dict(algorithm="bogus"),
+         "unknown algorithm 'bogus', expected one of eg, hungarian, minmax, online"),
     ],
     ids=["no-episodes", "parallel-0", "parallel-negative", "no-source", "both-sources",
-         "unknown-execution", "eg-with-k", "online-teleport", "negative-seed", "k-above-n"],
+         "unknown-execution", "eg-with-k", "online-teleport", "negative-seed", "k-above-n",
+         "unknown-algorithm"],
 )
 def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, message):
     def no_episodes(*args, **kwargs):
         raise AssertionError("an episode ran before the batch was checked")
 
-    monkeypatch.setattr(engine, "_run_one_episode", no_episodes)
+    def no_scenarios(*args, **kwargs):
+        raise AssertionError("a scenario was generated before the batch was checked")
+
+    monkeypatch.setattr(engine.Batch, "run_one", no_episodes)
+    monkeypatch.setattr(world, "generate_scenario", no_scenarios)
     kw = dict(algorithm="eg", episodes=2, root_seed=0, generator=dict(n_agents=3, map_size=2.5))
     with pytest.raises(engine.ConfigError, match=re.escape(message)):
-        engine.batch_run(**{**kw, **overrides})
+        engine.batch_run(engine.Batch(**{**kw, **overrides}))
 
 
-def test_centralized_episode_rejects_an_unknown_execution():
+def test_centralized_episode_rejects_an_unknown_execution(monkeypatch):
+    def no_optimum(sc):
+        raise AssertionError("U* was computed before the execution mode was checked")
+
     sc = world.generate_scenario(3, 2.5, seed=0)
-    with pytest.raises(ValueError, match="unknown execution mode 'bogus'"):
+    monkeypatch.setattr(metrics, "centralized_optimum", no_optimum)
+    with pytest.raises(engine.ConfigError, match="unknown execution mode 'bogus'"):
         engine.run_centralized_episode(sc, "eg", execution="bogus")
+
+
+class _OptimumReached(Exception):
+    """Raised by a stand-in for metrics.centralized_optimum: the arguments passed."""
+
+
+def _breaks_a_batch_rule(algorithm, k, execution, n) -> bool:
+    """The batch rules on a fixed N-agent scenario, restated from README."""
+    if algorithm not in ("eg", "hungarian", "minmax", "online"):
+        return True
+    if execution not in ("scripted", "teleport"):
+        return True
+    if algorithm != "online":
+        return k is not None
+    return k is None or not 1 <= k <= n or execution == "teleport"
+
+
+@given(
+    algorithm=st.sampled_from(engine.ALGORITHMS + ("bogus",)),
+    k=st.none() | st.integers(-1, 4),
+    execution=st.sampled_from(engine.EXECUTION_MODES + ("bogus",)),
+)
+@settings(max_examples=150, deadline=None)
+def test_batches_and_both_episode_entry_points_apply_one_rule_set(algorithm, k, execution):
+    # Each entry point either raises ConfigError or reaches U*, by the same
+    # rules: a centralized episode is a batch without k, an online episode a
+    # scripted online batch.
+    sc = _steering_scenario(3, 0)
+
+    def reach_optimum(sc):
+        raise _OptimumReached
+
+    def outcome(call) -> str:
+        try:
+            call()
+        except engine.ConfigError:
+            return "rejected"
+        except _OptimumReached:
+            return "ran"
+        raise AssertionError("neither rejected nor reached U*")
+
+    def expected(algorithm, k, execution) -> str:
+        return "rejected" if _breaks_a_batch_rule(algorithm, k, execution, 3) else "ran"
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "centralized_optimum", reach_optimum)
+        try:
+            batch = engine.Batch(algorithm, k, scenario=sc, execution=execution)
+        except engine.ConfigError:
+            assert expected(algorithm, k, execution) == "rejected"
+        else:
+            assert expected(algorithm, k, execution) == "ran"
+            assert outcome(lambda: batch.run_one(0)) == "ran"
+        assert outcome(
+            lambda: engine.run_centralized_episode(sc, algorithm, execution=execution)
+        ) == expected(algorithm, None, execution)
+        assert outcome(
+            lambda: online.run_online_episode(sc, k, np.random.default_rng(0))
+        ) == expected("online", k, "scripted")
 
 
 def test_batch_seed_derivation_isolated():
