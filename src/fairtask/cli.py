@@ -340,6 +340,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
     A bad option raises ConfigError here, so no file is written.
     """
+    out = Path(args.out)
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} exists and is not a directory")
     if args.scenario is not None:
         source = dict(scenario=load_scenario(args.scenario, alpha_override=args.alpha))
     else:
@@ -371,7 +374,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         )
         for algorithm, k in runs
     )
-    return ExperimentConfig(batches, Path(args.out), bool(getattr(args, "dump_json", False)))
+    return ExperimentConfig(batches, out, bool(getattr(args, "dump_json", False)))
 
 
 def main(argv=None) -> int:

@@ -267,7 +267,6 @@ def _teleport_result(sc, rule, solution, u0, u_star):
         realized_utilities=realized,
         weights=world.task_weights(sc),
         completion_time=t_done,
-        total_distance=float(per_agent.sum()),
         per_agent_distance=per_agent,
         collision_count=0,
         discovery_times=np.zeros(m),
@@ -302,7 +301,6 @@ class Episode:
         self.task_of = np.full(sc.n_agents, -1)        # -1 marks a free agent
         self.goals = np.full((sc.n_agents, 2), math.nan)  # task positions, nan while free
         self.dist_at_assign = np.zeros(sc.n_agents)
-        self.discovery_times = np.full(sc.n_tasks, math.nan)
         self.commits: list[metrics.Commitment] = []
 
     def free_agents(self) -> list[int]:
@@ -311,12 +309,11 @@ class Episode:
     def pending_tasks(self) -> list[int]:
         """Discovered tasks that no agent serves yet, ascending."""
         served = set(self.task_of.tolist())
-        return [t for t in np.flatnonzero(self.state.discovered).tolist() if t not in served]
+        found = np.flatnonzero(~np.isnan(self.state.discovery_times))
+        return [t for t in found.tolist() if t not in served]
 
     def discover(self, tasks) -> None:
-        tasks = list(tasks)
         self.state = world.discover(self.state, tasks)
-        self.discovery_times[tasks] = self.state.time
 
     def commit(self, assignment: assign.Assignment) -> None:
         """Bind the assignment's pairs for good and steer each agent to its task."""
@@ -339,17 +336,17 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
     Every agent follows its navigator; serving a task clears its agent's
     goal, so the agent brakes.  observe(ep) runs after each dynamics step,
     before arrival and service.  Realized distances run from an agent's
-    commitment to its first arrival.
+    commitment to its first arrival.  The loop ends on the tick after the last
+    service, so the final state's time is T, complete or capped.
     """
     sc = ep.sc
     m = sc.n_tasks
     realized_distance = np.full(m, math.nan)
-    completion_time = 0.0
     collisions = 0
 
     for _step in range(DEFAULT_STEP_CAP):
         state = ep.state
-        if np.count_nonzero(state.completed) == m:
+        if not np.count_nonzero(state.remaining_workloads):
             break
         actions = [nav.action(state, sc, i) for i, nav in enumerate(ep.navs)]
         ep.state, events = world.step_dynamics_events(state, actions, sc)
@@ -364,15 +361,14 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
             t = int(ep.task_of[i])
             if math.isnan(realized_distance[t]):  # first arrival
                 realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
-            if not state.completed[t]:
+            if state.remaining_workloads[t] > 0.0:
                 state = world.service_tick(state, sc, i, t)
-                if state.completed[t]:
-                    completion_time = state.time
+                if state.remaining_workloads[t] == 0.0:
                     ep.navs[i].goal = None
         ep.state = state
 
     state = ep.state
-    incomplete = not bool(np.all(state.completed))
+    incomplete = bool(np.count_nonzero(state.remaining_workloads))
     prefs = world.preference_matrix(sc)
     realized = np.zeros(m)
     for a, t in enumerate(ep.task_of.tolist()):
@@ -381,11 +377,10 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
     return metrics.EpisodeResult(
         realized_utilities=realized,
         weights=world.task_weights(sc),
-        completion_time=completion_time if not incomplete else state.time,
-        total_distance=float(state.cumulative_distance.sum()),
+        completion_time=state.time,
         per_agent_distance=state.cumulative_distance.copy(),
         collision_count=collisions,
-        discovery_times=ep.discovery_times,
+        discovery_times=state.discovery_times,
         commits=tuple(ep.commits),
         incomplete=incomplete,
         rule=rule,

@@ -37,7 +37,6 @@ class EpisodeResult:
     realized_utilities: np.ndarray      # (m,)
     weights: np.ndarray                 # (m,)
     completion_time: float
-    total_distance: float
     per_agent_distance: np.ndarray      # (N,)
     collision_count: int
     discovery_times: np.ndarray         # (m,)
@@ -48,6 +47,15 @@ class EpisodeResult:
     u_star: float = math.nan
     seed: int = 0
     episode: int = 0
+
+    @property
+    def total_distance(self) -> float:
+        """Sum of per_agent_distance; setting it moves agent 0's entry by the change."""
+        return float(self.per_agent_distance.sum())
+
+    @total_distance.setter
+    def total_distance(self, value: float) -> None:
+        self.per_agent_distance[0] += value - self.total_distance
 
     @property
     def assignment_log(self) -> tuple[tuple[float, int, int], ...]:

@@ -166,7 +166,7 @@ class ExplorationPolicy:
             ep.discover([j])
             state = ep.state  # discover() replaces the state
             pending = ep.pending_tasks()
-            if len(pending) < self.k and not state.discovered.all():
+            if len(pending) < self.k and np.isnan(state.discovery_times).any():
                 continue
             free = ep.free_agents()
             ep.commit(select_subset_and_assign(free, pending, self.k, sc, state.agent_positions))

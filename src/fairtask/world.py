@@ -4,7 +4,8 @@ Coordinates are world units inside the square [0, workspace_size]^2; time
 advances in fixed dt steps.  Walls are zero-width segments, obstacles are
 static discs.  Step functions return a new WorldState that shares the arrays
 they do not change; nothing writes a state's arrays in place.  engine.Episode
-holds the current one.
+holds the current one.  A task is found once it has a discovery time and
+served once its remaining workload is zero.
 """
 
 from __future__ import annotations
@@ -245,12 +246,14 @@ def task_weights(sc: Scenario) -> np.ndarray:
 
 @dataclass
 class WorldState:
+    """The world at `time`.  A task is served exactly when its remaining
+    workload is 0.0, and found exactly when its discovery time is not NaN."""
+
     time: float
     agent_positions: np.ndarray      # (N, 2)
     agent_velocities: np.ndarray     # (N, 2)
-    remaining_workloads: np.ndarray  # (m,)
-    discovered: np.ndarray           # (m,) bool
-    completed: np.ndarray            # (m,) bool
+    remaining_workloads: np.ndarray  # (m,), 0.0 once served
+    discovery_times: np.ndarray      # (m,), NaN until found
     cumulative_distance: np.ndarray  # (N,)
 
 
@@ -261,8 +264,7 @@ def initial_state(sc: Scenario) -> WorldState:
         agent_positions=sc.agent_positions(),
         agent_velocities=np.zeros((n, 2)),
         remaining_workloads=np.array([t.workload for t in sc.tasks], dtype=float),
-        discovered=np.zeros(m, dtype=bool),
-        completed=np.zeros(m, dtype=bool),
+        discovery_times=np.full(m, math.nan),
         cumulative_distance=np.zeros(n),
     )
 
@@ -329,8 +331,7 @@ def step_dynamics_events(
         agent_positions=new_p,
         agent_velocities=v,
         remaining_workloads=state.remaining_workloads,
-        discovered=state.discovered,
-        completed=state.completed,
+        discovery_times=state.discovery_times,
         cumulative_distance=state.cumulative_distance + np.hypot(step[:, 0], step[:, 1]),
     ), events
 
@@ -430,7 +431,7 @@ def _circle_hit(p, disp, center, radius):
 def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
     """Undiscovered tasks now inside some agent's closed sensing ball, ascending."""
     geom = sc.motion
-    hidden = np.flatnonzero(~state.discovered)
+    hidden = np.flatnonzero(np.isnan(state.discovery_times))
     seen = in_any_ball(geom.task_positions[hidden], state.agent_positions, geom.sensing_radius)
     return hidden[seen].tolist()
 
@@ -443,20 +444,21 @@ def in_any_ball(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> n
 
 
 def discover(state: WorldState, tasks) -> WorldState:
-    discovered = state.discovered.copy()
-    discovered[list(tasks)] = True
-    return replace(state, discovered=discovered)
+    discovery_times = state.discovery_times.copy()
+    discovery_times[list(tasks)] = state.time
+    return replace(state, discovery_times=discovery_times)
 
 
 def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> WorldState:
     """One service interval: workload drops by the agent's rate times dt.
 
-    Servicing an already-completed task returns the state itself.  Range and
-    discovery preconditions are enforced.
+    The drop is at most the workload left, so the completing tick leaves
+    exactly 0.0.  Servicing a served task returns the state itself.  Range
+    and discovery preconditions are enforced.
     """
-    if state.completed[task]:
+    if state.remaining_workloads[task] == 0.0:
         return state
-    if not state.discovered[task]:
+    if math.isnan(state.discovery_times[task]):
         raise ValueError(f"task {task} serviced before discovery")
     p = state.agent_positions[agent]
     if math.dist(tuple(p), sc.tasks[task].position) > ARRIVAL_RADIUS + 1e-12:
@@ -464,18 +466,12 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
     rate = sc.agents[agent].preference_row[sc.tasks[task].task_type]
     remaining = state.remaining_workloads.copy()
     remaining[task] -= min(rate * sc.dt, float(remaining[task]))
-    completed = state.completed
-    if remaining[task] <= 0.0:
-        remaining[task] = 0.0
-        completed = completed.copy()
-        completed[task] = True
     return WorldState(
         time=state.time,
         agent_positions=state.agent_positions,
         agent_velocities=state.agent_velocities,
         remaining_workloads=remaining,
-        discovered=state.discovered,
-        completed=completed,
+        discovery_times=state.discovery_times,
         cumulative_distance=state.cumulative_distance,
     )
 

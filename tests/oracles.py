@@ -407,7 +407,7 @@ def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
     """Undiscovered tasks currently inside some agent's sensing ball."""
     found = []
     for j in range(sc.n_tasks):
-        if state.discovered[j]:
+        if not math.isnan(state.discovery_times[j]):
             continue
         tp = np.array(sc.tasks[j].position)
         for i in range(sc.n_agents):
@@ -420,9 +420,9 @@ def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
 
 def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> WorldState:
     """One service interval, built with dataclasses.replace from the changed arrays."""
-    if state.completed[task]:
+    if state.remaining_workloads[task] == 0.0:
         return state
-    if not state.discovered[task]:
+    if math.isnan(state.discovery_times[task]):
         raise ValueError(f"task {task} serviced before discovery")
     p = state.agent_positions[agent]
     if math.dist(tuple(p), sc.tasks[task].position) > world.ARRIVAL_RADIUS + 1e-12:
@@ -430,12 +430,9 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
     rate = sc.agents[agent].preference_row[sc.tasks[task].task_type]
     remaining = state.remaining_workloads.copy()
     remaining[task] -= min(rate * sc.dt, float(remaining[task]))
-    completed = state.completed
-    if remaining[task] <= 0.0:
+    if remaining[task] <= 0.0:  # the fast tick relies on the subtraction landing on 0.0
         remaining[task] = 0.0
-        completed = completed.copy()
-        completed[task] = True
-    return dataclasses.replace(state, remaining_workloads=remaining, completed=completed)
+    return dataclasses.replace(state, remaining_workloads=remaining)
 
 
 # ---------------------------------------------------------------------------

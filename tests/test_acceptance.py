@@ -47,10 +47,11 @@ def exhaustive_eg_value(u, w):
     return float((w[perms] * logs[perms, cols]).sum(axis=1).max())
 
 
-def scripted_batches(family):
+def scripted_batches(family, parallel=1):
     return {
         algo: engine.batch_run(engine.Batch(
             algo, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(family),
+            parallel=parallel,
         ))
         for algo in ("eg", "hungarian", "minmax")
     }
@@ -58,6 +59,7 @@ def scripted_batches(family):
 
 @pytest.fixture(scope="module")
 def n7_batches():
+    # Serial: criterion 05 bounds this fixture's wall time.
     start = time.perf_counter()
     out = scripted_batches(N7_FAMILY)
     out["elapsed"] = time.perf_counter() - start
@@ -69,6 +71,7 @@ def online_batches():
     return {
         k: engine.batch_run(engine.Batch(
             "online", k, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(N7_FAMILY),
+            parallel=2,
         ))
         for k in ONLINE_KS
     }
@@ -273,7 +276,7 @@ def test_criterion_09_workload_tick_counts():
         )
         state = world.discover(world.initial_state(sc), [0])
         ticks = 0
-        while not state.completed[0]:
+        while state.remaining_workloads[0] > 0.0:
             state = world.service_tick(state, sc, 0, 0)
             ticks += 1
         assert ticks == math.ceil(workload / (pref * dt))
@@ -306,7 +309,8 @@ def test_criterion_11_fairness_across_team_sizes_and_online(n7_batches, online_b
     means = {}
     for n_agents in (3, 10):
         family = dict(N7_FAMILY, n_agents=n_agents, map_size=world.DEFAULT_MAP_SIZES[n_agents])
-        fairness = {a: per_episode_fairness(b) for a, b in scripted_batches(family).items()}
+        batches = scripted_batches(family, parallel=2)
+        fairness = {a: per_episode_fairness(b) for a, b in batches.items()}
         assert_eg_fairest(fairness)
         means[n_agents] = {a: round(float(j.mean()), 3) for a, (_, j) in fairness.items()}
 

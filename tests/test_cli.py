@@ -413,6 +413,29 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["run", "--algorithm", "eg"],
+        ["compare", "--algorithms", "eg,minmax"],
+        ["sweep-k", "--k-values", "1,2"],
+    ],
+    ids=["run", "compare", "sweep-k"],
+)
+def test_out_naming_an_existing_file_is_a_config_error(tmp_path, monkeypatch, capsys, command):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before --out was checked")
+
+    monkeypatch.setattr(engine.Batch, "run_one", no_episodes)
+    blocker = tmp_path / "file"
+    blocker.write_text("occupied")
+    rc = run_cli([*command, "--generate", "N=3,map=2.5", "--episodes", "1",
+                  "--out", str(blocker)])
+    assert rc == 1
+    assert blocker.read_text() == "occupied"
+    assert capsys.readouterr().err == f"error: --out {blocker} exists and is not a directory\n"
+
+
 def test_exit_code_runtime_failure(tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("occupied")

@@ -372,13 +372,20 @@ def test_episode_determinism():
     assert np.array_equal(a.per_agent_distance, b.per_agent_distance)
 
 
-def _capped_eg_episode(monkeypatch, sc, step_cap):
-    u_star, solution, _ = metrics.centralized_optimum(sc)
+def _recorded_episode(sc, rule):
+    """A centralized episode run with an observer that records every tick's time."""
+    u_star, optimum, u0 = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     ep.discover(range(sc.n_tasks))
-    ep.commit(solution)
+    ep.commit(optimum if rule == "eg" else engine.solve_assignment(rule, u0))
+    times = []
+    return ep, engine.run_episode(ep, rule, u_star, lambda e: times.append(e.state.time)), times
+
+
+def _capped_eg_episode(monkeypatch, sc, step_cap):
     monkeypatch.setattr(engine, "DEFAULT_STEP_CAP", step_cap)
-    return ep, engine.run_episode(ep, "eg", u_star)
+    ep, res, _ = _recorded_episode(sc, "eg")
+    return ep, res
 
 
 def test_step_cap_completion_and_accounting(monkeypatch):
@@ -410,6 +417,39 @@ def test_served_agents_have_no_navigation_goal(monkeypatch):
     ep, res = _capped_eg_episode(monkeypatch, sc, engine.DEFAULT_STEP_CAP)
     assert not res.incomplete
     assert [nav.goal for nav in ep.navs] == [None] * sc.n_agents
+
+
+def _check_episode_facts(ep, res, times):
+    # T is the last tick's time, an episode is incomplete exactly when some
+    # workload is left, and a task is served (its agent's goal cleared)
+    # exactly when its workload is +0.0, bit for bit.
+    assert res.completion_time == times[-1] == ep.state.time
+    assert res.incomplete == bool(np.any(ep.state.remaining_workloads != 0.0))
+    for agent, task in enumerate(ep.task_of.tolist()):
+        served = ep.navs[agent].goal is None
+        assert (ep.state.remaining_workloads[task] == 0.0) == served
+        if served:
+            assert ep.state.remaining_workloads[task].tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.parametrize("n, map_size", [(3, 2.5), (7, 2.7)])
+@pytest.mark.parametrize("rule", ["eg", "hungarian", "minmax"])
+def test_episode_end_facts_derive_from_the_world_state(n, map_size, rule):
+    for index in range(2):
+        sc = world.generate_scenario(n, map_size, seed=engine.episode_seed(23, index))
+        ep, res, times = _recorded_episode(sc, rule)
+        assert not res.incomplete
+        _check_episode_facts(ep, res, times)
+
+
+def test_capped_episode_end_facts_derive_from_the_world_state(monkeypatch):
+    sc = world.generate_scenario(3, 2.5, seed=engine.episode_seed(23, 0))
+    _, full, _ = _recorded_episode(sc, "eg")
+    monkeypatch.setattr(engine, "DEFAULT_STEP_CAP", round(full.completion_time / sc.dt) - 5)
+    ep, res, times = _recorded_episode(sc, "eg")
+    assert res.incomplete
+    assert len(times) == engine.DEFAULT_STEP_CAP
+    _check_episode_facts(ep, res, times)
 
 
 def test_minmax_optimizes_its_own_metric():

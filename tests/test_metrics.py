@@ -19,7 +19,6 @@ def _result(utilities, weights, **kw):
         realized_utilities=np.asarray(utilities, dtype=float),
         weights=np.asarray(weights, dtype=float),
         completion_time=1.0,
-        total_distance=1.0,
         per_agent_distance=np.ones(m) / m,
         collision_count=0,
         discovery_times=np.zeros(m),
@@ -202,6 +201,9 @@ def test_regret_floor_across_policies():
 
 
 def test_episode_result_distance_identity():
-    r = _result([1.0, 1.0], [1.0, 1.0],
-                per_agent_distance=np.array([0.4, 0.6]), total_distance=1.0)
+    r = _result([1.0, 1.0], [1.0, 1.0], per_agent_distance=np.array([0.4, 0.6]))
     assert abs(r.total_distance - r.per_agent_distance.sum()) <= 1e-9
+    # A new total moves agent 0's distance, so the sum stays the one record.
+    r.total_distance += 0.5
+    assert r.per_agent_distance.tolist() == pytest.approx([0.9, 0.6])
+    assert r.total_distance == pytest.approx(1.5)

@@ -357,8 +357,9 @@ def test_phase_trigger_boundaries():
 @pytest.mark.parametrize("n,map_size", [(3, 2.5), (7, 2.7)])
 def test_online_trigger_invariants(n, map_size):
     # A trigger fires at exactly k pending tasks, or once every task has been
-    # discovered; its pairs serve exactly its pending tasks with free agents,
-    # and a complete episode commits each agent and each task once.
+    # discovered; its pairs serve exactly its pending tasks, found by then,
+    # with free agents, and a complete episode commits each agent and each
+    # task once.
     for index in range(3):
         seed = engine.episode_seed(77, index)
         sc = world.generate_scenario(n, map_size, seed=seed)
@@ -370,6 +371,7 @@ def test_online_trigger_invariants(n, map_size):
                 assert len(commit.pending_tasks) == k or all_found
                 assert sorted(t for _, t in commit.pairs) == list(commit.pending_tasks)
                 assert {a for a, _ in commit.pairs} <= set(commit.free_agents)
+                assert all(res.discovery_times[t] <= commit.time for _, t in commit.pairs)
             assert sorted(a for _, a, _ in res.assignment_log) == list(range(n))
             assert sorted(t for _, _, t in res.assignment_log) == list(range(n))
 

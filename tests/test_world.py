@@ -152,14 +152,15 @@ def test_random_walk_invariants(seed):
 
 def _call_without_writing(fn, state, *args):
     """fn(state, *args), checking that it leaves every field of `state` as it
-    was and that each array it changed is a new one, sharing no memory."""
+    was and that each array it changed is a new one, sharing no memory.  NaN
+    (a task not yet found) equals NaN here."""
     before = copy.deepcopy(state)
     out = fn(state, *args)
     new = out[0] if isinstance(out, tuple) else out
     for field in dataclasses.fields(world.WorldState):
         old, now = getattr(before, field.name), getattr(new, field.name)
-        assert np.array_equal(getattr(state, field.name), old), field.name
-        if isinstance(now, np.ndarray) and not np.array_equal(now, old):
+        assert np.array_equal(getattr(state, field.name), old, equal_nan=True), field.name
+        if isinstance(now, np.ndarray) and not np.array_equal(now, old, equal_nan=True):
             assert not np.shares_memory(now, getattr(state, field.name)), field.name
     return out
 
@@ -176,8 +177,8 @@ def test_world_functions_never_write_their_input(seed):
         visible = world.newly_visible_tasks(state, sc)
         state = _call_without_writing(world.discover, state, visible)
         # Agent 0 serves every discovered task from a copy of the state in
-        # which it stands on that task; completed tasks take the no-op path.
-        for j in np.flatnonzero(state.discovered).tolist():
+        # which it stands on that task; served tasks take the no-op path.
+        for j in np.flatnonzero(~np.isnan(state.discovery_times)).tolist():
             on_task = state.agent_positions.copy()
             on_task[0] = sc.tasks[j].position
             probe = dataclasses.replace(state, agent_positions=on_task)
@@ -332,7 +333,7 @@ def test_newly_visible_matches_scalar_oracle(n, map_size, seed):
     state = world.initial_state(sc)
     for _ in range(5):
         state.agent_positions = rng.uniform(0.0, map_size, size=(n, 2))
-        state.discovered = rng.random(n) < 0.3
+        state.discovery_times = np.where(rng.random(n) < 0.3, 0.0, math.nan)
         probe = _on_the_boundary(sc, state.agent_positions, rng, sc.task_positions())
         assert world.newly_visible_tasks(state, probe) == oracles.newly_visible_tasks(
             state, probe
@@ -345,7 +346,7 @@ def test_discovery_flags_monotone():
     new = world.newly_visible_tasks(state, sc)
     assert new == [0]
     state = world.discover(state, new)
-    assert state.discovered[0]
+    assert state.discovery_times[0] == state.time
     assert world.newly_visible_tasks(state, sc) == []
 
 
@@ -369,7 +370,7 @@ def test_service_tick_direct_substitution():
     state = world.discover(world.initial_state(sc), [0])
     nxt = world.service_tick(state, sc, 0, 0)
     assert nxt.remaining_workloads[0] == pytest.approx(0.95)
-    assert not nxt.completed[0]
+    assert nxt.remaining_workloads[0] > 0.0  # not served yet
 
 
 def test_service_tick_floor_and_completion():
@@ -377,18 +378,16 @@ def test_service_tick_floor_and_completion():
     state = world.discover(world.initial_state(sc), [0])
     state.remaining_workloads[0] = 0.03
     nxt = world.service_tick(state, sc, 0, 0)
-    assert nxt.remaining_workloads[0] == 0.0
-    assert nxt.completed[0]
+    assert nxt.remaining_workloads[0] == 0.0  # served
 
 
 def test_service_completed_is_noop():
     sc = _service_scenario()
     state = world.discover(world.initial_state(sc), [0])
-    state.remaining_workloads[0] = 0.0
-    state.completed[0] = True
+    state.remaining_workloads[0] = 0.0  # served
     nxt = world.service_tick(state, sc, 0, 0)
+    assert nxt is state
     assert nxt.remaining_workloads[0] == 0.0
-    assert nxt.completed[0]
 
 
 def test_service_requires_proximity_and_discovery():
@@ -410,7 +409,7 @@ def test_completion_tick_count_closed_form(workload, pref, dt):
     sc = _service_scenario(workload=workload, pref=pref, dt=dt)
     state = world.discover(world.initial_state(sc), [0])
     ticks = 0
-    while not state.completed[0]:
+    while state.remaining_workloads[0] > 0.0:
         state = world.service_tick(state, sc, 0, 0)
         ticks += 1
     assert ticks == math.ceil(workload / (pref * dt))
@@ -425,13 +424,16 @@ def test_service_tick_matches_the_replace_oracle(workload, pref, dt, left, kind)
     sc = _service_scenario(workload=workload, pref=pref, dt=dt)
     state = world.discover(world.initial_state(sc), [0])
     served = pref * dt
+    # A workload of 0.0 is a served task, so a completing one keeps at least
+    # the least positive float.
     state.remaining_workloads[0] = {
-        "partial": served + 1e-3 + left * workload, "completing": left * served, "completed": 0.0,
+        "partial": served + 1e-3 + left * workload,
+        "completing": max(left * served, math.ulp(0.0)),
+        "completed": 0.0,
     }[kind]
-    state.completed[0] = kind == "completed"
     got = world.service_tick(state, sc, 0, 0)
     want = oracles.service_tick(state, sc, 0, 0)
-    assert bool(got.completed[0]) == (kind != "partial")
+    assert (got.remaining_workloads[0] == 0.0) == (kind != "partial")
     assert (got is state) == (want is state) == (kind == "completed")
     for field in dataclasses.fields(world.WorldState):
         a, b, before = (getattr(x, field.name) for x in (got, want, state))
@@ -445,7 +447,7 @@ def test_service_tick_matches_the_replace_oracle(workload, pref, dt, left, kind)
 def test_workload_conservation_identity():
     sc = _service_scenario(workload=1.3, pref=0.7, dt=0.07)
     state = world.discover(world.initial_state(sc), [0])
-    while not state.completed[0]:
+    while state.remaining_workloads[0] > 0.0:
         before = state.remaining_workloads[0]
         state = world.service_tick(state, sc, 0, 0)
         served = before - state.remaining_workloads[0]
