@@ -15,6 +15,7 @@ every emitted number.
 
 from __future__ import annotations
 
+import inspect
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -134,7 +135,7 @@ class Navigator:
         the goal means the goal is unreachable, which yields idle.
         """
         v = state.agent_velocities[agent].tolist()
-        quantum = float(sc.motion.quantum[agent])
+        quantum = float(sc.arrays.quantum[agent])
         if self.goal is None:
             return brake_action(v, quantum)
         pos = state.agent_positions[agent]
@@ -157,12 +158,12 @@ class Navigator:
         # Speed cap from the remaining chain: slow for corners, stop at the
         # end.  A corner's bound grows with the chain length run up to it,
         # so the first corner's bound is the least of them.
-        spec = sc.agents[agent]
+        max_speed = float(sc.arrays.max_speed[agent])
         accel = quantum / sc.dt
-        v_cap = spec.max_speed
+        v_cap = max_speed
         run = dist
         if self._legs:
-            corner_speed = _CORNER_SPEED_FRACTION * spec.max_speed
+            corner_speed = _CORNER_SPEED_FRACTION * max_speed
             slack = max(run - ARRIVAL_RADIUS / 2.0, 0.0)
             v_cap = min(v_cap, math.sqrt(corner_speed ** 2 + 2.0 * accel * slack))
             for leg in self._legs:
@@ -253,7 +254,7 @@ def _teleport_result(sc, rule, solution, u0, u_star):
     realized = np.zeros(m)
     t_done = 0.0
     commit = metrics.Commitment(  # the one commit: every agent and task at t=0
-        0.0, tuple(range(n)), tuple(range(m)), sc.agent_positions(),
+        0.0, tuple(range(n)), tuple(range(m)), sc.arrays.agent_positions,
         tuple(solution.pairs()), solution.objective,
     )
     for agent, task in commit.pairs:
@@ -261,11 +262,11 @@ def _teleport_result(sc, rule, solution, u0, u_star):
         per_agent[agent] = d
         realized[task] = u0.values[task, agent]
         rate = u0.preferences[task, agent]
-        service = sc.tasks[task].workload / rate if rate > 0 else math.inf
-        t_done = max(t_done, d / sc.agents[agent].max_speed + service)
+        service = sc.arrays.workloads[task] / rate if rate > 0 else math.inf
+        t_done = max(t_done, d / sc.arrays.max_speed[agent] + service)
     return metrics.EpisodeResult(
         realized_utilities=realized,
-        weights=world.task_weights(sc),
+        weights=sc.arrays.weights,
         completion_time=t_done,
         per_agent_distance=per_agent,
         collision_count=0,
@@ -324,10 +325,11 @@ class Episode:
             state.agent_positions.copy(), pairs, assignment.objective,
         ))
         for agent, task in pairs:
+            goal = self.sc.arrays.task_positions[task]
             self.task_of[agent] = task
-            self.goals[agent] = self.sc.motion.task_positions[task]
+            self.goals[agent] = goal
             self.dist_at_assign[agent] = float(state.cumulative_distance[agent])
-            self.navs[agent].set_goal(state.agent_positions[agent], self.sc.tasks[task].position)
+            self.navs[agent].set_goal(state.agent_positions[agent], goal)
 
 
 def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.EpisodeResult:
@@ -369,14 +371,14 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
 
     state = ep.state
     incomplete = bool(np.count_nonzero(state.remaining_workloads))
-    prefs = world.preference_matrix(sc)
+    prefs = sc.arrays.preferences
     realized = np.zeros(m)
     for a, t in enumerate(ep.task_of.tolist()):
         if t >= 0 and np.isfinite(realized_distance[t]):
             realized[t] = (sc.alpha ** realized_distance[t]) * prefs[t, a]
     return metrics.EpisodeResult(
         realized_utilities=realized,
-        weights=world.task_weights(sc),
+        weights=sc.arrays.weights,
         completion_time=state.time,
         per_agent_distance=state.cumulative_distance.copy(),
         collision_count=collisions,
@@ -409,6 +411,10 @@ class ConfigError(ValueError):
     """A run configuration that breaks a batch rule; fairtask.cli exits 1 on it."""
 
 
+# Taken at import, so a Batch checks its generator against the real signature.
+_GENERATOR_SIGNATURE = inspect.signature(world.generate_scenario)
+
+
 @dataclass(frozen=True)
 class Batch:
     """A seeded episode family: one algorithm over a generator or a fixed scenario.
@@ -433,6 +439,10 @@ class Batch:
             raise ConfigError(
                 f"unknown algorithm {self.algorithm!r}, expected one of {', '.join(ALGORITHMS)}"
             )
+        for name in ("k", "episodes", "root_seed", "parallel"):
+            value = getattr(self, name)
+            if type(value) is not int and (name != "k" or value is not None):  # bool is an int
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
         if self.parallel < 1:
@@ -441,6 +451,11 @@ class Batch:
             raise ConfigError(f"seed must be >= 0, got {self.root_seed}")
         if (self.scenario is None) == (self.generator is None):
             raise ConfigError("pass exactly one of scenario or generator")
+        if self.generator is not None:
+            try:
+                _GENERATOR_SIGNATURE.bind(seed=0, **self.generator)
+            except TypeError as err:
+                raise ConfigError(f"generator: {err}") from None
         if self.execution not in EXECUTION_MODES:
             raise ConfigError(f"unknown execution mode {self.execution!r}")
         if (self.algorithm == "online") != (self.k is not None):

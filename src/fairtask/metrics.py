@@ -113,11 +113,10 @@ def centralized_optimum(
 ) -> tuple[float, assign.Assignment, assign.UtilityMatrix]:
     """Full-information optimum U* of the weighted-log objective.
 
-    Utilities come from the scenario's own shortest-path distances
-    (`sc.distances`) between task and initial agent positions, with its alpha.
-    Returns U*, the EG solution and the utility matrix it was solved on.
+    Utilities come from `sc.start_distances`, the matrix the generator checked,
+    with the scenario's alpha.  Returns U*, the EG solution and the utility
+    matrix it was solved on.
     """
-    d = sc.distances.pairwise(sc.task_positions(), sc.agent_positions())
-    u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
-    solution = assign.solve_eg(u, world.task_weights(sc))
+    u = assign.compute_utility(sc.start_distances, sc.arrays.preferences, sc.alpha)
+    solution = assign.solve_eg(u, sc.arrays.weights)
     return solution.objective, solution, u

@@ -41,15 +41,14 @@ def init_lattice(sc: world.Scenario) -> ExplorationMap:
     Points inside an obstacle or in a blocked cell of the scenario's grid
     (`sc.distances.grid`) start explored.
     """
-    grid = sc.distances.grid
-    g = min(a.sensing_radius for a in sc.agents) / 2.0
+    grid, geom = sc.distances.grid, sc.arrays
+    g = float(geom.sensing_radius.min()) / 2.0
     size = sc.workspace_size
     coords = np.minimum(np.arange(math.ceil(size / g) + 1) * g, size)
     xs, ys = np.meshgrid(coords, coords, indexing="ij")
     points = np.column_stack([xs.ravel(), ys.ravel()])
-    centers = np.array([c for c, _ in sc.obstacles], dtype=float).reshape(-1, 2)
-    radii = np.array([r for _, r in sc.obstacles], dtype=float)
-    explored = world.in_any_ball(points, centers, radii) | grid.blocked_at(points)
+    explored = world.in_any_ball(points, geom.disc_centers, geom.disc_radii)
+    explored |= grid.blocked_at(points)
     return ExplorationMap(points=points, explored=explored)
 
 
@@ -113,10 +112,9 @@ def select_subset_and_assign(
         raise RuntimeError(f"{len(pending)} pending tasks exceed the threshold {k}")
     if len(pending) == k and len(free) < k:
         raise RuntimeError("fewer free agents than the subset size")
-    d = sc.distances.pairwise(sc.task_positions()[pending], agent_positions[free])
-    prefs = world.preference_matrix(sc)[np.ix_(pending, free)]
-    u = assign.compute_utility(d, prefs, sc.alpha)
-    solution = assign.solve_eg(u, world.task_weights(sc)[pending])
+    d = sc.distances.pairwise(sc.arrays.task_positions[pending], agent_positions[free])
+    u = assign.compute_utility(d, sc.arrays.preferences[np.ix_(pending, free)], sc.alpha)
+    solution = assign.solve_eg(u, sc.arrays.weights[pending])
     task_of_agent = np.full(sc.n_agents, -1)
     for i, j in solution.pairs():
         task_of_agent[free[i]] = pending[j]
@@ -159,7 +157,7 @@ class ExplorationPolicy:
         sc, state = ep.sc, ep.state
         sweeping = ep.free_agents()
         if sweeping:
-            radii = sc.motion.sensing_radius[sweeping]
+            radii = sc.arrays.sensing_radius[sweeping]
             mark_swept(self.emap, state.agent_positions[sweeping], radii)
         # One task at a time so the pending pool triggers at exactly k.
         for j in world.newly_visible_tasks(state, sc):

@@ -2,10 +2,11 @@
 
 Coordinates are world units inside the square [0, workspace_size]^2; time
 advances in fixed dt steps.  Walls are zero-width segments, obstacles are
-static discs.  Step functions return a new WorldState that shares the arrays
-they do not change; nothing writes a state's arrays in place.  engine.Episode
-holds the current one.  A task is found once it has a discovery time and
-served once its remaining workload is zero.
+static discs, and every reader takes a scenario's facts from its read-only
+`Scenario.arrays`.  Step functions return a new WorldState that shares the
+arrays they do not change; nothing writes a state's arrays in place.
+engine.Episode holds the current one; a task is found once it has a discovery
+time and served once its remaining workload is zero.
 """
 
 from __future__ import annotations
@@ -100,9 +101,16 @@ class Scenario:
         return pathfind.DistanceProvider(pathfind.build_nav_grid(self))
 
     @functools.cached_property
-    def motion(self) -> "MotionGeometry":
-        """Walls (boundary included) and discs with their boxes, for motion clipping."""
-        return MotionGeometry(self)
+    def arrays(self) -> "ScenarioArrays":
+        """The scenario's facts as read-only arrays, built once and shared by every reader."""
+        return ScenarioArrays(self)
+
+    @functools.cached_property
+    def start_distances(self) -> np.ndarray:
+        """Read-only (m, N) task-to-start distances: the generator checks them, U* solves on them."""
+        d = self.distances.pairwise(self.arrays.task_positions, self.arrays.agent_positions)
+        d.flags.writeable = False
+        return d
 
     def __getstate__(self) -> dict:
         # Pickles (one per job of a parallel batch) leave out every cached
@@ -135,33 +143,41 @@ _CACHED_PROPERTIES = frozenset(
 )
 
 
-class MotionGeometry:
-    """A scenario's per-tick arrays, built once per Scenario (`Scenario.motion`).
+class ScenarioArrays:
+    """A scenario's facts as read-only arrays, shared by every reader (`Scenario.arrays`).
 
-    `box_lo` and `box_hi` are the (S, 2) lower and upper corners of the
-    wall then disc boxes, padded by _BOX_PAD, for `_touching`.  A wall or
-    disc hit needs a contact point on both the motion segment and the shape,
-    so a shape whose box misses the segment's box cannot be hit.  Per-agent
-    speeds and sensing radii and the task positions are (N,) and (M, 2)
-    arrays; `deltas` (N, 5, 2) holds each agent's velocity change per action.
+    Agent fields are (N,) or (N, 2), task fields (m,) or (m, 2); `preferences[j, i]`
+    is agent i's rate for task j's type, and `deltas` (N, 5, 2) agent i's velocity
+    change per action.  `walls` include the boundary.  `box_lo` and `box_hi` are the
+    (S, 2) corners of the wall then disc boxes, padded by _BOX_PAD, for `_touching`:
+    a wall or disc hit needs a contact point on both the motion segment and the
+    shape, so a shape whose box misses the segment's box cannot be hit.
     """
 
     def __init__(self, sc: Scenario) -> None:
         self.walls = sc.wall_segments()
-        self.discs = [(np.array([cx, cy]), r) for (cx, cy), r in sc.obstacles]
+        self.disc_centers = np.array([c for c, _ in sc.obstacles], dtype=float).reshape(-1, 2)
+        self.disc_radii = np.array([r for _, r in sc.obstacles], dtype=float)
         corners = np.array([
             ((min(x1, x2), min(y1, y2)), (max(x1, x2), max(y1, y2)))
             for (x1, y1), (x2, y2) in self.walls.tolist()
         ] + [((cx - r, cy - r), (cx + r, cy + r)) for (cx, cy), r in sc.obstacles])
         self.box_lo = corners[:, 0] - _BOX_PAD
         self.box_hi = corners[:, 1] + _BOX_PAD
-        self.pairs = np.triu_indices(sc.n_agents, 1)  # agent pairs (i, k), i < k
+        self.pairs = np.array(np.triu_indices(sc.n_agents, 1))  # agent pairs (i, k), i < k
+        self.agents = np.arange(sc.n_agents)
+        self.agent_positions = sc.agent_positions()
         self.max_speed = np.array([a.max_speed for a in sc.agents], dtype=float)
         self.quantum = self.max_speed / ACCEL_STEPS
-        self.agents = np.arange(sc.n_agents)
         self.deltas = self.quantum[:, None, None] * ACTION_VECTORS  # [i, a]: i's velocity change
         self.sensing_radius = np.array([a.sensing_radius for a in sc.agents], dtype=float)
         self.task_positions = sc.task_positions()
+        rates = [[a.preference_row[t.task_type] for a in sc.agents] for t in sc.tasks]
+        self.preferences = np.array(rates, dtype=float)
+        self.weights = np.array([t.weight for t in sc.tasks], dtype=float)
+        self.workloads = np.array([t.workload for t in sc.tasks], dtype=float)
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
 def validate_scenario(sc: Scenario) -> None:
@@ -210,7 +226,12 @@ def validate_scenario(sc: Scenario) -> None:
         _check_inside(t.position, s, f"task {t.id}")
         if not 0 <= t.task_type < types:
             raise ScenarioError(f"task {t.id}: type {t.task_type} outside [0, {types})")
-    for (cx, cy), r in sc.obstacles:
+    for w, ends in enumerate(sc.walls):
+        if not all(math.isfinite(c) for end in ends for c in end):
+            raise ScenarioError(f"wall {w}: endpoints {ends} must be finite")
+    for k, ((cx, cy), r) in enumerate(sc.obstacles):
+        if not (math.isfinite(cx) and math.isfinite(cy)):
+            raise ScenarioError(f"obstacle {k}: center {(cx, cy)} must be finite")
         if not 0.0 < r < math.inf:
             raise ScenarioError(f"obstacle radius {r} must be finite and positive")
         for a in sc.agents:
@@ -225,18 +246,6 @@ def _check_inside(pos: tuple[float, float], size: float, label: str) -> None:
     x, y = pos
     if not (0.0 < x < size and 0.0 < y < size):
         raise ScenarioError(f"{label} position {pos} not strictly inside workspace")
-
-
-def preference_matrix(sc: Scenario) -> np.ndarray:
-    """Service-rate matrix pref[j, i] = agent i's rate for task j's type."""
-    return np.array(
-        [[a.preference_row[t.task_type] for a in sc.agents] for t in sc.tasks],
-        dtype=float,
-    )
-
-
-def task_weights(sc: Scenario) -> np.ndarray:
-    return np.array([t.weight for t in sc.tasks], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +270,9 @@ def initial_state(sc: Scenario) -> WorldState:
     n, m = sc.n_agents, sc.n_tasks
     return WorldState(
         time=0.0,
-        agent_positions=sc.agent_positions(),
+        agent_positions=sc.arrays.agent_positions.copy(),
         agent_velocities=np.zeros((n, 2)),
-        remaining_workloads=np.array([t.workload for t in sc.tasks], dtype=float),
+        remaining_workloads=sc.arrays.workloads.copy(),
         discovery_times=np.full(m, math.nan),
         cumulative_distance=np.zeros(n),
     )
@@ -295,7 +304,7 @@ def step_dynamics_events(
             raise ValueError(f"agent {i}: action {a!r} is not an integer")
         if not 0 <= a < _N_ACTIONS:
             raise ValueError(f"agent {i}: action {a} is not in 0..4")
-    geom = sc.motion
+    geom = sc.arrays
 
     v = state.agent_velocities + geom.deltas[geom.agents, joint_action]
     speed = np.hypot(v[:, 0], v[:, 1])
@@ -336,13 +345,13 @@ def step_dynamics_events(
     ), events
 
 
-def _touching(geom: MotionGeometry, p, q) -> np.ndarray:
+def _touching(geom: ScenarioArrays, p, q) -> np.ndarray:
     """(n, S) mask of the shape boxes that each motion box p[k] -> q[k] touches."""
     lo, hi = np.minimum(p, q)[:, None], np.maximum(p, q)[:, None]
     return ~((geom.box_hi < lo) | (hi < geom.box_lo)).any(axis=2)
 
 
-def _clip_motion(p, disp, geom: MotionGeometry, touched, allow_slide: bool = True):
+def _clip_motion(p, disp, geom: ScenarioArrays, touched, allow_slide: bool = True):
     """First contact of the motion segment p -> p+disp against walls/discs.
 
     Returns (final_position, hit) where hit is None or (kind, outward_normal).
@@ -364,7 +373,8 @@ def _clip_motion(p, disp, geom: MotionGeometry, touched, allow_slide: bool = Tru
         if s < n_walls:
             hit, kind = _segment_hit(p, disp, *geom.walls[s]), "wall"
         else:
-            hit, kind = _circle_hit(p, disp, *geom.discs[s - n_walls]), "obstacle"
+            k = s - n_walls
+            hit, kind = _circle_hit(p, disp, geom.disc_centers[k], geom.disc_radii[k]), "obstacle"
         if hit is not None and hit[0] < best_t:
             best_t, best = hit[0], (kind, hit[1])
 
@@ -430,7 +440,7 @@ def _circle_hit(p, disp, center, radius):
 
 def newly_visible_tasks(state: WorldState, sc: Scenario) -> list[int]:
     """Undiscovered tasks now inside some agent's closed sensing ball, ascending."""
-    geom = sc.motion
+    geom = sc.arrays
     hidden = np.flatnonzero(np.isnan(state.discovery_times))
     seen = in_any_ball(geom.task_positions[hidden], state.agent_positions, geom.sensing_radius)
     return hidden[seen].tolist()
@@ -461,9 +471,9 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
     if math.isnan(state.discovery_times[task]):
         raise ValueError(f"task {task} serviced before discovery")
     p = state.agent_positions[agent]
-    if math.dist(tuple(p), sc.tasks[task].position) > ARRIVAL_RADIUS + 1e-12:
+    if math.dist(tuple(p), tuple(sc.arrays.task_positions[task])) > ARRIVAL_RADIUS + 1e-12:
         raise ValueError(f"agent {agent} outside arrival radius of task {task}")
-    rate = sc.agents[agent].preference_row[sc.tasks[task].task_type]
+    rate = sc.arrays.preferences[task, agent]
     remaining = state.remaining_workloads.copy()
     remaining[task] -= min(rate * sc.dt, float(remaining[task]))
     return WorldState(
@@ -565,7 +575,7 @@ def generate_scenario(
             unplaced += 1
             continue
         try:
-            d = sc.distances.pairwise(sc.task_positions(), sc.agent_positions())
+            d = sc.start_distances
         except pathfind.GridPlacementError as err:
             last_err = err
             continue

@@ -225,7 +225,7 @@ def scripted_goto_policy(state, sc, agent, goal, waypoints) -> int:
     p = state.agent_positions[agent]
     v = state.agent_velocities[agent]
     spec = sc.agents[agent]
-    quantum = float(sc.motion.quantum[agent])
+    quantum = float(sc.arrays.quantum[agent])
     goal = np.asarray(goal, dtype=float)
 
     if not waypoints:
@@ -274,7 +274,7 @@ class Navigator:
     def action(self, state, sc, agent: int) -> int:
         pos = state.agent_positions[agent]
         if self.goal is None:
-            return brake_action(state.agent_velocities[agent], sc.motion.quantum[agent])
+            return brake_action(state.agent_velocities[agent], sc.arrays.quantum[agent])
         self._advance(pos)
         self._check_stuck(pos)
         self._revalidate_leg(pos)
@@ -516,9 +516,13 @@ def mark_swept(emap, agent_pos, radius: float):
 
 
 def subset_oracle(free, pending, sc, provider, positions):
-    """Exhaustive subset comparison used to pin the committed choice."""
-    prefs = world.preference_matrix(sc)
-    weights = world.task_weights(sc)
+    """Exhaustive subset comparison used to pin the committed choice.
+
+    Rates and weights come from the specs, not `sc.arrays`, so the oracle
+    stays independent of the arrays the solve reads.
+    """
+    prefs = np.array([[a.preference_row[t.task_type] for a in sc.agents] for t in sc.tasks])
+    weights = np.array([t.weight for t in sc.tasks])
     best_obj, best_subset = -math.inf, None
     for subset in itertools.combinations(sorted(free), len(pending)):
         d = provider.pairwise(

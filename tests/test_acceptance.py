@@ -214,8 +214,8 @@ def test_criterion_06_monotone_k_trend_and_k_equals_n(online_batches):
         commit = res.commits[0]
         provider = pathfind.DistanceProvider(pathfind.build_nav_grid(sc))
         d = provider.pairwise(sc.task_positions(), commit.agent_positions)
-        u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
-        solution = assign.solve_eg(u, world.task_weights(sc))
+        u = assign.compute_utility(d, sc.arrays.preferences, sc.alpha)
+        solution = assign.solve_eg(u, sc.arrays.weights)
         assert sorted(commit.pairs) == sorted(solution.pairs())
     print(f"\nACCEPTANCE 6 PASS: mean completion time non-increasing in k "
           f"(Spearman {rho:.3f}); k=7 commits identical to the centralized "

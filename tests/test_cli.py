@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -617,6 +618,10 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
         pytest.param(lambda doc: doc["agents"][0].update(start_position=[-0.5, 1.0]),
                      "agent 0 position (-0.5, 1.0) not strictly inside workspace",
                      id="outside-workspace"),
+        pytest.param(lambda doc: doc["obstacles"][0]["center"].__setitem__(0, math.nan),
+                     "obstacle 0: center (nan, ", id="nan-obstacle-center"),
+        pytest.param(lambda doc: doc["walls"][0][0].__setitem__(0, math.inf),
+                     "wall 0: endpoints ((inf, ", id="infinite-wall-end"),
     ],
 )
 def test_malformed_scenario_files_are_config_errors(tmp_path, capsys, edit, message):

@@ -136,7 +136,7 @@ def _draw_position(data, sc, i) -> np.ndarray:
 def _draw_agent(data, sc, i, pos):
     """(velocity, goal, waypoints) of one agent; goal None means it brakes."""
     s, vmax = sc.workspace_size, sc.agents[i].max_speed
-    quantum = float(sc.motion.quantum[i])
+    quantum = float(sc.arrays.quantum[i])
     point = st.tuples(st.floats(0.0, s), st.floats(0.0, s)).map(np.array)
     u = data.draw(st.floats(-vmax, vmax))
     velocity = data.draw(st.sampled_from([
@@ -314,7 +314,7 @@ def test_controller_overhead_on_empty_map():
         d_star = provider.pairwise([sc.tasks[0].position], [sc.agents[0].start_position])[0, 0]
         res = engine.run_centralized_episode(sc, "eg")
         assert not res.incomplete
-        pref = world.preference_matrix(sc)[0, 0]
+        pref = sc.arrays.preferences[0, 0]
         d_real = math.log(res.realized_utilities[0] / pref) / math.log(sc.alpha)
         assert d_real <= 1.15 * d_star + 0.1
 
@@ -561,7 +561,7 @@ def test_realized_distance_is_at_most_the_agents_cumulative_distance(n, mode, se
         res = engine.run_centralized_episode(sc, mode)
     if res.incomplete:
         return
-    prefs = world.preference_matrix(sc)
+    prefs = sc.arrays.preferences
     slack = 1.0 - 4 * np.finfo(float).eps
     for _, a, t in res.assignment_log:
         bound = sc.alpha ** res.per_agent_distance[a] * prefs[t, a] * slack
@@ -634,10 +634,17 @@ def test_batch_online_requires_k():
         (dict(algorithm="online", k=4), "k=4 outside [1, 3]"),
         (dict(algorithm="bogus"),
          "unknown algorithm 'bogus', expected one of eg, hungarian, minmax, online"),
+        (dict(algorithm="online", k=2, generator=dict(map_size=2.7)),
+         "generator: missing a required argument: 'n_agents'"),
+        (dict(generator=dict(n_agents=3, bogus=1)),
+         "generator: got an unexpected keyword argument 'bogus'"),
+        (dict(algorithm="online", k=True), "k must be an integer, got True"),
+        (dict(episodes=2.5), "episodes must be an integer, got 2.5"),
     ],
     ids=["no-episodes", "parallel-0", "parallel-negative", "no-source", "both-sources",
          "unknown-execution", "eg-with-k", "online-teleport", "negative-seed", "k-above-n",
-         "unknown-algorithm"],
+         "unknown-algorithm", "generator-without-n", "generator-unknown-key", "bool-k",
+         "float-episodes"],
 )
 def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, message):
     def no_episodes(*args, **kwargs):

@@ -140,11 +140,11 @@ def test_centralized_optimum_near_euclidean_on_empty_map(rng):
 
     deltas = sc.task_positions()[:, None, :] - sc.agent_positions()[None, :, :]
     d_euc = np.hypot(deltas[..., 0], deltas[..., 1])
-    u = assign.compute_utility(d_euc, world.preference_matrix(sc), sc.alpha)
-    _, best_euc = oracles.brute_force_eg(u, world.task_weights(sc))
+    u = assign.compute_utility(d_euc, sc.arrays.preferences, sc.alpha)
+    _, best_euc = oracles.brute_force_eg(u, sc.arrays.weights)
 
     margin = 0.083 * d_euc.min(axis=1) + 2 * pathfind.DEFAULT_RESOLUTION
-    slack = math.log(1.0 / sc.alpha) * float(np.sum(world.task_weights(sc) * margin))
+    slack = math.log(1.0 / sc.alpha) * float(np.sum(sc.arrays.weights * margin))
     assert u_star <= best_euc + 1e-9
     assert u_star >= best_euc - slack
 

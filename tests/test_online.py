@@ -202,7 +202,7 @@ def test_free_agent_on_a_spent_lattice_brakes_without_a_goal(reached_a_target):
     ep.state.agent_velocities[0] = v
     policy.observe(ep)
     action = nav.action(ep.state, sc, 0)
-    assert action == engine.brake_action(v, sc.motion.quantum[0])
+    assert action == engine.brake_action(v, sc.arrays.quantum[0])
     assert nav.goal is None
 
 
@@ -220,8 +220,8 @@ def test_subset_degenerate_equals_centralized():
     positions = sc.agent_positions()
     pa = online.select_subset_and_assign({0, 1, 2, 3}, {0, 1, 2, 3}, 4, sc, positions)
     d = sc.distances.pairwise(sc.task_positions(), positions)
-    u = assign.compute_utility(d, world.preference_matrix(sc), sc.alpha)
-    direct = assign.solve_eg(u, world.task_weights(sc))
+    u = assign.compute_utility(d, sc.arrays.preferences, sc.alpha)
+    direct = assign.solve_eg(u, sc.arrays.weights)
     assert sorted(pa.pairs()) == sorted(direct.pairs())
     assert pa.objective == pytest.approx(direct.objective)
 

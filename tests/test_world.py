@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fairtask import pathfind, world
+from fairtask import cli, pathfind, world
 from fairtask.world import (
     ACTION_ACCEL_NX,
     ACTION_ACCEL_PX,
@@ -600,17 +600,18 @@ def test_generator_matches_recorded_fingerprints():
 
 
 def test_scenario_pickle_leaves_out_the_distance_cache():
-    sc = world.generate_scenario(3, 2.5, seed=1)  # the connectivity check fills `distances`
+    # The connectivity check fills `distances`, `arrays` and `start_distances`.
+    sc = world.generate_scenario(3, 2.5, seed=1)
     actions = np.random.default_rng(1).integers(0, 5, size=(40, sc.n_agents))
-    world.step_dynamics_events(world.initial_state(sc), actions[0], sc)  # fills `motion`
-    assert {"distances", "motion"} <= set(vars(sc))
+    cached = {"distances", "arrays", "start_distances"}
+    assert cached <= set(vars(sc))
     copy = pickle.loads(pickle.dumps(sc))
     assert copy == sc
-    assert "distances" not in vars(copy)
-    assert "motion" not in vars(copy)
+    assert not cached & set(vars(copy))
     tasks, agents = sc.task_positions(), sc.agent_positions()
     assert np.array_equal(copy.distances.pairwise(tasks, agents),
                           sc.distances.pairwise(tasks, agents))
+    assert np.array_equal(copy.start_distances, sc.start_distances)
     a = b = world.initial_state(sc)
     for step in actions:
         a, a_events = world.step_dynamics_events(a, step, sc)
@@ -618,3 +619,79 @@ def test_scenario_pickle_leaves_out_the_distance_cache():
         assert np.array_equal(a.agent_positions, b.agent_positions)
         assert np.array_equal(a.agent_velocities, b.agent_velocities)
         assert a_events == b_events
+
+
+_ARRAY_SCENARIOS = [
+    *(pytest.param(n, id=f"N{n}") for n in (3, 7, 12, 40)),
+    pytest.param(None, id="golden-file"),
+]
+
+
+def _array_scenario(n):
+    if n is None:
+        return cli.load_scenario(Path(__file__).parent / "data" / "golden_scenario_n3_seed123.json")
+    return world.generate_scenario(n, {12: 3.5, 40: 6.0}.get(n), seed=n)
+
+
+@pytest.mark.parametrize("n", _ARRAY_SCENARIOS)
+def test_scenario_arrays_hold_the_spec_values_read_only(n):
+    sc = _array_scenario(n)
+    arrays = sc.arrays
+    agents, tasks = sc.agents, sc.tasks
+    expected = {
+        "agent_positions": [a.start_position for a in agents],
+        "task_positions": [t.position for t in tasks],
+        "max_speed": [a.max_speed for a in agents],
+        "quantum": [a.max_speed / world.ACCEL_STEPS for a in agents],
+        "sensing_radius": [a.sensing_radius for a in agents],
+        "preferences": [[a.preference_row[t.task_type] for a in agents] for t in tasks],
+        "weights": [t.weight for t in tasks],
+        "workloads": [t.workload for t in tasks],
+        "disc_centers": np.array([c for c, _ in sc.obstacles]).reshape(-1, 2),
+        "disc_radii": [r for _, r in sc.obstacles],
+        "walls": sc.wall_segments(),
+        "agents": range(sc.n_agents),
+        "pairs": np.array(
+            [(i, k) for i in range(sc.n_agents) for k in range(i + 1, sc.n_agents)]
+        ).reshape(-1, 2).T,
+    }
+    for name, value in expected.items():
+        assert np.array_equal(getattr(arrays, name), np.asarray(value, dtype=float)), name
+    for i, a in enumerate(agents):
+        quantum = a.max_speed / world.ACCEL_STEPS
+        assert np.array_equal(arrays.deltas[i], quantum * world.ACTION_VECTORS)
+    assert set(vars(arrays)) == set(expected) | {"deltas", "box_lo", "box_hi"}
+    for name, value in [*vars(arrays).items(), ("start_distances", sc.start_distances)]:
+        assert isinstance(value, np.ndarray), name
+        with pytest.raises(ValueError, match="read-only"):
+            value[(0,) * value.ndim] = 0
+    assert sc.start_distances.shape == (sc.n_tasks, sc.n_agents)
+    assert np.array_equal(
+        sc.start_distances,
+        pathfind.DistanceProvider(pathfind.build_nav_grid(sc)).pairwise(
+            sc.task_positions(), sc.agent_positions()
+        ),
+    )
+    state = world.initial_state(sc)  # a state owns its arrays
+    state.agent_positions[0] = 0.0
+    state.remaining_workloads[0] = 0.0
+    assert np.array_equal(arrays.agent_positions, expected["agent_positions"])
+    assert np.array_equal(arrays.workloads, expected["workloads"])
+
+
+@pytest.mark.parametrize(
+    "walls, obstacles, message",
+    [
+        ([((math.nan, 0.5), (1.0, 0.5))], [],
+         "wall 0: endpoints ((nan, 0.5), (1.0, 0.5)) must be finite"),
+        ([((0.5, 0.5), (1.0, math.inf))], [],
+         "wall 0: endpoints ((0.5, 0.5), (1.0, inf)) must be finite"),
+        ([], [((math.nan, 2.0), 0.1)], "obstacle 0: center (nan, 2.0) must be finite"),
+        ([], [((2.0, 2.0), 0.1), ((2.0, -math.inf), 0.1)],
+         "obstacle 1: center (2.0, -inf) must be finite"),
+    ],
+    ids=["nan-wall-end", "inf-wall-end", "nan-obstacle-center", "inf-obstacle-center"],
+)
+def test_scenario_non_finite_geometry_rejected(walls, obstacles, message):
+    with pytest.raises(world.ScenarioError, match=re.escape(message)):
+        make_scenario([(1.0, 1.0)], [(1.5, 1.0)], walls=walls, obstacles=obstacles)
