@@ -3,6 +3,8 @@
 Conventions: matrices are task-major with shape (m, n) = (tasks, agents);
 assignments map agents to tasks.  solve_hungarian_max and solve_eg accept
 m <= n (every task served, n - m agents left idle); solve_minmax is square.
+Utilities are plain arrays from compute_utility, u = alpha**d * rate: the
+one place the program discounts a rate by distance.
 The weighted-log objective sum_j w_j * log(u[j, pi(j)]) is concave in
 utilities but reduces to a linear assignment over the score matrix
 s[j, i] = w_j * log(u[j, i] + eps) under one-to-one constraints, because
@@ -28,15 +30,6 @@ RULE_MINMAX = "minmax"
 
 
 @dataclass(eq=False)
-class UtilityMatrix:
-    """u[j, i] = alpha**d[j, i] * pref[j, i], with u = 0 at infinite distance."""
-
-    values: np.ndarray
-    distances: np.ndarray
-    preferences: np.ndarray
-
-
-@dataclass(eq=False)
 class Assignment:
     task_of_agent: np.ndarray  # (n,) ints; -1 marks an agent left unassigned
     objective: float
@@ -46,34 +39,35 @@ class Assignment:
         return [(i, int(j)) for i, j in enumerate(self.task_of_agent) if j >= 0]
 
 
-def compute_utility(distances, preferences, alpha: float) -> UtilityMatrix:
-    """Distance-discounted service utilities; infinite distance maps to 0."""
+def compute_utility(distances, rates, alpha: float) -> np.ndarray:
+    """u = alpha**d * rate entrywise, for any shape; a non-finite distance maps to 0.
+
+    The one place alpha is raised to a distance: U*, every online solve and
+    every realized utility come from here, so equal (d, rate) pairs give equal
+    bits whether they sit in an (m, n) matrix or a gathered vector.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     distances = np.asarray(distances, dtype=float)
-    preferences = np.asarray(preferences, dtype=float)
-    if distances.shape != preferences.shape:
-        raise ValueError("distance and preference matrices must share a shape")
-    if np.any(preferences < 0) or np.any(distances < 0):
-        raise ValueError("distances and preferences must be non-negative")
+    rates = np.asarray(rates, dtype=float)
+    if distances.shape != rates.shape:
+        raise ValueError("distances and rates must share a shape")
+    if np.any(rates < 0) or np.any(distances < 0):
+        raise ValueError("distances and rates must be non-negative")
     finite = np.isfinite(distances)
-    values = np.zeros_like(preferences, dtype=float)
-    values[finite] = np.power(alpha, distances[finite]) * preferences[finite]
-    return UtilityMatrix(
-        values=values,
-        distances=distances.copy(),
-        preferences=preferences.copy(),
-    )
+    u = np.zeros(rates.shape)
+    u[finite] = np.power(alpha, distances[finite]) * rates[finite]
+    return u
 
 
-def eg_score_matrix(u: UtilityMatrix, weights) -> np.ndarray:
+def eg_score_matrix(u: np.ndarray, weights) -> np.ndarray:
     """Linear scores s[j, i] = w_j * log(u[j, i] + eps) for the reduction."""
     weights = np.asarray(weights, dtype=float)
     if np.any(weights <= 0):
         raise ValueError("weights must be positive")
-    if weights.shape[0] != u.values.shape[0]:
+    if weights.shape[0] != u.shape[0]:
         raise ValueError("one weight per task required")
-    return weights[:, None] * np.log(u.values + EPSILON)
+    return weights[:, None] * np.log(u + EPSILON)
 
 
 def solve_hungarian_max(scores) -> Assignment:
@@ -92,7 +86,7 @@ def solve_hungarian_max(scores) -> Assignment:
     return Assignment(task_of_agent=task_of_agent, objective=float(scores[rows, cols].sum()))
 
 
-def solve_eg(u: UtilityMatrix, weights) -> Assignment:
+def solve_eg(u: np.ndarray, weights) -> Assignment:
     """Maximize sum_j w_j log(u[j, pi(j)]) via the linear score reduction.
 
     Accepts m tasks by n agents with m <= n.  The reported objective is the
@@ -151,9 +145,9 @@ def _has_perfect_matching(adjacency: np.ndarray) -> bool:
     return bool(np.all(match >= 0))
 
 
-def task_utilities(assignment: Assignment, u: UtilityMatrix) -> np.ndarray:
+def task_utilities(assignment: Assignment, u: np.ndarray) -> np.ndarray:
     """Realized utility per task under a one-to-one allocation."""
-    out = np.zeros(u.values.shape[0])
+    out = np.zeros(u.shape[0])
     for agent, task in assignment.pairs():
-        out[task] = u.values[task, agent]
+        out[task] = u[task, agent]
     return out

@@ -214,12 +214,12 @@ class Navigator:
 # ---------------------------------------------------------------------------
 
 
-def solve_assignment(rule: str, u0: assign.UtilityMatrix) -> assign.Assignment:
-    """The Hungarian or min-max assignment on u0; EG's is centralized_optimum's."""
+def solve_assignment(rule: str, sc: world.Scenario) -> assign.Assignment:
+    """Hungarian (on rates) or min-max (on start distances); EG's is centralized_optimum's."""
     if rule == assign.RULE_HUNGARIAN:
-        return assign.solve_hungarian_max(u0.preferences)
+        return assign.solve_hungarian_max(sc.arrays.preferences)
     if rule == assign.RULE_MINMAX:
-        return assign.solve_minmax(u0.distances)
+        return assign.solve_minmax(sc.start_distances)
     raise ValueError(f"unknown assignment rule {rule!r}")
 
 
@@ -236,36 +236,35 @@ def run_centralized_episode(
     A rule or execution mode that no Batch accepts raises ConfigError.
     """
     Batch(rule, scenario=sc, execution=execution)
-    u_star, optimum, u0 = metrics.centralized_optimum(sc)
-    solution = optimum if rule == assign.RULE_EG else solve_assignment(rule, u0)
+    optimum, u0 = metrics.centralized_optimum(sc)
+    solution = optimum if rule == assign.RULE_EG else solve_assignment(rule, sc)
 
     if execution == EXECUTION_TELEPORT:
-        return _teleport_result(sc, rule, solution, u0, u_star)
+        return _teleport_result(sc, rule, solution, u0, optimum.objective)
 
     ep = Episode(sc)
     ep.discover(range(sc.n_tasks))  # centralized rules see everything
     ep.commit(solution)
-    return run_episode(ep, rule, u_star)
+    return run_episode(ep, rule, optimum.objective)
 
 
 def _teleport_result(sc, rule, solution, u0, u_star):
+    """Realized utilities are u0's entries, those U* was solved on: EG regret is exactly 0."""
     n, m = sc.n_agents, sc.n_tasks
     per_agent = np.zeros(n)
-    realized = np.zeros(m)
     t_done = 0.0
     commit = metrics.Commitment(  # the one commit: every agent and task at t=0
         0.0, tuple(range(n)), tuple(range(m)), sc.arrays.agent_positions,
         tuple(solution.pairs()), solution.objective,
     )
     for agent, task in commit.pairs:
-        d = float(u0.distances[task, agent])
+        d = float(sc.start_distances[task, agent])
         per_agent[agent] = d
-        realized[task] = u0.values[task, agent]
-        rate = u0.preferences[task, agent]
+        rate = sc.arrays.preferences[task, agent]
         service = sc.arrays.workloads[task] / rate if rate > 0 else math.inf
         t_done = max(t_done, d / sc.arrays.max_speed[agent] + service)
     return metrics.EpisodeResult(
-        realized_utilities=realized,
+        realized_utilities=assign.task_utilities(solution, u0),
         weights=sc.arrays.weights,
         completion_time=t_done,
         per_agent_distance=per_agent,
@@ -371,11 +370,12 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
 
     state = ep.state
     incomplete = bool(np.count_nonzero(state.remaining_workloads))
-    prefs = sc.arrays.preferences
-    realized = np.zeros(m)
-    for a, t in enumerate(ep.task_of.tolist()):
-        if t >= 0 and np.isfinite(realized_distance[t]):
-            realized[t] = (sc.alpha ** realized_distance[t]) * prefs[t, a]
+    agents = np.flatnonzero(ep.task_of >= 0)
+    tasks = ep.task_of[agents]
+    realized = np.zeros(m)  # a task never reached has a nan distance: utility 0
+    realized[tasks] = assign.compute_utility(
+        realized_distance[tasks], sc.arrays.preferences[tasks, agents], sc.alpha
+    )
     return metrics.EpisodeResult(
         realized_utilities=realized,
         weights=sc.arrays.weights,

@@ -108,15 +108,12 @@ def jain(values) -> float:
     return total * total / (values.size * sq)
 
 
-def centralized_optimum(
-    sc: world.Scenario,
-) -> tuple[float, assign.Assignment, assign.UtilityMatrix]:
-    """Full-information optimum U* of the weighted-log objective.
+def centralized_optimum(sc: world.Scenario) -> tuple[assign.Assignment, np.ndarray]:
+    """Full-information optimum of the weighted-log objective; U* is its `objective`.
 
     Utilities come from `sc.start_distances`, the matrix the generator checked,
-    with the scenario's alpha.  Returns U*, the EG solution and the utility
-    matrix it was solved on.
+    with the scenario's alpha.  Returns the EG solution and the (m, N) utility
+    array it was solved on.
     """
     u = assign.compute_utility(sc.start_distances, sc.arrays.preferences, sc.alpha)
-    solution = assign.solve_eg(u, sc.arrays.weights)
-    return solution.objective, solution, u
+    return assign.solve_eg(u, sc.arrays.weights), u

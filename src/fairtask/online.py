@@ -189,10 +189,10 @@ def run_online_episode(
     engine.ConfigError.
     """
     engine.Batch("online", k, scenario=sc)
-    u_star, _, _ = metrics.centralized_optimum(sc)
+    optimum, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)
     policy.observe(ep)  # initial sensing and targets before any motion
-    result = engine.run_episode(ep, "online", u_star, policy.observe)
+    result = engine.run_episode(ep, "online", optimum.objective, policy.observe)
     result.k = k
     return result

@@ -66,10 +66,6 @@ class NavGrid:
     def center(self, cell: tuple[int, int]) -> np.ndarray:
         return np.array([(cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution])
 
-    def is_free(self, point) -> bool:
-        ix, iy = self.cell_of(point)
-        return not bool(self.blocked[ix, iy])
-
     def blocked_at(self, points: np.ndarray) -> np.ndarray:
         """Bool (P,): whether each point's cell, as `cell_of` clamps it, is blocked."""
         # astype truncates toward zero, as int() does in cell_of.
@@ -148,7 +144,8 @@ def build_nav_grid(sc: world.Scenario) -> NavGrid:
     cell.
     """
     resolution = DEFAULT_RESOLUTION
-    min_sense = min(a.sensing_radius for a in sc.agents)
+    geom = sc.arrays
+    min_sense = float(geom.sensing_radius.min())
     if not min_sense >= resolution:
         raise world.ScenarioError(
             f"resolution {resolution} exceeds the smallest sensing radius {min_sense}"
@@ -170,12 +167,12 @@ def build_nav_grid(sc: world.Scenario) -> NavGrid:
         resolution=resolution, dims=(n_cells, n_cells),
         blocked=blocked, walls=sc.walls, obstacles=sc.obstacles,
     )
-    for a in sc.agents:
-        if not grid.is_free(a.start_position):
-            raise GridPlacementError(f"agent {a.id} start is in a blocked cell")
-    for t in sc.tasks:
-        if not grid.is_free(t.position):
-            raise GridPlacementError(f"task {t.id} position is in a blocked cell")
+    agents = np.flatnonzero(grid.blocked_at(geom.agent_positions))
+    if agents.size:
+        raise GridPlacementError(f"agent {sc.agents[agents[0]].id} start is in a blocked cell")
+    tasks = np.flatnonzero(grid.blocked_at(geom.task_positions))
+    if tasks.size:
+        raise GridPlacementError(f"task {sc.tasks[tasks[0]].id} position is in a blocked cell")
     return grid
 
 
@@ -318,7 +315,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     q = float(b[0]), float(b[1])
     length = float(np.hypot(q[0] - p[0], q[1] - p[1]))
     if length == 0.0:
-        return grid.is_free(p)
+        return not grid.blocked_at(np.array([p]))[0]
     if _segment_crosses_wall(grid, p, q):
         return False
     for (cx, cy), r in grid.obstacles:

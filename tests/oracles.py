@@ -23,7 +23,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from fairtask import assign, engine, pathfind, world
-from fairtask.assign import Assignment, UtilityMatrix
+from fairtask.assign import Assignment
 from fairtask.pathfind import _NEIGHBORS, _SQRT2, NavGrid
 from fairtask.world import (
     _SURFACE_BACKOFF,
@@ -122,7 +122,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     b = np.asarray(b, dtype=float)
     length = float(np.hypot(*(b - a)))
     if length == 0.0:
-        return grid.is_free(a)
+        return not grid.blocked[grid.cell_of(a)]
     if pathfind._segment_crosses_wall(grid, a, b):
         return False
     for (cx, cy), r in grid.obstacles:
@@ -130,7 +130,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
             return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
     for k in range(steps + 1):
-        if not grid.is_free(a + (b - a) * (k / steps)):
+        if grid.blocked[grid.cell_of(a + (b - a) * (k / steps))]:
             return False
     return True
 
@@ -440,7 +440,7 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
 # ---------------------------------------------------------------------------
 
 
-def pareto_dominates(a: Assignment, b: Assignment, u: UtilityMatrix) -> bool:
+def pareto_dominates(a: Assignment, b: Assignment, u: np.ndarray) -> bool:
     """True when a serves every task at least as well as b, one strictly."""
     ua = assign.task_utilities(a, u)
     ub = assign.task_utilities(b, u)
@@ -464,13 +464,13 @@ def brute_force_max_sum(scores) -> tuple[np.ndarray, float]:
     return best_perm, best_val
 
 
-def brute_force_eg(u: UtilityMatrix, weights) -> tuple[np.ndarray, float]:
+def brute_force_eg(u: np.ndarray, weights) -> tuple[np.ndarray, float]:
     """Exhaustive max of the weighted-log objective."""
     weights = np.asarray(weights, dtype=float)
-    n = u.values.shape[0]
+    n = u.shape[0]
     best_perm, best_val = None, -math.inf
     for task_of_agent in _permutations_as_assignments(n):
-        selected = u.values[task_of_agent, np.arange(n)]
+        selected = u[task_of_agent, np.arange(n)]
         if np.any(selected <= 0.0):
             val = -math.inf
         else:

@@ -41,9 +41,9 @@ def random_instance(rng, n):
 
 
 def exhaustive_eg_value(u, w):
-    perms = perm_matrix(u.values.shape[0])
-    logs = np.log(u.values)
-    cols = np.arange(u.values.shape[0])
+    perms = perm_matrix(u.shape[0])
+    logs = np.log(u)
+    cols = np.arange(u.shape[0])
     return float((w[perms] * logs[perms, cols]).sum(axis=1).max())
 
 
@@ -132,7 +132,7 @@ def test_criterion_02_pareto_efficiency():
         mine = assign.task_utilities(res, u)
         perms = perm_matrix(n)  # reread as agent_of_task so rows are per-task
         tasks = np.arange(n)[None, :]
-        all_utils = u.values[tasks, perms]  # [p, j] = utility of task j
+        all_utils = u[tasks, perms]  # [p, j] = utility of task j
         dominates = np.all(all_utils >= mine, axis=1) & np.any(all_utils > mine, axis=1)
         violations += int(dominates.sum())
     assert violations == 0

@@ -65,7 +65,8 @@ def test_run_scenario_file_keeps_its_alpha_unless_flagged(tmp_path, flag, alpha)
         "--episodes", "1", "--out", str(out), "--dump-json", *flag,
     ])
     assert rc == 0
-    u_star, _, _ = metrics.centralized_optimum(cli.load_scenario(path, alpha_override=alpha))
+    optimum, _ = metrics.centralized_optimum(cli.load_scenario(path, alpha_override=alpha))
+    u_star = optimum.objective
     assert json.loads((out / "results.json").read_text())[0]["U_star"] == u_star
 
 

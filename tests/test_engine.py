@@ -374,10 +374,11 @@ def test_episode_determinism():
 
 def _recorded_episode(sc, rule):
     """A centralized episode run with an observer that records every tick's time."""
-    u_star, optimum, u0 = metrics.centralized_optimum(sc)
+    optimum, _ = metrics.centralized_optimum(sc)
+    u_star = optimum.objective
     ep = engine.Episode(sc)
     ep.discover(range(sc.n_tasks))
-    ep.commit(optimum if rule == "eg" else engine.solve_assignment(rule, u0))
+    ep.commit(optimum if rule == "eg" else engine.solve_assignment(rule, sc))
     times = []
     return ep, engine.run_episode(ep, rule, u_star, lambda e: times.append(e.state.time)), times
 
@@ -456,12 +457,12 @@ def test_minmax_optimizes_its_own_metric():
     # Bottleneck rule yields the smallest max assignment distance of the three.
     for seed in (401, 402, 403):
         sc = world.generate_scenario(4, 2.5, seed=seed)
-        _, optimum, u = metrics.centralized_optimum(sc)
+        optimum, _ = metrics.centralized_optimum(sc)
         solutions = {"eg": optimum}
         for rule in ("hungarian", "minmax"):
-            solutions[rule] = engine.solve_assignment(rule, u)
+            solutions[rule] = engine.solve_assignment(rule, sc)
         bottlenecks = {
-            rule: float(u.distances[sol.task_of_agent, np.arange(4)].max())
+            rule: float(sc.start_distances[sol.task_of_agent, np.arange(4)].max())
             for rule, sol in solutions.items()
         }
         assert bottlenecks["minmax"] <= bottlenecks["eg"] + 1e-12
@@ -515,7 +516,8 @@ def test_every_mode_records_each_commitment_once():
     # task once.  A centralized rule makes one commit at t=0 over the whole
     # team: the solver's own assignment and objective.
     sc = world.generate_scenario(3, 2.5, seed=engine.episode_seed(16, 0))
-    u_star, optimum, u0 = metrics.centralized_optimum(sc)
+    optimum, _ = metrics.centralized_optimum(sc)
+    u_star = optimum.objective
     runs = {rule: engine.run_centralized_episode(sc, rule) for rule in ("eg", "hungarian", "minmax")}
     runs["eg-teleport"] = engine.run_centralized_episode(sc, "eg", execution="teleport")
     runs["online-k2"] = online.run_online_episode(sc, 2, np.random.default_rng([7, 1]))
@@ -535,7 +537,7 @@ def test_every_mode_records_each_commitment_once():
     for mode in ("eg", "hungarian", "minmax", "eg-teleport"):
         [commit] = runs[mode].commits
         rule = mode.split("-")[0]
-        solution = optimum if rule == "eg" else engine.solve_assignment(rule, u0)
+        solution = optimum if rule == "eg" else engine.solve_assignment(rule, sc)
         assert commit.time == 0.0
         assert commit.free_agents == commit.pending_tasks == everyone
         assert np.array_equal(commit.agent_positions, sc.agent_positions())

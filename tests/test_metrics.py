@@ -126,7 +126,8 @@ def test_fairness_measures_scale_invariant(rng):
 def test_centralized_optimum_single_pair():
     sc = make_scenario([(0.525, 0.525)], [(1.525, 0.525)], preference_rows=[(0.8,)],
                        weights=[2.0])
-    u_star, solution, _ = metrics.centralized_optimum(sc)
+    solution, _ = metrics.centralized_optimum(sc)
+    u_star = solution.objective
     d = sc.distances.pairwise([sc.tasks[0].position], [sc.agents[0].start_position])[0, 0]
     assert u_star == pytest.approx(2.0 * math.log(0.97**d * 0.8))
     assert solution.task_of_agent.tolist() == [0]
@@ -136,7 +137,7 @@ def test_centralized_optimum_near_euclidean_on_empty_map(rng):
     # Oracle: the same weighted-log solve on exact Euclidean distances; the
     # octile grid overestimates each distance by at most 8.3% plus snapping.
     sc = world.generate_scenario(4, 2.5, n_obstacles=0, n_walls=0, seed=31)
-    u_star, _, _ = metrics.centralized_optimum(sc)
+    u_star = metrics.centralized_optimum(sc)[0].objective
 
     deltas = sc.task_positions()[:, None, :] - sc.agent_positions()[None, :, :]
     d_euc = np.hypot(deltas[..., 0], deltas[..., 1])

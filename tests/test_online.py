@@ -50,7 +50,7 @@ def test_lattice_point_inside_obstacle_premarked():
     ids=["N3", "N7", "N12", "N40"],
 )
 def test_lattice_premarks_exactly_obstacle_and_blocked_cell_points(n, map_size, seeds):
-    # The scalar pre-mark with math.hypot and one NavGrid.is_free per point
+    # The scalar pre-mark with math.hypot and one blocked-cell lookup per point
     # is the oracle of init_lattice's array pre-mark.
     grid_only = 0  # points only the blocked-cell test marks, over all seeds
     for seed in range(seeds):
@@ -61,7 +61,7 @@ def test_lattice_premarks_exactly_obstacle_and_blocked_cell_points(n, map_size, 
         in_disc = np.zeros(len(emap.points), dtype=bool)
         for (cx, cy), r in sc.obstacles:
             in_disc |= [math.hypot(px - cx, py - cy) <= r for px, py in emap.points]
-        in_blocked = np.array([not grid.is_free(p) for p in emap.points])
+        in_blocked = np.array([grid.blocked[grid.cell_of(p)] for p in emap.points])
         assert np.array_equal(emap.explored, in_disc | in_blocked)
         grid_only += int((in_blocked & ~in_disc).sum())
     assert grid_only > 0
@@ -320,7 +320,7 @@ def test_all_visible_k_equals_n_matches_centralized():
     assert len(res.commits) == 1
     commit = res.commits[0]
     assert commit.time == 0.0
-    _, solution, _ = metrics.centralized_optimum(sc)
+    solution, _ = metrics.centralized_optimum(sc)
     assert sorted(commit.pairs) == sorted(solution.pairs())
 
 

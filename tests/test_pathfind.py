@@ -69,7 +69,7 @@ def _free_random_points(grid, rng, count):
     size = grid.dims[0] * grid.resolution
     while len(pts) < count:
         p = rng.uniform(0.05, size - 0.05, size=2)
-        if grid.is_free(p):
+        if not grid.blocked[grid.cell_of(p)]:
             pts.append(p)
     return pts
 

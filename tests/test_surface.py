@@ -1,4 +1,8 @@
-"""Every public name in src/fairtask has a caller in the program, not only in tests."""
+"""Structural checks on src/fairtask.
+
+Every public name has a caller in the program, not only in tests, and the
+distance discount alpha**d has one implementation.
+"""
 
 from __future__ import annotations
 
@@ -70,3 +74,36 @@ def test_public_surface_has_a_program_caller():
             ):
                 unused.append(name)
     assert unused == []
+
+
+
+def _name(node) -> str:
+    """The identifier a Name or Attribute node ends in; '' for any other node."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def _alpha_powers(tree: ast.Module, module: str) -> set[str]:
+    """Qualified names of the functions that call a `power`/`pow` or take `alpha ** x`."""
+    found = set()
+
+    def visit(node, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _name(child.func) in ("power", "pow") or (
+                isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
+                and "alpha" in _name(child.left)
+            ):
+                found.add(scope)
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}" if named else scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_compute_utility_is_the_only_alpha_power():
+    # U*, online solves and realized utilities compare utilities bit for bit,
+    # so the distance discount alpha**d has exactly one implementation.
+    found = set().union(*(
+        _alpha_powers(ast.parse(path.read_text()), path.stem) for path in sorted(SRC.glob("*.py"))
+    ))
+    assert found == {"assign.compute_utility"}
