@@ -10,6 +10,10 @@ utilities but reduces to a linear assignment over the score matrix
 s[j, i] = w_j * log(u[j, i] + eps) under one-to-one constraints, because
 each task's inner sum selects exactly one utility.  That reduction is what
 solve_eg exploits.
+Linear assignments are solved by _assign_rows, the shortest augmenting path
+algorithm of D. F. Crouse, "On implementing 2D rectangular assignment
+algorithms", IEEE TAES 52(4), 2016, in the form scipy's linear_sum_assignment
+runs it, so ties resolve the same way whatever scipy is installed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -80,7 +83,8 @@ def solve_hungarian_max(scores) -> Assignment:
         raise ValueError(f"assignment needs no more tasks than agents, got {scores.shape}")
     if not np.all(np.isfinite(scores)):
         raise ValueError("scores must be finite")
-    rows, cols = linear_sum_assignment(scores, maximize=True)
+    rows = np.arange(scores.shape[0])
+    cols = _assign_rows(-scores)
     task_of_agent = np.full(scores.shape[1], -1, dtype=int)
     task_of_agent[cols] = rows
     return Assignment(task_of_agent=task_of_agent, objective=float(scores[rows, cols].sum()))
@@ -134,10 +138,68 @@ def solve_minmax(costs) -> Assignment:
 
     big = n * (float(costs.max()) + 1.0) + 1.0
     restricted = np.where(costs <= bottleneck, costs, big)
-    rows, cols = linear_sum_assignment(restricted)
+    rows = np.arange(n)
+    cols = _assign_rows(restricted)
     task_of_agent = np.empty(n, dtype=int)
     task_of_agent[cols] = rows
     return Assignment(task_of_agent=task_of_agent, objective=float(costs[rows, cols].max()))
+
+
+def _assign_rows(cost: np.ndarray) -> list[int]:
+    """Minimum-cost distinct column for each row of a finite (m, n) matrix, m <= n.
+
+    Crouse's shortest augmenting path, one row at a time, with scipy's
+    operation order and tie rule: the unsettled columns start as n-1 .. 0 and
+    a settled one is replaced by the last; among equal reduced costs the scan
+    moves to a column no row holds yet, so it takes the last free column at
+    the minimum, else the first column at it.
+    """
+    c = cost.tolist()
+    m, n = cost.shape
+    u = [0.0] * m
+    v = [0.0] * n
+    col4row = [-1] * m
+    row4col = [-1] * n
+    path = [-1] * n
+    for cur in range(m):
+        spc = [math.inf] * n  # shortest path cost to each column
+        remaining = list(range(n - 1, -1, -1))
+        rows_seen, cols_seen = [], []
+        i, min_val, sink = cur, 0.0, -1
+        while sink == -1:
+            rows_seen.append(i)
+            ci, ui = c[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + ci[j] - ui - v[j]  # left to right, as scipy sums it
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    index, lowest = it, s
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for k in rows_seen[1:]:  # rows_seen[0] is cur
+            u[k] += min_val - spc[col4row[k]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:  # flip the path's edges back to the current row
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def _has_perfect_matching(adjacency: np.ndarray) -> bool:

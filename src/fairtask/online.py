@@ -99,12 +99,14 @@ def select_subset_and_assign(
     Choosing which |pending| free agents serve and which task each takes is
     one rectangular linear assignment over the |pending| x |free| EG scores
     (`sc.distances` from current positions), so a single solve_eg
-    picks both.  Among equal scores the choice is whatever scipy's
-    linear_sum_assignment returns; with one pending task and two agents at
-    equal scores, the lower agent index wins.  When every choice serves some
-    task at zero utility (objective -inf), the solve still commits the
-    assignment with the highest eps-smoothed score.  Agents outside the
-    subset, free or not, get -1.
+    picks both.  Among equal scores the choice is assign._assign_rows's,
+    scipy's tie rule: a task's search settles a free agent before a held one
+    at its lowest reduced score, and among free ones the one scanned last,
+    which on a task's first scan is the lowest index; with one pending task
+    and two agents at equal scores, the lower agent index wins.  When every
+    choice serves some task at zero utility (objective -inf), the solve
+    still commits the assignment with the highest eps-smoothed score.
+    Agents outside the subset, free or not, get -1.
     """
     pending = sorted(pending_tasks)
     free = sorted(free_agents)

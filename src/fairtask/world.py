@@ -470,8 +470,8 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
         return state
     if math.isnan(state.discovery_times[task]):
         raise ValueError(f"task {task} serviced before discovery")
-    p = state.agent_positions[agent]
-    if math.dist(tuple(p), tuple(sc.arrays.task_positions[task])) > ARRIVAL_RADIUS + 1e-12:
+    p = state.agent_positions[agent].tolist()
+    if math.dist(p, sc.arrays.task_positions[task].tolist()) > ARRIVAL_RADIUS + 1e-12:
         raise ValueError(f"agent {agent} outside arrival radius of task {task}")
     rate = sc.arrays.preferences[task, agent]
     remaining = state.remaining_workloads.copy()

@@ -8,7 +8,10 @@ that tests every wall and disc, the task-by-agent sensing loop, the service
 tick built with dataclasses.replace and the one-ball lattice sweep.  The
 differential tests require the fast routines to return exactly what these
 return.  The assignment oracles enumerate every permutation or agent
-subset, independent of the solvers they check.
+subset, independent of the solvers they check; scipy_hungarian_max and
+scipy_minmax are the two linear-assignment solvers as they ran on
+scipy.optimize.linear_sum_assignment, whose pairs the in-repo solve must
+reproduce tie for tie.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 
 from fairtask import assign, engine, pathfind, world
@@ -499,6 +503,32 @@ def best_injective_sum(scores):
         float(scores[np.arange(m), list(agents)].sum())
         for agents in itertools.permutations(range(n), m)
     )
+
+
+def scipy_hungarian_max(scores) -> Assignment:
+    """solve_hungarian_max on scipy's linear_sum_assignment (m <= n)."""
+    scores = np.asarray(scores, dtype=float)
+    rows, cols = linear_sum_assignment(scores, maximize=True)
+    task_of_agent = np.full(scores.shape[1], -1, dtype=int)
+    task_of_agent[cols] = rows
+    return Assignment(task_of_agent, float(scores[rows, cols].sum()))
+
+
+def scipy_minmax(costs) -> Assignment:
+    """solve_minmax on scipy: the smallest feasible threshold by a linear scan,
+    then the same big-M minimum-total-cost solve among the edges under it."""
+    costs = np.asarray(costs, dtype=float)
+    n = costs.shape[0]
+    for bottleneck in np.unique(costs):
+        over = (costs > bottleneck).astype(float)
+        rows, cols = linear_sum_assignment(over)
+        if over[rows, cols].sum() == 0.0:
+            break
+    big = n * (float(costs.max()) + 1.0) + 1.0
+    rows, cols = linear_sum_assignment(np.where(costs <= bottleneck, costs, big))
+    task_of_agent = np.empty(n, dtype=int)
+    task_of_agent[cols] = rows
+    return Assignment(task_of_agent, float(costs[rows, cols].max()))
 
 
 # ---------------------------------------------------------------------------

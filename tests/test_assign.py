@@ -303,6 +303,82 @@ def test_eg_solution_is_pareto_efficient(rng):
 
 
 # ---------------------------------------------------------------------------
+# the linear assignment against scipy's
+# ---------------------------------------------------------------------------
+
+# The Hungarian rule solves on preferences, where agents of one type share a
+# column, and min-max on a big-M matrix, so ties are the common case and the
+# port must pick scipy's pairs among them, not just an optimum.
+
+
+@st.composite
+def _matrices(draw, shape):
+    m, n = draw(shape)
+    kind = draw(st.sampled_from(["floats", "small-ints", "repeated-columns", "eg-scores"]))
+    if kind == "floats" and m * n <= 144:
+        values = draw(st.lists(st.floats(-100.0, 100.0), min_size=m * n, max_size=m * n))
+        return np.array(values).reshape(m, n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "floats":  # too many entries to draw one by one
+        return rng.uniform(-100.0, 100.0, size=(m, n))
+    if kind == "small-ints":
+        return rng.integers(0, 4, size=(m, n)).astype(float)
+    if kind == "repeated-columns":  # agents of one type share a column
+        types = rng.integers(0, 3, size=n)
+        return np.round(rng.uniform(0.0, 1.0, size=(m, 3)), 1)[:, types]
+    u = np.where(rng.random((m, n)) < 0.3, 0.0, rng.uniform(0.0, 1.0, size=(m, n)))
+    return assign.eg_score_matrix(u, rng.uniform(0.5, 2.0, size=m))  # log(EPSILON) at the zeros
+
+
+def _wide(max_n):
+    return st.integers(1, max_n).flatmap(lambda n: st.tuples(st.integers(1, n), st.just(n)))
+
+
+def _square(sizes):
+    return sizes.map(lambda n: (n, n))
+
+
+def _assert_same(got: assign.Assignment, want: assign.Assignment):
+    assert np.array_equal(got.task_of_agent, want.task_of_agent)
+    assert got.objective.hex() == want.objective.hex()
+
+
+@given(scores=_matrices(_wide(12)))
+@settings(max_examples=400, deadline=None)
+def test_hungarian_picks_scipys_pairs(scores):
+    _assert_same(assign.solve_hungarian_max(scores), oracles.scipy_hungarian_max(scores))
+
+
+@given(costs=_matrices(_square(st.integers(1, 12))))
+@settings(max_examples=400, deadline=None)
+def test_minmax_picks_scipys_pairs(costs):
+    costs = np.abs(costs)
+    _assert_same(assign.solve_minmax(costs), oracles.scipy_minmax(costs))
+
+
+@given(scores=_matrices(st.tuples(st.integers(30, 40), st.just(40))))
+@settings(max_examples=8, deadline=None)
+def test_hungarian_picks_scipys_pairs_40(scores):
+    _assert_same(assign.solve_hungarian_max(scores), oracles.scipy_hungarian_max(scores))
+
+
+@given(costs=_matrices(_square(st.just(40))))
+@settings(max_examples=8, deadline=None)
+def test_minmax_picks_scipys_pairs_40(costs):
+    costs = np.abs(costs)
+    _assert_same(assign.solve_minmax(costs), oracles.scipy_minmax(costs))
+
+
+def test_assign_rows_tie_rule():
+    # A row's first scan runs from the last column down and, at an equal
+    # reduced cost, moves to a column no row holds yet: among free columns at
+    # the minimum the lowest wins, and a free one beats a held one.
+    assert assign._assign_rows(np.zeros((4, 4))) == [0, 1, 2, 3]
+    assert assign._assign_rows(np.array([[1.0, 0.0, 0.0, 0.0]])) == [1]
+    assert assign._assign_rows(np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])) == [0, 1]
+
+
+# ---------------------------------------------------------------------------
 # solve_minmax
 # ---------------------------------------------------------------------------
 

@@ -1,13 +1,17 @@
 """Structural checks on src/fairtask.
 
-Every public name has a caller in the program, not only in tests, and the
-distance discount alpha**d has one implementation.
+Every public name has a caller in the program, not only in tests, the
+distance discount alpha**d has one implementation, and running the program
+does not load scipy.optimize.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -107,3 +111,33 @@ def test_compute_utility_is_the_only_alpha_power():
         _alpha_powers(ast.parse(path.read_text()), path.stem) for path in sorted(SRC.glob("*.py"))
     ))
     assert found == {"assign.compute_utility"}
+
+
+# Every rule and mode once, then the CLI, in a fresh interpreter: the test
+# session itself has loaded scipy.optimize through scipy.stats.
+_FOOTPRINT = """
+import sys
+import numpy as np
+import fairtask
+from fairtask import cli, engine, online, world
+sc = world.generate_scenario(3, seed=123)
+for rule in ("eg", "hungarian", "minmax"):
+    for execution in ("scripted", "teleport"):
+        engine.run_centralized_episode(sc, rule, execution=execution)
+online.run_online_episode(sc, 2, np.random.default_rng(0))
+assert cli.main(["run", "--generate", "N=3", "--algorithm", "eg", "--episodes", "1",
+                 "--out", sys.argv[1]]) == 0
+assert "scipy.optimize" not in sys.modules, "the program loaded scipy.optimize"
+"""
+
+
+def test_program_does_not_load_scipy_optimize(tmp_path):
+    # scipy.optimize costs about 17 MB of resident memory and a quarter of the
+    # set-up time; the program's linear assignments run assign._assign_rows.
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(tmp_path / "run")],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
