@@ -43,7 +43,7 @@ _NEIGHBORS = (
 )
 
 
-class GridPlacementError(ValueError):
+class GridPlacementError(world.ScenarioError):
     """An agent start or task position fell inside a blocked cell."""
 
 
@@ -140,8 +140,8 @@ def build_nav_grid(sc: world.Scenario) -> NavGrid:
     """Discretize scenario geometry at DEFAULT_RESOLUTION.
 
     Raises world.ScenarioError when the resolution exceeds the smallest
-    sensing radius, and GridPlacementError when an entity sits in a blocked
-    cell.
+    sensing radius, and its subclass GridPlacementError when an entity sits
+    in a blocked cell.
     """
     resolution = DEFAULT_RESOLUTION
     geom = sc.arrays
@@ -294,16 +294,6 @@ def nearest_free_cell(grid: NavGrid, point) -> tuple[int, int] | None:
     return None
 
 
-def _segment_hits_disc(p, q, cx, cy, r) -> bool:
-    px, py = float(p[0]), float(p[1])
-    vx, vy = float(q[0]) - px, float(q[1]) - py
-    denom = vx * vx + vy * vy
-    if denom < 1e-30:
-        return math.hypot(px - cx, py - cy) < r
-    t = max(0.0, min(1.0, ((cx - px) * vx + (cy - py) * vy) / denom))
-    return math.hypot(px + t * vx - cx, py + t * vy - cy) < r
-
-
 def line_of_sight(grid: NavGrid, a, b) -> bool:
     """True when the straight segment a-b is traversable.
 
@@ -319,7 +309,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     if _segment_crosses_wall(grid, p, q):
         return False
     for (cx, cy), r in grid.obstacles:
-        if _segment_hits_disc(p, q, cx, cy, r):
+        if world.near_segment(p, q, cx, cy, r):
             return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
     t = np.arange(steps + 1) / steps

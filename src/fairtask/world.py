@@ -227,9 +227,14 @@ def validate_scenario(sc: Scenario) -> None:
         if not 0 <= t.task_type < types:
             raise ScenarioError(f"task {t.id}: type {t.task_type} outside [0, {types})")
     for w, ends in enumerate(sc.walls):
+        if len(ends) != 2 or any(len(end) != 2 for end in ends):
+            raise ScenarioError(f"wall {w}: endpoints {ends} must be two (x, y) points")
         if not all(math.isfinite(c) for end in ends for c in end):
             raise ScenarioError(f"wall {w}: endpoints {ends} must be finite")
-    for k, ((cx, cy), r) in enumerate(sc.obstacles):
+    for k, (center, r) in enumerate(sc.obstacles):
+        if len(center) != 2:
+            raise ScenarioError(f"obstacle {k}: center {center} must be an (x, y) point")
+        cx, cy = center
         if not (math.isfinite(cx) and math.isfinite(cy)):
             raise ScenarioError(f"obstacle {k}: center {(cx, cy)} must be finite")
         if not 0.0 < r < math.inf:
@@ -453,6 +458,21 @@ def in_any_ball(points: np.ndarray, centers: np.ndarray, radii: np.ndarray) -> n
     return (np.hypot(dx, dy) <= radii[:, None]).any(axis=0)
 
 
+def near_segment(p, q, cx, cy, r) -> bool:
+    """Whether (cx, cy) lies closer than r to the segment p-q, on Python floats.
+
+    The one scalar point-to-segment test: the generator's wall clearance and
+    pathfind.line_of_sight's disc test both ask it.
+    """
+    px, py = float(p[0]), float(p[1])
+    vx, vy = float(q[0]) - px, float(q[1]) - py
+    denom = vx * vx + vy * vy
+    if denom < 1e-30:
+        return math.hypot(px - cx, py - cy) < r
+    t = max(0.0, min(1.0, ((cx - px) * vx + (cy - py) * vy) / denom))
+    return math.hypot(px + t * vx - cx, py + t * vy - cy) < r
+
+
 def discover(state: WorldState, tasks) -> WorldState:
     discovery_times = state.discovery_times.copy()
     discovery_times[list(tasks)] = state.time
@@ -630,16 +650,14 @@ def _sample_candidate(
             gaps = p - placed[:n_placed]
             if (np.hypot(gaps[:, 0], gaps[:, 1]) < MIN_CLEARANCE).any():
                 continue
-            if any(math.dist(tuple(p), oc) < orad + MIN_CLEARANCE for oc, orad in obstacles):
+            x, y = p.tolist()
+            if any(math.dist((x, y), oc) < orad + MIN_CLEARANCE for oc, orad in obstacles):
                 continue
-            if any(
-                _point_segment_distance(p, np.array(w1), np.array(w2)) < MIN_CLEARANCE
-                for w1, w2 in walls
-            ):
+            if any(near_segment(w1, w2, x, y, MIN_CLEARANCE) for w1, w2 in walls):
                 continue
             placed[n_placed] = p
             n_placed += 1
-            return tuple(float(x) for x in p)
+            return x, y
         return None
 
     agents = []
@@ -684,12 +702,3 @@ def _sample_candidate(
         dt=dt,
         alpha=alpha,
     )
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(np.dot(ab, ab))
-    if denom < 1e-30:
-        return float(np.hypot(*(p - a)))
-    t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
-    return float(np.hypot(*(p - (a + t * ab))))

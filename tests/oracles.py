@@ -7,11 +7,12 @@ controller on numpy scalars, the per-agent dynamics step with a motion clip
 that tests every wall and disc, the task-by-agent sensing loop, the service
 tick built with dataclasses.replace and the one-ball lattice sweep.  The
 differential tests require the fast routines to return exactly what these
-return.  The assignment oracles enumerate every permutation or agent
-subset, independent of the solvers they check; scipy_hungarian_max and
-scipy_minmax are the two linear-assignment solvers as they ran on
-scipy.optimize.linear_sum_assignment, whose pairs the in-repo solve must
-reproduce tie for tie.
+return.  point_segment_distance, on numpy 2-vectors, measures how far
+generated points keep from the walls.  The assignment oracles enumerate
+every permutation or agent subset, independent of the solvers they check;
+scipy_hungarian_max and scipy_minmax are the two linear-assignment solvers
+as they ran on scipy.optimize.linear_sum_assignment, whose pairs the
+in-repo solve must reproduce tie for tie.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     if pathfind._segment_crosses_wall(grid, a, b):
         return False
     for (cx, cy), r in grid.obstacles:
-        if pathfind._segment_hits_disc(a, b, cx, cy, r):
+        if world.near_segment(a, b, cx, cy, r):
             return False
     steps = max(int(math.ceil(length / (grid.resolution / 4.0))), 1)
     for k in range(steps + 1):
@@ -437,6 +438,16 @@ def service_tick(state: WorldState, sc: Scenario, agent: int, task: int) -> Worl
     if remaining[task] <= 0.0:  # the fast tick relies on the subtraction landing on 0.0
         remaining[task] = 0.0
     return dataclasses.replace(state, remaining_workloads=remaining)
+
+
+def point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Distance from p to the segment a-b, with np.dot and np.clip on 2-vectors."""
+    ab = b - a
+    denom = float(np.dot(ab, ab))
+    if denom < 1e-30:
+        return float(np.hypot(*(p - a)))
+    t = float(np.clip(np.dot(p - a, ab) / denom, 0.0, 1.0))
+    return float(np.hypot(*(p - (a + t * ab))))
 
 
 # ---------------------------------------------------------------------------

@@ -623,6 +623,12 @@ def test_non_finite_scenario_file_values_are_config_errors(tmp_path, capsys, edi
                      "obstacle 0: center (nan, ", id="nan-obstacle-center"),
         pytest.param(lambda doc: doc["walls"][0][0].__setitem__(0, math.inf),
                      "wall 0: endpoints ((inf, ", id="infinite-wall-end"),
+        pytest.param(lambda doc: doc["walls"].__setitem__(0, [[1.0, 1.0, 1.0], [1.5, 1.0]]),
+                     "wall 0: endpoints ((1.0, 1.0, 1.0), (1.5, 1.0)) must be two (x, y) points",
+                     id="wall-end-3d"),
+        pytest.param(lambda doc: doc["obstacles"][0].update(center=[1.0, 1.0, 1.0]),
+                     "obstacle 0: center (1.0, 1.0, 1.0) must be an (x, y) point",
+                     id="obstacle-center-3d"),
     ],
 )
 def test_malformed_scenario_files_are_config_errors(tmp_path, capsys, edit, message):
@@ -652,6 +658,23 @@ def test_scenario_file_sensing_below_grid_resolution_is_a_config_error(tmp_path,
     assert rc == 1
     assert not out.exists()
     assert "exceeds the smallest sensing radius 0.04" in capsys.readouterr().err
+
+
+def test_scenario_file_entity_in_a_blocked_cell_is_a_config_error(tmp_path, capsys):
+    sc = world.generate_scenario(3, 2.5, seed=123)
+    path = tmp_path / "scenario.json"
+    cli.save_scenario(sc, path)
+    doc = json.loads(path.read_text())
+    (x1, y1), (x2, y2) = sc.walls[0]
+    doc["agents"][0]["start_position"] = [(x1 + x2) / 2 + 0.01, (y1 + y2) / 2]  # 0.01 off wall 0
+    path.write_text(json.dumps(doc))
+    for parallel in ("1", "2"):  # the grid is built in the workers under --parallel
+        out = tmp_path / f"never-{parallel}"
+        rc = run_cli(["run", "--scenario", str(path), "--algorithm", "eg", "--episodes", "2",
+                      "--parallel", parallel, "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: agent 0 start is in a blocked cell\n"
 
 
 @pytest.mark.parametrize(

@@ -488,6 +488,17 @@ def test_generate_scenario_deterministic_and_clear():
             assert math.hypot(p[0] - cx, p[1] - cy) >= r + world.MIN_CLEARANCE - 1e-12
 
 
+@pytest.mark.parametrize("n_agents,map_size", [(3, 2.5), (7, 2.7), (12, 3.5)])
+def test_generated_points_keep_clear_of_walls(n_agents, map_size):
+    for seed in range(10):
+        sc = world.generate_scenario(n_agents, map_size, seed=seed)
+        assert sc.walls
+        for p in np.vstack([sc.agent_positions(), sc.task_positions()]):
+            for w1, w2 in sc.walls:
+                gap = oracles.point_segment_distance(p, np.array(w1), np.array(w2))
+                assert gap >= world.MIN_CLEARANCE - 1e-12
+
+
 def test_generate_scenario_default_map_sizes():
     assert world.generate_scenario(3, seed=1).workspace_size == 2.5
     with pytest.raises(ValueError):
@@ -689,8 +700,13 @@ def test_scenario_arrays_hold_the_spec_values_read_only(n):
         ([], [((math.nan, 2.0), 0.1)], "obstacle 0: center (nan, 2.0) must be finite"),
         ([], [((2.0, 2.0), 0.1), ((2.0, -math.inf), 0.1)],
          "obstacle 1: center (2.0, -inf) must be finite"),
+        ([((0.5, 0.5, 0.0), (1.0, 0.5))], [],
+         "wall 0: endpoints ((0.5, 0.5, 0.0), (1.0, 0.5)) must be two (x, y) points"),
+        ([], [((2.0, 2.0), 0.1), ((2.0, 2.0, 0.0), 0.1)],
+         "obstacle 1: center (2.0, 2.0, 0.0) must be an (x, y) point"),
     ],
-    ids=["nan-wall-end", "inf-wall-end", "nan-obstacle-center", "inf-obstacle-center"],
+    ids=["nan-wall-end", "inf-wall-end", "nan-obstacle-center", "inf-obstacle-center",
+         "3d-wall-end", "3d-obstacle-center"],
 )
 def test_scenario_non_finite_geometry_rejected(walls, obstacles, message):
     with pytest.raises(world.ScenarioError, match=re.escape(message)):
