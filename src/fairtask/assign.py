@@ -10,10 +10,11 @@ utilities but reduces to a linear assignment over the score matrix
 s[j, i] = w_j * log(u[j, i] + eps) under one-to-one constraints, because
 each task's inner sum selects exactly one utility.  That reduction is what
 solve_eg exploits.
-Linear assignments are solved by _assign_rows, the shortest augmenting path
-algorithm of D. F. Crouse, "On implementing 2D rectangular assignment
-algorithms", IEEE TAES 52(4), 2016, in the form scipy's linear_sum_assignment
-runs it, so ties resolve the same way whatever scipy is installed.
+Every linear assignment, min-max's threshold tests and tie-break included,
+runs _assign_rows: the shortest augmenting path algorithm of D. F. Crouse,
+"On implementing 2D rectangular assignment algorithms", IEEE TAES 52(4),
+2016, in the form scipy's linear_sum_assignment runs it, so ties resolve
+the same way whatever scipy is installed.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 EPSILON = 1e-12  # log-score smoothing; far below any meaningful utility
 
@@ -115,10 +114,10 @@ def weighted_log_value(utilities_by_task, weights) -> float:
 def solve_minmax(costs) -> Assignment:
     """Bottleneck assignment: minimize the largest selected cost.
 
-    Binary search over the sorted distinct cost values, testing perfect
-    bipartite matchability at each threshold; among bottleneck-optimal
-    permutations, ties resolve toward minimum total cost (a linear assignment
-    restricted to feasible edges).
+    Binary search over the sorted distinct cost values; a threshold is
+    feasible when the linear assignment on the 0/1 "over it" matrix picks
+    no 1.  Among bottleneck-optimal permutations, ties resolve toward minimum
+    total cost (the same assignment, restricted to feasible edges).
     """
     costs = np.asarray(costs, dtype=float)
     if costs.ndim != 2 or costs.shape[0] != costs.shape[1]:
@@ -126,11 +125,13 @@ def solve_minmax(costs) -> Assignment:
     if np.any(costs < 0) or not np.all(np.isfinite(costs)):
         raise ValueError("costs must be finite and non-negative")
     n = costs.shape[0]
+    rows = np.arange(n)
     values = np.unique(costs)
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi) // 2
-        if _has_perfect_matching(costs <= values[mid]):
+        over = (costs > values[mid]).astype(float)
+        if not over[rows, _assign_rows(over)].any():
             hi = mid
         else:
             lo = mid + 1
@@ -138,7 +139,6 @@ def solve_minmax(costs) -> Assignment:
 
     big = n * (float(costs.max()) + 1.0) + 1.0
     restricted = np.where(costs <= bottleneck, costs, big)
-    rows = np.arange(n)
     cols = _assign_rows(restricted)
     task_of_agent = np.empty(n, dtype=int)
     task_of_agent[cols] = rows
@@ -200,11 +200,6 @@ def _assign_rows(cost: np.ndarray) -> list[int]:
             if i == cur:
                 break
     return col4row
-
-
-def _has_perfect_matching(adjacency: np.ndarray) -> bool:
-    match = maximum_bipartite_matching(csr_matrix(adjacency), perm_type="column")
-    return bool(np.all(match >= 0))
 
 
 def task_utilities(assignment: Assignment, u: np.ndarray) -> np.ndarray:

@@ -343,6 +343,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     out = Path(args.out)
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} exists and is not a directory")
+    existing = next(p for p in (out, *out.parents) if p.exists())  # "." has no parents
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out} lies below {existing}, which is not a directory")
     if args.scenario is not None:
         source = dict(scenario=load_scenario(args.scenario, alpha_override=args.alpha))
     else:

@@ -169,10 +169,10 @@ def build_nav_grid(sc: world.Scenario) -> NavGrid:
     )
     agents = np.flatnonzero(grid.blocked_at(geom.agent_positions))
     if agents.size:
-        raise GridPlacementError(f"agent {sc.agents[agents[0]].id} start is in a blocked cell")
+        raise GridPlacementError(f"agent {agents[0]} start is in a blocked cell")
     tasks = np.flatnonzero(grid.blocked_at(geom.task_positions))
     if tasks.size:
-        raise GridPlacementError(f"task {sc.tasks[tasks[0]].id} position is in a blocked cell")
+        raise GridPlacementError(f"task {tasks[0]} position is in a blocked cell")
     return grid
 
 

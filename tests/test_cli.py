@@ -438,14 +438,41 @@ def test_out_naming_an_existing_file_is_a_config_error(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == f"error: --out {blocker} exists and is not a directory\n"
 
 
-def test_exit_code_runtime_failure(tmp_path):
+@pytest.mark.parametrize("parallel", ["1", "2"])
+def test_out_below_an_existing_file_is_a_config_error(tmp_path, monkeypatch, capsys, parallel):
+    def no_episodes(*args, **kwargs):
+        raise AssertionError("an episode ran before --out was checked")
+
+    monkeypatch.setattr(engine.Batch, "run_one", no_episodes)
     blocker = tmp_path / "file"
     blocker.write_text("occupied")
+    out = blocker / "sub"
+    rc = run_cli(["run", "--generate", "N=3", "--algorithm", "eg", "--episodes", "2",
+                  "--parallel", parallel, "--out", str(out)])
+    assert rc == 1
+    assert blocker.read_text() == "occupied"
+    assert capsys.readouterr().err == (
+        f"error: --out {out} lies below {blocker}, which is not a directory\n"
+    )
+
+
+def test_out_may_be_the_working_directory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # Path(".") has no parents to search for one that exists
+    rc = run_cli(["run", "--generate", "N=3", "--algorithm", "eg", "--episodes", "1",
+                  "--out", "."])
+    assert rc == 0
+    assert (tmp_path / "results.csv").is_file()
+
+
+def test_exit_code_runtime_failure(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "results.csv").mkdir(parents=True)  # a valid --out whose results file cannot be written
     rc = run_cli([
         "run", "--generate", "N=3,map=2.5", "--algorithm", "eg",
-        "--episodes", "1", "--out", str(blocker / "sub"),
+        "--episodes", "1", "--out", str(out),
     ])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("runtime failure: ")
 
 
 @pytest.mark.parametrize(

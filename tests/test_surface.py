@@ -1,8 +1,9 @@
 """Structural checks on src/fairtask.
 
 Every public name has a caller in the program, not only in tests, the
-distance discount alpha**d has one implementation, and running the program
-does not load scipy.optimize.
+distance discount alpha**d has one implementation, running the program
+does not load scipy.optimize, and assign.py imports only numpy and the
+standard library.
 """
 
 from __future__ import annotations
@@ -141,3 +142,14 @@ def test_program_does_not_load_scipy_optimize(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_assign_imports_only_numpy_and_the_standard_library():
+    # Every linear assignment, min-max's threshold tests included, runs
+    # assign._assign_rows; the module needs no second matching algorithm.
+    tree = ast.parse((SRC / "assign.py").read_text())
+    roots = {alias.name.split(".")[0] for node in ast.walk(tree)
+             if isinstance(node, ast.Import) for alias in node.names}
+    roots |= {node.module.split(".")[0] for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert roots - {"numpy"} <= sys.stdlib_module_names, sorted(roots)
