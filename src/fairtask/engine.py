@@ -100,8 +100,9 @@ class Navigator:
     within_radius.
     """
 
-    def __init__(self, grid: pathfind.NavGrid):
-        self.grid = grid
+    def __init__(self, distances: pathfind.DistanceProvider):
+        self.grid = distances.grid
+        self._fields = distances.fields  # caps each search toward a task
         self.goal: np.ndarray | None = None
         self.waypoints = []
         self._last_pos: tuple[float, float] | None = None  # set with every goal
@@ -122,7 +123,7 @@ class Navigator:
 
     def set_goal(self, pos: np.ndarray, goal) -> None:
         self.goal = np.asarray(goal, dtype=float)
-        self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal)
+        self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal, self._fields)
         self._last_pos = tuple(pos.tolist())
         self._stall_steps = 0
         self._steps_since_check = 0
@@ -205,7 +206,7 @@ class Navigator:
             return
         self._stall_steps += 1
         if self._stall_steps >= _STUCK_WINDOW:
-            self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal)
+            self.waypoints = pathfind.path_waypoints(self.grid, pos, self.goal, self._fields)
             self._stall_steps = 0
 
 
@@ -297,7 +298,7 @@ class Episode:
     def __init__(self, sc: world.Scenario):
         self.sc = sc
         self.state = world.initial_state(sc)
-        self.navs = [Navigator(sc.distances.grid) for _ in range(sc.n_agents)]
+        self.navs = [Navigator(sc.distances) for _ in range(sc.n_agents)]
         self.task_of = np.full(sc.n_agents, -1)        # -1 marks a free agent
         self.goals = np.full((sc.n_agents, 2), math.nan)  # task positions, nan while free
         self.dist_at_assign = np.zeros(sc.n_agents)

@@ -15,7 +15,12 @@ the row pointers.  Every field, `DistanceProvider.field`'s cache misses
 included, comes from the one batch call: `DistanceProvider.pairwise`
 computes all its uncached source fields in one multi-source call.  A
 waypoint request whose goal is in sight is answered with the straight
-segment and no search.
+segment and no search.  A search toward a cell whose field is cached
+(every task's) starts each cell's best g at the cap C* + s - field[c],
+C* the start's field value and s a slack above the float error of the
+sums and below the least gap between two octile lengths (`_astar_cells`):
+it pushes only shortest-route cells and returns the uncapped search's
+path.  A request never computes a field.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from fairtask import world
 DEFAULT_RESOLUTION = 0.05
 _SQRT2 = math.sqrt(2.0)
 _OCTILE = _SQRT2 - 1.0
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 # 8-neighborhood as (dx, dy, diagonal?), in (dx, dy) order: the order of the
 # moves' target flat indices, so each CSR row's columns come out sorted.
@@ -185,13 +191,41 @@ def _segment_distance_field(cx, cy, x1, y1, x2, y2):
     return np.hypot(cx - (x1 + t * vx), cy - (y1 + t * vy))
 
 
-def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
+def _cap_slack(c_star: float, res: float) -> float | None:
+    """The slack s = res / (5 K) of `_astar_cells`' cap, or None when it is
+    not above the error bound E = 8 (K + 1) u (C* + 2 res)."""
+    k = c_star / res + 1.0
+    slack = res / (5.0 * k)
+    error = 8.0 * (k + 1.0) * _UNIT_ROUNDOFF * (c_star + 2.0 * res)
+    return slack if error < slack else None
+
+
+def _astar_cells(grid: NavGrid, a, b, goal_field=None) -> list[tuple[int, int]] | None:
     """Octile A* cell path from a's cell to b's cell, or None when disconnected.
 
     Expands along `grid.edges`, the edge set Dijkstra searches too, reading
     a cell's moves as `grid.moves_by_mask[grid.masks[cell]]`.  Cells are
     flat indices ix * ny + iy; the heap key (f, h, flat index) breaks
     ties the same way a key ending in the (ix, iy) tuple would.
+
+    `goal_field`, the cached Dijkstra field of b's cell when there is one,
+    caps the search without changing its result.  With C* = field[start]
+    (None at once when it is inf), each cell's best g starts at the cap
+    C* + s - field[c] instead of inf, so a step is pushed only when
+    g + field[c] < C* + s, and the heap key, the strict `<` and the parent
+    rule stay as they are.  Every route length is a res + b res*sqrt(2)
+    for step counts a, b.  A route shorter than C* + res has at most
+    K = C*/res + 1 steps, and two such lengths that differ do so by at
+    least res / (2.5 K), since |p + q sqrt(2)| >= 1 / (2K + 1) for
+    integers |p|, |q| <= K, not both 0, and K >= 2.  C*, field[c] and every
+    g compared near the cap are float sums of at most K + 1 steps, and
+    E = 8 (K + 1) u (C* + 2 res) bounds their joint error with the cap's
+    two roundings (u = 2**-53).  A slack with E < s < res / (2.5 K) - E
+    therefore keeps every step on a shortest route and drops every step
+    that can only start a strictly longer one, whose pushes and their
+    descendants never set a parent on the returned path: the cells
+    returned are the uncapped search's.  s = res / (5 K) fits while
+    E < s (`_cap_slack`); otherwise the search runs uncapped.
     """
     start = grid.cell_of(a)
     goal = grid.cell_of(b)
@@ -209,28 +243,38 @@ def _astar_cells(grid: NavGrid, a, b) -> list[tuple[int, int]] | None:
     hx, hy = abs(start[0] - gx), abs(start[1] - gy)
     h0 = res * (max(hx, hy) + _OCTILE * min(hx, hy))
 
-    g_best = {start_flat: 0.0}
+    inf = math.inf
+    slack = None
+    if goal_field is not None:
+        c_star = float(goal_field[start_flat])
+        if c_star == inf:
+            return None
+        slack = _cap_slack(c_star, res)
+    if slack is None:
+        g_best = [inf] * len(masks)
+    else:
+        g_best = (c_star + slack - goal_field).tolist()
+    g_best[start_flat] = 0.0
     parent: dict[int, int] = {}
     frontier = [(h0, h0, start_flat)]
-    closed: set[int] = set()
+    closed = bytearray(len(masks))
     heappop, heappush = heapq.heappop, heapq.heappush
-    inf = math.inf
     while frontier:
         cur = heappop(frontier)[2]
-        if cur in closed:
+        if closed[cur]:
             continue
         if cur == goal_flat:
             path = [cur]
             while path[-1] != start_flat:
                 path.append(parent[path[-1]])
             return [divmod(f, ny) for f in reversed(path)]
-        closed.add(cur)
+        closed[cur] = 1
         cg = g_best[cur]
         cx, cy = divmod(cur, ny)
         for dx, dy, offset, cost in by_mask[masks[cur]]:
             nxt = cur + offset
             ng = cg + cost
-            if ng < g_best.get(nxt, inf):
+            if ng < g_best[nxt]:
                 g_best[nxt] = ng
                 parent[nxt] = cur
                 # res * (max + (sqrt2 - 1) * min) of the cell offsets to the goal.
@@ -318,13 +362,15 @@ def line_of_sight(grid: NavGrid, a, b) -> bool:
     return not np.count_nonzero(grid.blocked_at(pts))
 
 
-def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:
+def path_waypoints(grid: NavGrid, a, b, fields=None) -> list[np.ndarray]:
     """String-pulled waypoint chain from a to b (a excluded, b last).
 
     Consecutive waypoints are mutually visible.  Returns [] when a == b or
     when no path exists.  A goal in sight of a is answered [b] without an A*
     search, as Theta* takes a clear straight segment; otherwise string
-    pulling from a skips the a-b pair it has just tested.
+    pulling from a skips the a-b pair it has just tested.  `fields`, a
+    `DistanceProvider.fields` cache, lends the search the field of b's
+    snapped cell when it holds one; a request never computes a field.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -336,7 +382,8 @@ def path_waypoints(grid: NavGrid, a, b) -> list[np.ndarray]:
     cb = nearest_free_cell(grid, b)
     if ca is None or cb is None:
         return []
-    cells = _astar_cells(grid, grid.center(ca), grid.center(cb))
+    goal_field = None if fields is None else fields.get(grid.flat_index(cb))
+    cells = _astar_cells(grid, grid.center(ca), grid.center(cb), goal_field)
     if cells is None:
         return []
     # Keep the snapped entry/exit centers when they differ from the endpoint
@@ -366,11 +413,13 @@ class DistanceProvider:
     for every query against it.  `pairwise` computes the fields of all its
     uncached source cells in one multi-source Dijkstra call, and `field` a
     miss through the same call; each row equals the single-source field.
+    `fields` maps each flat source cell to its cached field; waypoint
+    searches read it and never add to it.
     """
 
     def __init__(self, grid: NavGrid):
         self.grid = grid
-        self._fields: dict[int, np.ndarray] = {}
+        self.fields: dict[int, np.ndarray] = {}
 
     def _snap_index(self, point) -> int | None:
         cell = nearest_free_cell(self.grid, point)
@@ -380,21 +429,21 @@ class DistanceProvider:
         idx = self._snap_index(source)
         if idx is None:
             return np.full(self.grid.dims[0] * self.grid.dims[1], math.inf)
-        if idx not in self._fields:
+        if idx not in self.fields:
             self._compute([idx])
-        return self._fields[idx]
+        return self.fields[idx]
 
     def _compute(self, cells: list[int]) -> None:
         """Cache the fields of the uncached flat `cells` from one multi-source call."""
         if cells:
             rows = _sp_dijkstra(self.grid.graph, indices=cells, directed=True)
-            self._fields.update(zip(cells, rows))  # each row a view of one block
+            self.fields.update(zip(cells, rows))  # each row a view of one block
 
     def pairwise(self, sources, targets) -> np.ndarray:
         sources = np.asarray(sources, dtype=float).reshape(-1, 2)
         targets = np.asarray(targets, dtype=float).reshape(-1, 2)
         self._compute(list(dict.fromkeys(
-            i for i in map(self._snap_index, sources) if i is not None and i not in self._fields
+            i for i in map(self._snap_index, sources) if i is not None and i not in self.fields
         )))
         t_idx = [self._snap_index(t) for t in targets]
         out = np.empty((len(sources), len(targets)))

@@ -92,8 +92,9 @@ class Scenario:
     def distances(self):
         """pathfind.DistanceProvider on the default-resolution grid (`.grid`).
 
-        Built once per object: the generator's connectivity check, U* and
-        every assignment solve share its grid and cached distance fields.
+        Built once per object: the generator's connectivity check, U*,
+        every assignment solve and every episode's navigators share its
+        grid and cached distance fields.
         Raises pathfind.GridPlacementError if an entity is in a blocked cell.
         """
         from fairtask import pathfind  # deferred: pathfind depends on this module

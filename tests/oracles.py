@@ -1,11 +1,12 @@
 """Reference implementations the fast routines are compared against.
 
 The navigation and world functions are the straightforward versions of
-routines in `src/`: tuple-keyed A*, the per-sample line-of-sight loop, the COO
-grid-graph build, the separate braking and goto axis rules, the waypoint
-controller on numpy scalars, the per-agent dynamics step with a motion clip
-that tests every wall and disc, the task-by-agent sensing loop, the service
-tick built with dataclasses.replace and the one-ball lattice sweep.  The
+routines in `src/`: tuple-keyed A* with no distance-field cap, the
+per-sample line-of-sight loop, the COO grid-graph build, the separate
+braking and goto axis rules, the waypoint controller on numpy scalars, the
+per-agent dynamics step with a motion clip that tests every wall and disc,
+the task-by-agent sensing loop, the service tick built with
+dataclasses.replace and the one-ball lattice sweep.  The
 differential tests require the fast routines to return exactly what these
 return.  point_segment_distance, on numpy 2-vectors, measures how far
 generated points keep from the walls.  The assignment oracles enumerate

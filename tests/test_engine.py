@@ -27,7 +27,7 @@ from conftest import make_scenario
 def _first_action(sc, goal):
     """A fresh navigator's goal set and first action for agent 0 at t=0."""
     state = world.initial_state(sc)
-    nav = engine.Navigator(pathfind.build_nav_grid(sc))
+    nav = engine.Navigator(sc.distances)
     nav.set_goal(state.agent_positions[0], goal)
     return nav, nav.action(state, sc, 0)
 
@@ -172,7 +172,7 @@ def test_navigator_matches_the_numpy_controller_oracle(n, seed, data):
     sc = _steering_scenario(n, seed)
     grid = sc.distances.grid
     positions, velocities = [], []
-    navs = [engine.Navigator(grid) for _ in range(n)]
+    navs = [engine.Navigator(sc.distances) for _ in range(n)]
     refs = [oracles.Navigator(grid) for _ in range(n)]
     for i, (nav, ref) in enumerate(zip(navs, refs)):
         pos = _draw_position(data, sc, i)
@@ -231,7 +231,7 @@ def test_chain_lengths_keep_numpy_hypot_bits(case):
     sc = make_scenario([pos], [chain[-1]])
     state = dataclasses.replace(world.initial_state(sc), agent_velocities=np.array([[0.0, vy]]))
     actions = []
-    for nav in (engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)):
+    for nav in (engine.Navigator(sc.distances), oracles.Navigator(sc.distances.grid)):
         nav.goal = np.array(chain[-1])
         nav.waypoints = [np.array(w) for w in chain]
         nav._last_pos = np.array(pos)
@@ -262,7 +262,7 @@ def test_corner_test_takes_numpy_dot_sign(case):
     assert engine._turns_back(*d.tolist(), *e.tolist()) == (dot < 0.0)
     sc = make_scenario([pos], [w1])
     state = world.initial_state(sc)
-    navs = [engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)]
+    navs = [engine.Navigator(sc.distances), oracles.Navigator(sc.distances.grid)]
     for nav in navs:
         nav.goal = w1.copy()
         nav.waypoints = [w0.copy(), w1.copy()]
@@ -294,7 +294,7 @@ def test_end_term_sums_the_legs_in_order():
     sc = make_scenario([pos], [chain[-1]])
     state = dataclasses.replace(world.initial_state(sc), agent_velocities=np.array([velocity]))
     actions = []
-    for nav in (engine.Navigator(sc.distances.grid), oracles.Navigator(sc.distances.grid)):
+    for nav in (engine.Navigator(sc.distances), oracles.Navigator(sc.distances.grid)):
         nav.goal = np.array(chain[-1])
         nav.waypoints = [np.array(w) for w in chain]
         nav._last_pos = np.array(pos)
@@ -467,6 +467,48 @@ def test_minmax_optimizes_its_own_metric():
         }
         assert bottlenecks["minmax"] <= bottlenecks["eg"] + 1e-12
         assert bottlenecks["minmax"] <= bottlenecks["hungarian"] + 1e-12
+
+
+def test_waypoint_requests_read_task_fields_and_compute_none(monkeypatch):
+    """A navigator's search toward a task reads the task's cached field, one
+    toward a lattice point reads none, and neither runs Dijkstra or caches
+    a field."""
+    sc = world.generate_scenario(7, 2.7, seed=42)
+    provider, grid = sc.distances, sc.distances.grid
+    cached = dict(provider.fields)
+    goal_fields = []
+    astar = pathfind._astar_cells
+
+    def counted_astar(grid, a, b, goal_field=None):
+        goal_fields.append(goal_field)
+        return astar(grid, a, b, goal_field)
+
+    def no_dijkstra(*args, **kwargs):
+        raise AssertionError("a waypoint request ran Dijkstra")
+
+    monkeypatch.setattr(pathfind, "_astar_cells", counted_astar)
+    monkeypatch.setattr(pathfind, "_sp_dijkstra", no_dijkstra)
+    starts, tasks = sc.arrays.agent_positions, sc.arrays.task_positions
+    agent, task = next(
+        (i, t) for i in range(sc.n_agents) for t in range(sc.n_tasks)
+        if not pathfind.line_of_sight(grid, starts[i], tasks[t])
+    )
+    nav = engine.Navigator(provider)
+    nav.set_goal(starts[agent], tasks[task])
+    task_cell = grid.flat_index(pathfind.nearest_free_cell(grid, tasks[task]))
+    assert len(goal_fields) == 1 and goal_fields[0] is provider.fields[task_cell]
+
+    emap = online.init_lattice(sc)
+    point = next(
+        p for p in emap.points[~emap.explored]
+        if grid.flat_index(grid.cell_of(p)) not in cached
+        and not pathfind.line_of_sight(grid, starts[agent], p)
+    )
+    nav.set_goal(starts[agent], point)
+    assert len(goal_fields) == 2 and goal_fields[1] is None
+    assert nav.waypoints
+    assert provider.fields.keys() == cached.keys()
+    assert all(provider.fields[cell] is field for cell, field in cached.items())
 
 
 @pytest.mark.parametrize("mode", ["eg-scripted", "eg-teleport", "online-k3"])

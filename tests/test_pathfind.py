@@ -207,7 +207,14 @@ def _split_grid():
     return pathfind.build_nav_grid(sc)
 
 
+def _goal_field(grid, b):
+    """The Dijkstra field of b's cell, as `DistanceProvider.fields` caches it."""
+    return pathfind.DistanceProvider(grid).field(grid.center(grid.cell_of(b)))
+
+
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=0)  # N=3 and N=12
+@example(seed=1)  # N=7 and N=40
 @settings(max_examples=12, deadline=None)
 def test_astar_matches_oracle_on_generated_scenarios(seed):
     rng = np.random.default_rng(seed)
@@ -217,7 +224,10 @@ def test_astar_matches_oracle_on_generated_scenarios(seed):
     for grid in (_generated_grid(seed), large, split):
         pts = _free_random_points(grid, rng, 12)
         for a, b in zip(pts[::2], pts[1::2]):
-            assert pathfind._astar_cells(grid, a, b) == oracles.astar_cells(grid, a, b)
+            want = oracles.astar_cells(grid, a, b)
+            assert pathfind._astar_cells(grid, a, b) == want
+            # Capped by the goal cell's field, the search returns the same cells.
+            assert pathfind._astar_cells(grid, a, b, _goal_field(grid, b)) == want
         blocked = np.argwhere(grid.blocked)
         wall_cell = grid.center(tuple(blocked[rng.integers(len(blocked))]))
         for fn in (pathfind._astar_cells, oracles.astar_cells):
@@ -225,8 +235,50 @@ def test_astar_matches_oracle_on_generated_scenarios(seed):
                 with pytest.raises(ValueError, match="free cells"):
                     fn(grid, a, b)
     across = ((0.5, 0.5), (0.5, 2.0))
+    field = _goal_field(split, across[1])
+    assert field[split.flat_index(split.cell_of(across[0]))] == math.inf
     assert pathfind._astar_cells(split, *across) is None
+    assert pathfind._astar_cells(split, *across, field) is None
     assert oracles.astar_cells(split, *across) is None
+
+
+def test_capped_astar_breaks_an_exact_tie_by_heap_order():
+    """Two mirror routes around a square block are equally short, so the cap
+    keeps both and the heap key picks one, as in the uncapped search."""
+    n = 21
+    blocked = np.zeros((n, n), dtype=bool)
+    blocked[8:13, 6:15] = True  # symmetric about row iy = 10
+    grid = pathfind.NavGrid(
+        resolution=pathfind.DEFAULT_RESOLUTION, dims=(n, n), blocked=blocked, walls=(), obstacles=(),
+    )
+    a, b = grid.center((2, 10)), grid.center((18, 10))
+    from_goal, from_start = _goal_field(grid, b), _goal_field(grid, a)
+    want = oracles.astar_cells(grid, a, b)
+    mirror = [(ix, 2 * 10 - iy) for ix, iy in want]
+    assert mirror != want
+    c_star = from_goal[grid.flat_index((2, 10))]
+    for cells in (want, mirror):  # both routes are shortest, cell by cell
+        for c in cells:
+            flat = grid.flat_index(c)
+            assert from_start[flat] + from_goal[flat] == pytest.approx(c_star, abs=1e-12)
+    assert pathfind._astar_cells(grid, a, b) == want
+    assert pathfind._astar_cells(grid, a, b, from_goal) == want
+
+
+def test_cap_slack_lies_inside_its_float_bound(monkeypatch):
+    res = pathfind.DEFAULT_RESOLUTION
+    for c_star in (res, 1.0, 8.0, 300.0):
+        k = c_star / res + 1.0
+        slack = pathfind._cap_slack(c_star, res)
+        error = 8.0 * (k + 1.0) * 2.0**-53 * (c_star + 2.0 * res)
+        assert error < slack < res / (2.5 * k) - error
+    assert pathfind._cap_slack(1e6, res) is None
+    # When no slack fits, a search given the field runs uncapped.
+    split = _split_grid()
+    a, b = (0.5, 0.5), (2.0, 0.5)
+    field = _goal_field(split, b)
+    monkeypatch.setattr(pathfind, "_cap_slack", lambda c_star, res: None)
+    assert pathfind._astar_cells(split, a, b, field) == oracles.astar_cells(split, a, b)
 
 
 def _far_edge_grid():
@@ -435,9 +487,9 @@ def _count_searches(monkeypatch):
     searches, sights = [], []
     astar, los = pathfind._astar_cells, pathfind.line_of_sight
 
-    def counted_astar(grid, a, b):
+    def counted_astar(grid, a, b, goal_field=None):
         searches.append((tuple(a), tuple(b)))
-        return astar(grid, a, b)
+        return astar(grid, a, b, goal_field)
 
     def counted_los(grid, a, b):
         sights.append((tuple(map(float, a)), tuple(map(float, b))))
