@@ -307,9 +307,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="overrides a scenario file's alpha (generated: 0.97)")
         p.add_argument("--out", default="out", help="output dir")
         p.add_argument("--parallel", type=int, default=1)
-        p.add_argument(
-            "--execution", choices=engine.EXECUTION_MODES, default=engine.EXECUTION_SCRIPTED
-        )
 
     p_run = sub.add_parser("run", help="run one algorithm over an episode family")
     _common(p_run)
@@ -327,10 +324,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--k", type=int, default=None, help="subset size when online listed")
     p_cmp.set_defaults(func=cmd_compare)
 
+    for p in (p_run, p_cmp):  # sweep-k runs online only, which is scripted only
+        p.add_argument(
+            "--execution", choices=engine.EXECUTION_MODES, default=engine.EXECUTION_SCRIPTED
+        )
+
     p_swp = sub.add_parser("sweep-k", help="sweep the online subset size")
     _common(p_swp)
     p_swp.add_argument("--k-values", required=True, help="comma-separated ints")
-    p_swp.set_defaults(func=cmd_sweep_k)
+    p_swp.set_defaults(func=cmd_sweep_k, execution=engine.EXECUTION_SCRIPTED)
 
     return parser
 

@@ -91,13 +91,14 @@ def brake_action(v, quantum: float) -> int:
 class Navigator:
     """Per-agent greedy waypoint controller with stuck detection and replanning.
 
-    Steers on Python floats.  Alongside `waypoints` it keeps a copy of the
-    chain as float pairs and the np.hypot length of each leg between
-    waypoints.  Every write to the chain (set_goal, each pop in _advance,
+    Steers on Python floats.  `waypoints` is the one chain, a list of
+    (x, y) float pairs, and beside it the navigator keeps the np.hypot
+    length of each leg between consecutive waypoints.  A new chain (set_goal,
     the stuck replan, any direct assignment) goes through the `waypoints`
-    setter, the one place the copy refreshes.  The legs keep np.hypot's
-    bits, the corner test np.dot's sign, and radius tests go through
-    within_radius.
+    setter, which converts it and measures its legs; each pop in _advance
+    drops the first waypoint and its leg and recomputes nothing.  The legs
+    keep np.hypot's bits, the corner test np.dot's sign, and radius tests go
+    through within_radius.
     """
 
     def __init__(self, distances: pathfind.DistanceProvider):
@@ -110,13 +111,13 @@ class Navigator:
         self._steps_since_check = 0
 
     @property
-    def waypoints(self) -> list[np.ndarray]:
-        return self._waypoints
+    def waypoints(self) -> list[tuple[float, float]]:
+        return self._chain
 
     @waypoints.setter
-    def waypoints(self, waypoints: list[np.ndarray]) -> None:
-        self._waypoints = waypoints
-        self._chain = chain = [w.tolist() for w in waypoints]
+    def waypoints(self, waypoints) -> None:
+        """Any sequence of (x, y) pairs: path_waypoints' arrays or float pairs."""
+        self._chain = chain = [(float(w[0]), float(w[1])) for w in waypoints]
         self._legs = [
             float(np.hypot(bx - ax, by - ay)) for (ax, ay), (bx, by) in zip(chain, chain[1:])
         ]
@@ -188,13 +189,13 @@ class Navigator:
             (x0, y0), w1 = self._chain[0], self._chain[1]
             dx, dy = x0 - px, y0 - py
             if within_radius(dx, dy, _WAYPOINT_SNAP):
-                self.waypoints = self._waypoints[1:]
+                del self._chain[0], self._legs[0]
                 continue
             near = within_radius(dx, dy, _WAYPOINT_TOLERANCE)
             if (near or _turns_back(dx, dy, w1[0] - x0, w1[1] - y0)) and pathfind.line_of_sight(
                 self.grid, (px, py), w1
             ):  # only skip a corner the next leg can actually see past
-                self.waypoints = self._waypoints[1:]
+                del self._chain[0], self._legs[0]
                 continue
             break
 
@@ -299,8 +300,7 @@ class Episode:
         self.sc = sc
         self.state = world.initial_state(sc)
         self.navs = [Navigator(sc.distances) for _ in range(sc.n_agents)]
-        self.task_of = np.full(sc.n_agents, -1)        # -1 marks a free agent
-        self.goals = np.full((sc.n_agents, 2), math.nan)  # task positions, nan while free
+        self.task_of = np.full(sc.n_agents, -1)  # -1 marks a free agent
         self.dist_at_assign = np.zeros(sc.n_agents)
         self.commits: list[metrics.Commitment] = []
 
@@ -327,7 +327,6 @@ class Episode:
         for agent, task in pairs:
             goal = self.sc.arrays.task_positions[task]
             self.task_of[agent] = task
-            self.goals[agent] = goal
             self.dist_at_assign[agent] = float(state.cumulative_distance[agent])
             self.navs[agent].set_goal(state.agent_positions[agent], goal)
 
@@ -357,10 +356,12 @@ def run_episode(ep: Episode, rule: str, u_star: float, observe=None) -> metrics.
             observe(ep)
 
         state = ep.state
-        gaps = state.agent_positions - ep.goals  # nan for a free agent, which never arrives
-        arrived = np.flatnonzero(np.hypot(gaps[:, 0], gaps[:, 1]) <= ARRIVAL_RADIUS)
-        for i in arrived.tolist():
+        # One take for the whole team is cheaper than selecting busy agents first.
+        gaps = state.agent_positions - sc.arrays.task_positions.take(ep.task_of, axis=0)
+        for i in np.flatnonzero(np.hypot(gaps[:, 0], gaps[:, 1]) <= ARRIVAL_RADIUS).tolist():
             t = int(ep.task_of[i])
+            if t < 0:
+                continue  # a free agent (-1 took the last task's row) never arrives
             if math.isnan(realized_distance[t]):  # first arrival
                 realized_distance[t] = state.cumulative_distance[i] - ep.dist_at_assign[i]
             if state.remaining_workloads[t] > 0.0:

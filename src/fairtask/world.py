@@ -119,23 +119,15 @@ class Scenario:
         # scenario.  Each is rebuilt on demand.
         return {k: v for k, v in self.__dict__.items() if k not in _CACHED_PROPERTIES}
 
+    # bench/test_bench.py still calls these three; every other reader reads `arrays`.
     def agent_positions(self) -> np.ndarray:
-        return np.array([a.start_position for a in self.agents], dtype=float)
+        return self.arrays.agent_positions
 
     def task_positions(self) -> np.ndarray:
-        return np.array([t.position for t in self.tasks], dtype=float)
+        return self.arrays.task_positions
 
     def wall_segments(self) -> np.ndarray:
-        """Interior walls plus the four boundary sides, shape (W + 4, 2, 2)."""
-        s = float(self.workspace_size)
-        segs = [((x1, y1), (x2, y2)) for (x1, y1), (x2, y2) in self.walls]
-        segs += [
-            ((0.0, 0.0), (s, 0.0)),
-            ((s, 0.0), (s, s)),
-            ((s, s), (0.0, s)),
-            ((0.0, s), (0.0, 0.0)),
-        ]
-        return np.array(segs, dtype=float)
+        return self.arrays.walls
 
 
 _CACHED_PROPERTIES = frozenset(
@@ -156,7 +148,9 @@ class ScenarioArrays:
     """
 
     def __init__(self, sc: Scenario) -> None:
-        self.walls = sc.wall_segments()
+        s = float(sc.workspace_size)
+        box = ((0.0, 0.0), (s, 0.0), (s, s), (0.0, s))  # boundary corners, counter-clockwise
+        self.walls = np.array([*sc.walls, *zip(box, box[1:] + box[:1])], dtype=float)  # (W+4, 2, 2)
         self.disc_centers = np.array([c for c, _ in sc.obstacles], dtype=float).reshape(-1, 2)
         self.disc_radii = np.array([r for _, r in sc.obstacles], dtype=float)
         corners = np.array([
@@ -167,12 +161,12 @@ class ScenarioArrays:
         self.box_hi = corners[:, 1] + _BOX_PAD
         self.pairs = np.array(np.triu_indices(sc.n_agents, 1))  # agent pairs (i, k), i < k
         self.agents = np.arange(sc.n_agents)
-        self.agent_positions = sc.agent_positions()
+        self.agent_positions = np.array([a.start_position for a in sc.agents], dtype=float)
         self.max_speed = np.array([a.max_speed for a in sc.agents], dtype=float)
         self.quantum = self.max_speed / ACCEL_STEPS
         self.deltas = self.quantum[:, None, None] * ACTION_VECTORS  # [i, a]: i's velocity change
         self.sensing_radius = np.array([a.sensing_radius for a in sc.agents], dtype=float)
-        self.task_positions = sc.task_positions()
+        self.task_positions = np.array([t.position for t in sc.tasks], dtype=float)
         rates = [[a.preference_row[t.task_type] for a in sc.agents] for t in sc.tasks]
         self.preferences = np.array(rates, dtype=float)
         self.weights = np.array([t.weight for t in sc.tasks], dtype=float)

@@ -338,7 +338,7 @@ def step_dynamics_events(
     if actions.shape != (n,):
         raise ValueError(f"expected {n} actions, got shape {actions.shape}")
     out = copy.deepcopy(state)
-    walls = sc.wall_segments()
+    walls = sc.arrays.walls
     events: list[CollisionEvent] = []
 
     for i in range(n):
@@ -568,7 +568,7 @@ def subset_oracle(free, pending, sc, provider, positions):
     best_obj, best_subset = -math.inf, None
     for subset in itertools.combinations(sorted(free), len(pending)):
         d = provider.pairwise(
-            sc.task_positions()[sorted(pending)], positions[list(subset)]
+            sc.arrays.task_positions[sorted(pending)], positions[list(subset)]
         )
         u = assign.compute_utility(
             d, prefs[np.ix_(sorted(pending), list(subset))], sc.alpha

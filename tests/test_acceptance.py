@@ -213,7 +213,7 @@ def test_criterion_06_monotone_k_trend_and_k_equals_n(online_batches):
         assert len(res.commits) == 1
         commit = res.commits[0]
         provider = pathfind.DistanceProvider(pathfind.build_nav_grid(sc))
-        d = provider.pairwise(sc.task_positions(), commit.agent_positions)
+        d = provider.pairwise(sc.arrays.task_positions, commit.agent_positions)
         u = assign.compute_utility(d, sc.arrays.preferences, sc.alpha)
         solution = assign.solve_eg(u, sc.arrays.weights)
         assert sorted(commit.pairs) == sorted(solution.pairs())

@@ -514,6 +514,18 @@ def test_teleport_rejected_for_online_runs(tmp_path, command):
     assert not out.exists()
 
 
+def test_sweep_k_has_no_execution_flag(tmp_path, capsys):
+    # sweep-k runs only online batches, which run scripted only.
+    out = tmp_path / "never"
+    rc = run_cli([
+        "sweep-k", "--k-values", "1,2", "--generate", "N=3,map=2.5",
+        "--execution", "scripted", "--out", str(out),
+    ])
+    assert rc == 1
+    assert "unrecognized arguments: --execution scripted" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "spec,key,message",
     [

@@ -268,7 +268,7 @@ def test_corner_test_takes_numpy_dot_sign(case):
         nav.waypoints = [w0.copy(), w1.copy()]
         nav._last_pos = pos.copy()
     assert navs[0].action(state, sc, 0) == navs[1].action(state, sc, 0)
-    assert [w.tolist() for w in navs[0].waypoints] == [w.tolist() for w in navs[1].waypoints]
+    assert navs[0].waypoints == [tuple(w.tolist()) for w in navs[1].waypoints]
     assert len(navs[0].waypoints) == (1 if dot < 0.0 else 2)
 
 
@@ -528,7 +528,7 @@ def test_episode_reuses_the_generated_grid_and_task_fields(monkeypatch, mode):
     assert len(edge_builds) == 1 and edge_builds[0] is sc.distances.grid
     grid = pathfind.build_nav_grid(sc)
     task_cells = {
-        grid.flat_index(pathfind.nearest_free_cell(grid, p)) for p in sc.task_positions()
+        grid.flat_index(pathfind.nearest_free_cell(grid, p)) for p in sc.arrays.task_positions
     }
     builds, sources = [], []
     build_nav_grid, sp_dijkstra = pathfind.build_nav_grid, pathfind._sp_dijkstra
@@ -582,7 +582,7 @@ def test_every_mode_records_each_commitment_once():
         solution = optimum if rule == "eg" else engine.solve_assignment(rule, sc)
         assert commit.time == 0.0
         assert commit.free_agents == commit.pending_tasks == everyone
-        assert np.array_equal(commit.agent_positions, sc.agent_positions())
+        assert np.array_equal(commit.agent_positions, sc.arrays.agent_positions)
         assert commit.pairs == tuple(solution.pairs())
         assert commit.objective == solution.objective
         if rule == "eg":
@@ -610,6 +610,43 @@ def test_realized_distance_is_at_most_the_agents_cumulative_distance(n, mode, se
     for _, a, t in res.assignment_log:
         bound = sc.alpha ** res.per_agent_distance[a] * prefs[t, a] * slack
         assert res.realized_utilities[t] >= bound, (a, t)
+
+
+@pytest.mark.parametrize(
+    "mode", ["eg", "hungarian", "minmax", "online-k1", "online-khalf", "online-kN"]
+)
+@pytest.mark.parametrize("n", [3, 7])
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_episode_motion_never_crosses_a_wall_or_enters_a_disc(n, mode, seed):
+    # Every dynamics step of a real episode, steered by the navigators, moves
+    # each agent along a segment that crosses no interior wall, to a point
+    # inside the workspace and outside every disc.
+    sc = world.generate_scenario(n, seed=seed)
+    grid, s = sc.distances.grid, sc.workspace_size
+    step = world.step_dynamics_events
+    steps = 0
+
+    def checked_step(state, actions, scenario):
+        nonlocal steps
+        out = step(state, actions, scenario)
+        for i, (p, q) in enumerate(zip(state.agent_positions, out[0].agent_positions)):
+            assert not pathfind._segment_crosses_wall(grid, p, q), (steps, i)
+            x, y = q.tolist()
+            assert -1e-9 <= x <= s + 1e-9 and -1e-9 <= y <= s + 1e-9, (steps, i)
+            for (cx, cy), r in sc.obstacles:
+                assert math.hypot(x - cx, y - cy) >= r - 1e-9, (steps, i)
+        steps += 1
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(world, "step_dynamics_events", checked_step)
+        if mode.startswith("online"):
+            k = {"online-k1": 1, "online-khalf": n // 2, "online-kN": n}[mode]
+            online.run_online_episode(sc, k, np.random.default_rng([seed, 1]))
+        else:
+            engine.run_centralized_episode(sc, mode)
+    assert steps > 0
 
 
 # ---------------------------------------------------------------------------

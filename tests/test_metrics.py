@@ -139,7 +139,7 @@ def test_centralized_optimum_near_euclidean_on_empty_map(rng):
     sc = world.generate_scenario(4, 2.5, n_obstacles=0, n_walls=0, seed=31)
     u_star = metrics.centralized_optimum(sc)[0].objective
 
-    deltas = sc.task_positions()[:, None, :] - sc.agent_positions()[None, :, :]
+    deltas = sc.arrays.task_positions[:, None, :] - sc.arrays.agent_positions[None, :, :]
     d_euc = np.hypot(deltas[..., 0], deltas[..., 1])
     u = assign.compute_utility(d_euc, sc.arrays.preferences, sc.alpha)
     _, best_euc = oracles.brute_force_eg(u, sc.arrays.weights)

@@ -217,9 +217,9 @@ def _agents(partial):
 
 def test_subset_degenerate_equals_centralized():
     sc = world.generate_scenario(4, 2.5, seed=3)
-    positions = sc.agent_positions()
+    positions = sc.arrays.agent_positions
     pa = online.select_subset_and_assign({0, 1, 2, 3}, {0, 1, 2, 3}, 4, sc, positions)
-    d = sc.distances.pairwise(sc.task_positions(), positions)
+    d = sc.distances.pairwise(sc.arrays.task_positions, positions)
     u = assign.compute_utility(d, sc.arrays.preferences, sc.alpha)
     direct = assign.solve_eg(u, sc.arrays.weights)
     assert sorted(pa.pairs()) == sorted(direct.pairs())
@@ -228,7 +228,7 @@ def test_subset_degenerate_equals_centralized():
 
 def test_subset_choice_matches_exhaustive_oracle():
     sc = world.generate_scenario(5, 2.6, seed=23)
-    positions = sc.agent_positions()
+    positions = sc.arrays.agent_positions
     free, pending, k = {0, 1, 2, 3, 4}, {1, 3}, 2
     pa = online.select_subset_and_assign(free, pending, k, sc, positions)
     subset, obj = oracles.subset_oracle(free, pending, sc, sc.distances, positions)
@@ -293,7 +293,7 @@ def test_subset_tie_breaks_lexicographically():
         [(1.225, 1.225), (1.225, 2.0)],
         size=2.5,
     )
-    positions = sc.agent_positions()
+    positions = sc.arrays.agent_positions
     d0, d1 = sc.distances.pairwise([sc.tasks[0].position], positions[:2])[0]
     assert d0 == d1  # exact symmetry of the snapped cells
     pa = online.select_subset_and_assign({0, 1}, {0}, 1, sc, positions)
@@ -303,7 +303,7 @@ def test_subset_tie_breaks_lexicographically():
 def test_subset_overflow_is_internal_error():
     sc = world.generate_scenario(3, 2.5, seed=9)
     with pytest.raises(RuntimeError):
-        online.select_subset_and_assign({0, 1, 2}, {0, 1, 2}, 2, sc, sc.agent_positions())
+        online.select_subset_and_assign({0, 1, 2}, {0, 1, 2}, 2, sc, sc.arrays.agent_positions)
 
 
 # ---------------------------------------------------------------------------

@@ -414,7 +414,7 @@ def test_pairwise_runs_one_dijkstra_for_its_uncached_sources(monkeypatch):
     monkeypatch.setattr(pathfind, "_sp_dijkstra", counting_dijkstra)
     monkeypatch.setattr(pathfind.DistanceProvider, "field", counting_field)
     provider = pathfind.DistanceProvider(grid)
-    tasks, agents = sc.task_positions(), sc.agent_positions()
+    tasks, agents = sc.arrays.task_positions, sc.arrays.agent_positions
     sources = np.vstack([tasks, tasks[:2]])  # two repeated source rows
     provider.pairwise(sources, agents)
     assert batches == [[grid.flat_index(grid.cell_of(t)) for t in tasks]]
@@ -439,7 +439,7 @@ def test_field_miss_runs_the_batch_call(monkeypatch):
 
     monkeypatch.setattr(pathfind, "_sp_dijkstra", counting_dijkstra)
     provider = pathfind.DistanceProvider(grid)  # fresh: no cached field
-    source, targets = sc.agent_positions()[0], sc.task_positions()
+    source, targets = sc.arrays.agent_positions[0], sc.arrays.task_positions
     cell = grid.flat_index(pathfind.nearest_free_cell(grid, source))
     field = provider.field(source)
     assert batches == [[cell]]
@@ -541,7 +541,7 @@ def test_waypoints_match_search_every_request_oracle(seed):
     sc = world.generate_scenario(n_agents, map_size, seed=seed)
     grid = sc.distances.grid
     rng = np.random.default_rng(seed)
-    entities = [np.asarray(p) for p in (*sc.agent_positions(), *sc.task_positions())]
+    entities = [np.asarray(p) for p in (*sc.arrays.agent_positions, *sc.arrays.task_positions)]
     free = _free_random_points(grid, rng, 8)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=8)
     hops = [p + 0.2 * np.array([math.cos(t), math.sin(t)]) for p, t in zip(free, angles)]
@@ -598,9 +598,9 @@ def test_provider_pairwise_shape_and_symmetry():
     sc = world.generate_scenario(3, 2.5, seed=13)
     grid = pathfind.build_nav_grid(sc)
     provider = pathfind.DistanceProvider(grid)
-    d = provider.pairwise(sc.task_positions(), sc.agent_positions())
+    d = provider.pairwise(sc.arrays.task_positions, sc.arrays.agent_positions)
     assert d.shape == (3, 3)
-    d_t = provider.pairwise(sc.agent_positions(), sc.task_positions())
+    d_t = provider.pairwise(sc.arrays.agent_positions, sc.arrays.task_positions)
     assert d == pytest.approx(d_t.T, abs=1e-9)
 
 

@@ -1,9 +1,10 @@
 """Structural checks on src/fairtask.
 
 Every public name has a caller in the program, not only in tests, the
-distance discount alpha**d has one implementation, running the program
-does not load scipy.optimize, and assign.py imports only numpy and the
-standard library.
+distance discount alpha**d has one implementation, only world.py and the
+scenario file writer read a scenario's agent and task specs, running the
+program does not load scipy.optimize, and assign.py imports only numpy and
+the standard library.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ SRC = ROOT / "src" / "fairtask"
 # Public names kept without a caller in src/ or bench/, each with its reason.
 EXEMPT = {
     "cli.save_scenario": "writes the scenario file format that load_scenario reads",
+    **dict.fromkeys(
+        ("world.Scenario.agent_positions", "world.Scenario.task_positions",
+         "world.Scenario.wall_segments"),
+        "bench/test_bench.py calls them; they return the `Scenario.arrays` entries",
+    ),
 }
 
 
@@ -81,37 +87,58 @@ def test_public_surface_has_a_program_caller():
     assert unused == []
 
 
-
 def _name(node) -> str:
     """The identifier a Name or Attribute node ends in; '' for any other node."""
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
 
 
-def _alpha_powers(tree: ast.Module, module: str) -> set[str]:
-    """Qualified names of the functions that call a `power`/`pow` or take `alpha ** x`."""
+def _scopes(hit, modules) -> set[str]:
+    """Qualified names of the functions and classes (or modules, at top level)
+    of src/fairtask that hold a node for which hit(node) is true."""
     found = set()
 
     def visit(node, scope: str) -> None:
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _name(child.func) in ("power", "pow") or (
-                isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
-                and "alpha" in _name(child.left)
-            ):
+            if hit(child):
                 found.add(scope)
             named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
             visit(child, f"{scope}.{child.name}" if named else scope)
 
-    visit(tree, module)
+    for module in modules:
+        visit(ast.parse((SRC / f"{module}.py").read_text()), module)
     return found
+
+
+def _alpha_power(node) -> bool:
+    """A `power`/`pow` call or `alpha ** x`."""
+    return isinstance(node, ast.Call) and _name(node.func) in ("power", "pow") or (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and "alpha" in _name(node.left)
+    )
+
+
+def _spec_read(node) -> bool:
+    """`x.agents` or `x.tasks`, except the `arrays.agents` index array."""
+    return isinstance(node, ast.Attribute) and node.attr in ("agents", "tasks") and (
+        _name(node.value) != "arrays"
+    )
+
+
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def test_only_save_scenario_reads_the_specs_outside_world():
+    # Every other reader takes a scenario's facts from its read-only
+    # `Scenario.arrays`, so no second array view of the agent and task specs
+    # can grow back; the scenario file writer needs the specs themselves.
+    others = [m for m in MODULES if m != "world"]
+    assert _scopes(_spec_read, others) == {"cli.save_scenario"}
 
 
 def test_compute_utility_is_the_only_alpha_power():
     # U*, online solves and realized utilities compare utilities bit for bit,
     # so the distance discount alpha**d has exactly one implementation.
-    found = set().union(*(
-        _alpha_powers(ast.parse(path.read_text()), path.stem) for path in sorted(SRC.glob("*.py"))
-    ))
-    assert found == {"assign.compute_utility"}
+    assert _scopes(_alpha_power, MODULES) == {"assign.compute_utility"}
 
 
 # Every rule and mode once, then the CLI, in a fresh interpreter: the test

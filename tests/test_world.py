@@ -334,7 +334,7 @@ def test_newly_visible_matches_scalar_oracle(n, map_size, seed):
     for _ in range(5):
         state.agent_positions = rng.uniform(0.0, map_size, size=(n, 2))
         state.discovery_times = np.where(rng.random(n) < 0.3, 0.0, math.nan)
-        probe = _on_the_boundary(sc, state.agent_positions, rng, sc.task_positions())
+        probe = _on_the_boundary(sc, state.agent_positions, rng, sc.arrays.task_positions)
         assert world.newly_visible_tasks(state, probe) == oracles.newly_visible_tasks(
             state, probe
         )
@@ -479,7 +479,7 @@ def test_generate_scenario_deterministic_and_clear():
     a = world.generate_scenario(5, 2.6, seed=99)
     b = world.generate_scenario(5, 2.6, seed=99)
     assert a == b
-    pts = np.vstack([a.agent_positions(), a.task_positions()])
+    pts = np.vstack([a.arrays.agent_positions, a.arrays.task_positions])
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             assert float(np.hypot(*(pts[i] - pts[j]))) >= world.MIN_CLEARANCE - 1e-12
@@ -493,7 +493,7 @@ def test_generated_points_keep_clear_of_walls(n_agents, map_size):
     for seed in range(10):
         sc = world.generate_scenario(n_agents, map_size, seed=seed)
         assert sc.walls
-        for p in np.vstack([sc.agent_positions(), sc.task_positions()]):
+        for p in np.vstack([sc.arrays.agent_positions, sc.arrays.task_positions]):
             for w1, w2 in sc.walls:
                 gap = oracles.point_segment_distance(p, np.array(w1), np.array(w2))
                 assert gap >= world.MIN_CLEARANCE - 1e-12
@@ -619,7 +619,7 @@ def test_scenario_pickle_leaves_out_the_distance_cache():
     copy = pickle.loads(pickle.dumps(sc))
     assert copy == sc
     assert not cached & set(vars(copy))
-    tasks, agents = sc.task_positions(), sc.agent_positions()
+    tasks, agents = sc.arrays.task_positions, sc.arrays.agent_positions
     assert np.array_equal(copy.distances.pairwise(tasks, agents),
                           sc.distances.pairwise(tasks, agents))
     assert np.array_equal(copy.start_distances, sc.start_distances)
@@ -648,7 +648,8 @@ def _array_scenario(n):
 def test_scenario_arrays_hold_the_spec_values_read_only(n):
     sc = _array_scenario(n)
     arrays = sc.arrays
-    agents, tasks = sc.agents, sc.tasks
+    agents, tasks, s = sc.agents, sc.tasks, sc.workspace_size
+    boundary = [((0, 0), (s, 0)), ((s, 0), (s, s)), ((s, s), (0, s)), ((0, s), (0, 0))]
     expected = {
         "agent_positions": [a.start_position for a in agents],
         "task_positions": [t.position for t in tasks],
@@ -660,7 +661,7 @@ def test_scenario_arrays_hold_the_spec_values_read_only(n):
         "workloads": [t.workload for t in tasks],
         "disc_centers": np.array([c for c, _ in sc.obstacles]).reshape(-1, 2),
         "disc_radii": [r for _, r in sc.obstacles],
-        "walls": sc.wall_segments(),
+        "walls": [*sc.walls, *boundary],
         "agents": range(sc.n_agents),
         "pairs": np.array(
             [(i, k) for i in range(sc.n_agents) for k in range(i + 1, sc.n_agents)]
@@ -680,7 +681,7 @@ def test_scenario_arrays_hold_the_spec_values_read_only(n):
     assert np.array_equal(
         sc.start_distances,
         pathfind.DistanceProvider(pathfind.build_nav_grid(sc)).pairwise(
-            sc.task_positions(), sc.agent_positions()
+            sc.arrays.task_positions, sc.arrays.agent_positions
         ),
     )
     state = world.initial_state(sc)  # a state owns its arrays
