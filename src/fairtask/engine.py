@@ -44,43 +44,16 @@ _LEG_CHECK_INTERVAL = 15    # steps between leg line-of-sight revalidations
 # ---------------------------------------------------------------------------
 
 
-def within_radius(dx: float, dy: float, r: float) -> bool:
-    """float(np.hypot(dx, dy)) <= r, decided by math.hypot away from the edge.
-
-    math.hypot and np.hypot both lie within 1 ulp of the exact length, so
-    they can disagree about `<= r` only within a few ulp of r; np.hypot
-    decides inside a band hundreds of ulp wide.
-    """
-    h = math.hypot(dx, dy)
-    if abs(h - r) > 1e-13 * r:
-        return h <= r
-    return float(np.hypot(dx, dy)) <= r
-
-
 def _axis_action(dx, dy, quantum: float) -> int:
     """Accelerate along the larger component of the velocity change (dx, dy).
 
     Idles once the change is within half a quantum; a tie goes to x.
     """
-    if within_radius(dx, dy, 0.5 * quantum):
+    if math.hypot(dx, dy) <= 0.5 * quantum:
         return ACTION_IDLE
     if abs(dx) >= abs(dy):
         return world.ACTION_ACCEL_PX if dx > 0 else world.ACTION_ACCEL_NX
     return world.ACTION_ACCEL_PY if dy > 0 else world.ACTION_ACCEL_NY
-
-
-def _turns_back(dx: float, dy: float, ex: float, ey: float) -> bool:
-    """float(np.dot((dx, dy), (ex, ey))) < 0, decided in floats away from zero.
-
-    np.dot may fuse a multiply-add, so it can round differently from
-    dx * ex + dy * ey.  Both miss the exact product by a few ulp of
-    |dx * ex| + |dy * ey|, so they can disagree about the sign only when
-    the float sum is within 1e-12 of that from zero, where np.dot decides.
-    """
-    dot = dx * ex + dy * ey
-    if abs(dot) > 1e-12 * (abs(dx * ex) + abs(dy * ey)):
-        return dot < 0.0
-    return float(np.dot((dx, dy), (ex, ey))) < 0.0
 
 
 def brake_action(v, quantum: float) -> int:
@@ -91,14 +64,13 @@ def brake_action(v, quantum: float) -> int:
 class Navigator:
     """Per-agent greedy waypoint controller with stuck detection and replanning.
 
-    Steers on Python floats.  `waypoints` is the one chain, a list of
-    (x, y) float pairs, and beside it the navigator keeps the np.hypot
-    length of each leg between consecutive waypoints.  A new chain (set_goal,
-    the stuck replan, any direct assignment) goes through the `waypoints`
-    setter, which converts it and measures its legs; each pop in _advance
-    drops the first waypoint and its leg and recomputes nothing.  The legs
-    keep np.hypot's bits, the corner test np.dot's sign, and radius tests go
-    through within_radius.
+    Steers on Python floats.  `waypoints` is the one chain of (x, y) float
+    pairs; its setter measures each leg with np.hypot, and each pop in
+    _advance drops a waypoint and its leg.  The legs and `dist` keep
+    np.hypot's bits because they feed the speed cap; radius and corner
+    tests are plain float comparisons, so tests/oracles.Navigator, the numpy
+    controller, decides otherwise only on a length within an ulp of a radius
+    or a right angle where np.dot fuses a multiply-add.
     """
 
     def __init__(self, distances: pathfind.DistanceProvider):
@@ -149,7 +121,7 @@ class Navigator:
         chain = self._chain
         if not chain:
             gx, gy = self.goal.tolist()
-            if not within_radius(gx - px, gy - py, ARRIVAL_RADIUS):
+            if math.hypot(gx - px, gy - py) > ARRIVAL_RADIUS:
                 return ACTION_IDLE  # unreachable goal: hold position
             return brake_action(v, quantum)
         dx, dy = chain[0][0] - px, chain[0][1] - py
@@ -188,11 +160,12 @@ class Navigator:
         while len(self._chain) > 1:
             (x0, y0), w1 = self._chain[0], self._chain[1]
             dx, dy = x0 - px, y0 - py
-            if within_radius(dx, dy, _WAYPOINT_SNAP):
+            d0 = math.hypot(dx, dy)
+            if d0 <= _WAYPOINT_SNAP:
                 del self._chain[0], self._legs[0]
                 continue
-            near = within_radius(dx, dy, _WAYPOINT_TOLERANCE)
-            if (near or _turns_back(dx, dy, w1[0] - x0, w1[1] - y0)) and pathfind.line_of_sight(
+            passed = dx * (w1[0] - x0) + dy * (w1[1] - y0) < 0.0  # the corner is behind
+            if (d0 <= _WAYPOINT_TOLERANCE or passed) and pathfind.line_of_sight(
                 self.grid, (px, py), w1
             ):  # only skip a corner the next leg can actually see past
                 del self._chain[0], self._legs[0]
@@ -201,7 +174,7 @@ class Navigator:
 
     def _check_stuck(self, pos: np.ndarray, px: float, py: float) -> None:
         lx, ly = self._last_pos
-        if not within_radius(px - lx, py - ly, _STUCK_DISTANCE):
+        if math.hypot(px - lx, py - ly) > _STUCK_DISTANCE:
             self._last_pos = (px, py)
             self._stall_steps = 0
             return

@@ -133,7 +133,7 @@ def _next_reachable_target(emap, nav, pos, rng):
         target = sample_target(emap, pos, rng)
         if target is None:
             return None
-        if engine.within_radius(*(pos - target).tolist(), _TARGET_RADIUS):
+        if math.dist(pos.tolist(), target.tolist()) <= _TARGET_RADIUS:
             continue  # already standing on it
         nav.set_goal(pos, target)
         if nav.waypoints:
@@ -172,7 +172,7 @@ class ExplorationPolicy:
             ep.commit(select_subset_and_assign(free, pending, self.k, sc, state.agent_positions))
         for i in ep.free_agents():  # ascending, the order of the target draws
             nav, pos = ep.navs[i], state.agent_positions[i]
-            if nav.goal is None or engine.within_radius(*(pos - nav.goal).tolist(), _TARGET_RADIUS):
+            if nav.goal is None or math.dist(pos.tolist(), nav.goal.tolist()) <= _TARGET_RADIUS:
                 if _next_reachable_target(self.emap, nav, pos, self.rng) is None:
                     nav.goal = None  # else the last unreachable candidate stays the goal
 

@@ -54,8 +54,9 @@ def _fairtask_imports(tree: ast.Module) -> set[tuple[str, str]]:
 
 def test_public_surface_has_a_program_caller():
     """A module-level name is used through `module.name`, a `from fairtask.module
-    import name`, or a bare use inside its own module; a method through `.name`
-    or a string attribute name.  A definition's own lines do not count.
+    import name`, or a bare use inside its own module; a method through
+    `.name(` or a string attribute name, and a decorated one, such as a
+    property, through `.name`.  A definition's own lines do not count.
     """
     program = sorted(SRC.glob("*.py")) + [
         p for p in sorted((ROOT / "bench").glob("*.py")) if p.name != "test_bench.py"
@@ -71,7 +72,8 @@ def test_public_surface_has_a_program_caller():
                 continue
             word = re.escape(node.name)
             if "." in qualname:
-                patterns = {p: rf"\.{word}\b|[\"']{word}[\"']" for p in program}
+                use = rf"\.{word}\b" if node.decorator_list else rf"\.{word}\("
+                patterns = {p: rf"{use}|[\"']{word}[\"']" for p in program}
             else:
                 patterns = {p: rf"\b{module}\.{word}\b" for p in program}
                 patterns[path] += rf"|(?<![\w.]){word}\b"
