@@ -34,7 +34,7 @@ RESULT_COLUMNS = (
 
 @dataclass
 class ExperimentConfig:
-    batches: tuple[engine.Batch, ...]  # in output order
+    batch: engine.Batch
     out_dir: Path
     dump_json: bool
 
@@ -236,13 +236,14 @@ def _dump_rows_json(rows) -> str:
 
 
 def cmd_run(config: ExperimentConfig) -> int:
-    [batch] = config.batches
-    result = engine.batch_run(batch)
+    batch = config.batch
+    [result] = engine.batch_run(batch)
+    [(algorithm, k)] = batch.runs
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     (out / "results.csv").write_text(format_result_rows(result.rows))
     (out / "summary.json").write_text(_json_text(
-        {"algorithm": batch.algorithm, "k": batch.k, "root_seed": batch.root_seed,
+        {"algorithm": algorithm, "k": k, "root_seed": batch.root_seed,
          **result.summary}
     ))
     if config.dump_json:
@@ -252,13 +253,13 @@ def cmd_run(config: ExperimentConfig) -> int:
 
 
 def _write_table(config: ExperimentConfig, file_name: str, label: str, keys) -> int:
-    """One row per batch, named by its `label` field ("algorithm" or "k").
+    """One row per run of the batch, named by its `label` ("algorithm" or "k").
 
     file_name gets the summary mean and std of each key, stdout the means.
     """
     rows = [
-        (str(getattr(batch, label)), engine.batch_run(batch).summary)
-        for batch in config.batches
+        (str(k if label == "k" else algorithm), result.summary)
+        for (algorithm, k), result in zip(config.batch.runs, engine.batch_run(config.batch))
     ]
     out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -338,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """The parsed options as a config of engine.Batch values, all built before any runs.
+    """The parsed options as a config of one engine.Batch, built before any episode runs.
 
     A bad option raises ConfigError here, so no file is written.
     """
@@ -353,7 +354,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     else:
         source = dict(generator=_parse_generate(args.generate, args.alpha))
 
-    if args.command == "run":  # runs: (algorithm, k) of each batch, in output order
+    if args.command == "run":  # runs: the batch's (algorithm, k) pairs, in output order
         runs = ((args.algorithm, args.k),)
     elif args.command == "compare":
         algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
@@ -361,7 +362,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("compare needs at least two algorithms")
         if len(set(algorithms)) < len(algorithms):
             raise ConfigError(f"--algorithms lists an algorithm twice: {args.algorithms!r}")
-        if "online" not in algorithms and args.k is not None:  # no batch would get it
+        if "online" not in algorithms and args.k is not None:  # no run would get it
             raise ConfigError("--k is required exactly when online is listed")
         runs = tuple((a, args.k if a == "online" else None) for a in algorithms)
     else:
@@ -372,14 +373,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if len(set(runs)) < len(runs):
             raise ConfigError(f"--k-values lists a value twice: {args.k_values!r}")
 
-    batches = tuple(
-        engine.Batch(
-            algorithm, k, args.episodes, args.seed,
-            execution=args.execution, parallel=args.parallel, **source,
-        )
-        for algorithm, k in runs
+    batch = engine.Batch(
+        runs, args.episodes, args.seed, execution=args.execution, parallel=args.parallel, **source
     )
-    return ExperimentConfig(batches, out, bool(getattr(args, "dump_json", False)))
+    return ExperimentConfig(batch, out, bool(getattr(args, "dump_json", False)))
 
 
 def main(argv=None) -> int:

@@ -7,10 +7,10 @@ and commit their whole assignment at t=0, while the online mode
 (fairtask.online) passes an observer that explores and commits subsets as
 tasks are found.  Every agent follows its navigator, a greedy waypoint
 controller, and an agent with no navigation goal brakes.  A Batch is one
-seeded episode family, checked against every batch rule when it is built;
-batch_run runs its episodes serially or over a process pool.  All
-randomness is owned by the caller through seeds; a Batch fully determines
-every emitted number.
+seeded episode family run under each (algorithm, k), on one scenario per
+episode index; batch_run runs its episodes serially or over a process pool.
+All randomness is owned by the caller through seeds; a Batch fully
+determines every emitted number.
 """
 
 from __future__ import annotations
@@ -210,7 +210,7 @@ def run_centralized_episode(
     the shortest-path distances, giving the zero-overhead reference point.
     A rule or execution mode that no Batch accepts raises ConfigError.
     """
-    Batch(rule, scenario=sc, execution=execution)
+    Batch(((rule, None),), scenario=sc, execution=execution)
     optimum, u0 = metrics.centralized_optimum(sc)
     solution = optimum if rule == assign.RULE_EG else solve_assignment(rule, sc)
 
@@ -392,16 +392,15 @@ _GENERATOR_SIGNATURE = inspect.signature(world.generate_scenario)
 
 @dataclass(frozen=True)
 class Batch:
-    """A seeded episode family: one algorithm over a generator or a fixed scenario.
+    """A seeded episode family run under each (algorithm, k), one scenario per episode index.
 
-    Construction applies every batch rule and raises ConfigError on the
-    first one broken, so a Batch that exists runs as asked.  The CLI builds
-    every batch before the first runs, and run_centralized_episode and
-    run_online_episode check their own arguments by building one.
+    Construction applies every batch rule to each run and raises ConfigError
+    on the first one broken, so a Batch that exists runs as asked.  The CLI
+    builds one per command; run_centralized_episode and run_online_episode
+    check their own arguments by building a one-run Batch.
     """
 
-    algorithm: str
-    k: int | None = None
+    runs: tuple[tuple[str, int | None], ...]  # (algorithm, k), in output order
     episodes: int = 1
     root_seed: int = 0
     generator: dict | None = None
@@ -410,13 +409,16 @@ class Batch:
     parallel: int = 1
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(
-                f"unknown algorithm {self.algorithm!r}, expected one of {', '.join(ALGORITHMS)}"
-            )
-        for name in ("k", "episodes", "root_seed", "parallel"):
+        for algorithm, k in self.runs:
+            if algorithm not in ALGORITHMS:
+                raise ConfigError(
+                    f"unknown algorithm {algorithm!r}, expected one of {', '.join(ALGORITHMS)}"
+                )
+            if type(k) is not int and k is not None:  # bool is an int
+                raise ConfigError(f"k must be an integer, got {k!r}")
+        for name in ("episodes", "root_seed", "parallel"):
             value = getattr(self, name)
-            if type(value) is not int and (name != "k" or value is not None):  # bool is an int
+            if type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
@@ -433,49 +435,50 @@ class Batch:
                 raise ConfigError(f"generator: {err}") from None
         if self.execution not in EXECUTION_MODES:
             raise ConfigError(f"unknown execution mode {self.execution!r}")
-        if (self.algorithm == "online") != (self.k is not None):
-            raise ConfigError(f"k is required for online and invalid otherwise, got k={self.k}")
-        if self.k is None:
-            return
-        if self.execution == EXECUTION_TELEPORT:
-            raise ConfigError("teleport execution applies to centralized rules only, not online")
         n = self.generator["n_agents"] if self.scenario is None else self.scenario.n_agents
-        if not 1 <= self.k <= n:
-            raise ConfigError(f"k={self.k} outside [1, {n}]")
+        for algorithm, k in self.runs:
+            if (algorithm == "online") != (k is not None):
+                raise ConfigError(f"k is required for online and invalid otherwise, got k={k}")
+            if k is not None and self.execution == EXECUTION_TELEPORT:
+                raise ConfigError("teleport execution applies to centralized rules only, not online")
+            if k is not None and not 1 <= k <= n:
+                raise ConfigError(f"k={k} outside [1, {n}]")
 
-    def run_one(self, index: int) -> metrics.EpisodeResult:
-        """Episode `index`, from its own seed (root_seed, index)."""
+    def run_one(self, index: int) -> list[metrics.EpisodeResult]:
+        """Episode `index` under each run, on one scenario from its own seed (root_seed, index)."""
         seed = episode_seed(self.root_seed, index)
         sc = self.scenario
         if sc is None:
             sc = world.generate_scenario(seed=seed, **self.generator)
-        if self.algorithm == "online":
-            from fairtask import online  # deferred: online builds on this module
+        results = []
+        for algorithm, k in self.runs:
+            if algorithm == "online":
+                from fairtask import online  # deferred: online builds on this module
 
-            result = online.run_online_episode(sc, self.k, np.random.default_rng([seed, 1]))
-        else:
-            result = run_centralized_episode(sc, self.algorithm, execution=self.execution)
-        result.episode = index
-        result.seed = seed
-        return result
+                result = online.run_online_episode(sc, k, np.random.default_rng([seed, 1]))
+            else:
+                result = run_centralized_episode(sc, algorithm, execution=self.execution)
+            result.episode, result.seed = index, seed
+            results.append(result)
+        return results
 
 
-def batch_run(batch: Batch) -> BatchResult:
-    """Run every episode of the batch and aggregate summary statistics.
+def batch_run(batch: Batch) -> list[BatchResult]:
+    """One BatchResult per run of the batch, in `runs` order, rows in episode order.
 
     Episode i draws its own seed from (root_seed, i), so any single episode
-    can be reproduced in isolation.  Rows come back in episode order for
-    any `parallel`.  Incomplete episodes are kept in the rows and counted,
-    but excluded from the regret aggregate (a capped episode has no
-    realized value).
+    can be reproduced in isolation.  A pool (`parallel` > 1) maps whole
+    episode indices, so each scenario is built once there too.  Incomplete
+    episodes are kept in the rows and counted, but excluded from the regret
+    aggregate (a capped episode has no realized value).
     """
     indices = range(batch.episodes)
     if batch.parallel > 1:
         with ProcessPoolExecutor(max_workers=batch.parallel) as pool:
-            rows = list(pool.map(batch.run_one, indices))
+            episodes = list(pool.map(batch.run_one, indices))
     else:
-        rows = [batch.run_one(i) for i in indices]
-    return BatchResult(rows=rows, summary=summarize(rows))
+        episodes = [batch.run_one(i) for i in indices]
+    return [BatchResult(rows=list(rows), summary=summarize(rows)) for rows in zip(*episodes)]
 
 
 def episode_stats(result: metrics.EpisodeResult) -> dict:

@@ -190,7 +190,7 @@ def run_online_episode(
     engine.Batch on sc accepts (None, or outside [1, N]) raises
     engine.ConfigError.
     """
-    engine.Batch("online", k, scenario=sc)
+    engine.Batch((("online", k),), scenario=sc)
     optimum, _ = metrics.centralized_optimum(sc)
     ep = engine.Episode(sc)
     policy = ExplorationPolicy(sc, k, rng)

@@ -48,13 +48,12 @@ def exhaustive_eg_value(u, w):
 
 
 def scripted_batches(family, parallel=1):
-    return {
-        algo: engine.batch_run(engine.Batch(
-            algo, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(family),
-            parallel=parallel,
-        ))
-        for algo in ("eg", "hungarian", "minmax")
-    }
+    algorithms = ("eg", "hungarian", "minmax")
+    results = engine.batch_run(engine.Batch(
+        tuple((algo, None) for algo in algorithms), episodes=EPISODES, root_seed=ROOT_SEED,
+        generator=dict(family), parallel=parallel,
+    ))
+    return dict(zip(algorithms, results))
 
 
 @pytest.fixture(scope="module")
@@ -68,13 +67,11 @@ def n7_batches():
 
 @pytest.fixture(scope="module")
 def online_batches():
-    return {
-        k: engine.batch_run(engine.Batch(
-            "online", k, episodes=EPISODES, root_seed=ROOT_SEED, generator=dict(N7_FAMILY),
-            parallel=2,
-        ))
-        for k in ONLINE_KS
-    }
+    results = engine.batch_run(engine.Batch(
+        tuple(("online", k) for k in ONLINE_KS), episodes=EPISODES, root_seed=ROOT_SEED,
+        generator=dict(N7_FAMILY), parallel=2,
+    ))
+    return dict(zip(ONLINE_KS, results))
 
 
 def per_episode_fairness(batch):

@@ -282,6 +282,47 @@ def test_table_golden_reference(tmp_path, capsys, command, name):
 
 
 @pytest.mark.parametrize(
+    "command,name",
+    [
+        (["compare", "--algorithms", "eg,hungarian,minmax,online", "--k", "3"], "compare"),
+        (["sweep-k", "--k-values", "2,3,5"], "sweep"),
+    ],
+    ids=["compare", "sweep-k"],
+)
+def test_n7_table_golden_reference(tmp_path, command, name):
+    # Recorded while every (algorithm, k) still generated its own scenarios:
+    # sharing one scenario per episode index changes no byte.
+    out = tmp_path / "golden"
+    rc = run_cli([*command, "--generate", "N=7", "--episodes", "3", "--seed", "5",
+                  "--out", str(out)])
+    assert rc == 0
+    assert (out / f"{name}.csv").read_bytes() == (DATA / f"golden_{name}_n7.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["compare", "--algorithms", "eg,hungarian,minmax,online", "--k", "2"],
+        ["sweep-k", "--k-values", "1,2,3"],
+    ],
+    ids=["compare", "sweep-k"],
+)
+def test_tables_generate_each_scenario_once(tmp_path, monkeypatch, command):
+    seeds = []
+    generate = world.generate_scenario
+
+    def counted(*args, **kwargs):
+        seeds.append(kwargs["seed"])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(world, "generate_scenario", counted)
+    rc = run_cli([*command, "--generate", "N=3,map=2.5", "--episodes", "3", "--seed", "4",
+                  "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert seeds == [engine.episode_seed(4, i) for i in range(3)]
+
+
+@pytest.mark.parametrize(
     "command,k",
     [
         (["run", "--algorithm", "online", "--k", "4"], 4),

@@ -622,8 +622,8 @@ def test_episode_motion_never_crosses_a_wall_or_enters_a_disc(n, mode, seed):
 
 
 def test_batch_single_episode_equals_row():
-    batch = engine.batch_run(engine.Batch(
-        "eg", episodes=1, root_seed=5, generator=dict(n_agents=3, map_size=2.5),
+    [batch] = engine.batch_run(engine.Batch(
+        (("eg", None),), episodes=1, root_seed=5, generator=dict(n_agents=3, map_size=2.5),
     ))
     assert len(batch.rows) == 1
     stats = engine.episode_stats(batch.rows[0])
@@ -632,9 +632,11 @@ def test_batch_single_episode_equals_row():
 
 
 def test_batch_reruns_identically():
-    batch = engine.Batch("eg", episodes=4, root_seed=11, generator=dict(n_agents=3, map_size=2.5))
-    a = engine.batch_run(batch)
-    b = engine.batch_run(batch)
+    batch = engine.Batch(
+        (("eg", None),), episodes=4, root_seed=11, generator=dict(n_agents=3, map_size=2.5)
+    )
+    [a] = engine.batch_run(batch)
+    [b] = engine.batch_run(batch)
     assert a.summary == b.summary
     for ra, rb in zip(a.rows, b.rows):
         assert ra.seed == rb.seed
@@ -642,27 +644,41 @@ def test_batch_reruns_identically():
 
 
 @pytest.mark.parametrize(
-    "algorithm,k,fixed_scenario",
-    [("eg", None, False), ("online", 2, False), ("online", 2, True)],
-    ids=["eg", "online-k2", "online-k2-scenario"],
+    "runs,fixed_scenario",
+    [
+        ((("eg", None),), False),
+        ((("online", 2),), False),
+        ((("online", 2),), True),
+        ((("eg", None), ("hungarian", None), ("minmax", None)), False),
+        ((("online", 1), ("online", 2)), False),
+    ],
+    ids=["eg", "online-k2", "online-k2-scenario", "three-rules", "online-two-k"],
 )
-def test_batch_parallel_matches_serial(algorithm, k, fixed_scenario):
+def test_batch_parallel_matches_serial(runs, fixed_scenario):
     if fixed_scenario:
         # Serial episodes share the scenario's distance cache; each worker
         # unpickles a copy without it and builds its own.
         source = dict(scenario=world.generate_scenario(3, 2.5, seed=19))
     else:
         source = dict(generator=dict(n_agents=3, map_size=2.5))
-    kw = dict(algorithm=algorithm, k=k, episodes=4, root_seed=19, **source)
-    serial = engine.batch_run(engine.Batch(**kw, parallel=1))
-    parallel = engine.batch_run(engine.Batch(**kw, parallel=2))
-    assert serial.summary == parallel.summary
-    assert cli.format_result_rows(serial.rows) == cli.format_result_rows(parallel.rows)
+    kw = dict(episodes=4, root_seed=19, **source)
+    serial = engine.batch_run(engine.Batch(runs, **kw, parallel=1))
+    parallel = engine.batch_run(engine.Batch(runs, **kw, parallel=2))
+    assert len(serial) == len(parallel) == len(runs)
+    for run, s, p in zip(runs, serial, parallel):
+        # A run shares its episodes' scenarios with the batch's other runs,
+        # and its rows are those of the run batched alone.
+        [alone] = engine.batch_run(engine.Batch((run,), **kw))
+        assert s.summary == p.summary == alone.summary
+        rows = cli.format_result_rows(alone.rows)
+        assert cli.format_result_rows(s.rows) == cli.format_result_rows(p.rows) == rows
 
 
 def test_batch_online_requires_k():
     with pytest.raises(ValueError):
-        engine.Batch("online", episodes=1, root_seed=0, generator=dict(n_agents=3, map_size=2.5))
+        engine.Batch(
+            (("online", None),), episodes=1, root_seed=0, generator=dict(n_agents=3, map_size=2.5)
+        )
 
 
 @pytest.mark.parametrize(
@@ -675,24 +691,25 @@ def test_batch_online_requires_k():
         (dict(scenario=world.generate_scenario(3, 2.5, seed=0)),
          "pass exactly one of scenario or generator"),
         (dict(execution="bogus"), "unknown execution mode 'bogus'"),
-        (dict(k=2), "k is required for online and invalid otherwise, got k=2"),
-        (dict(algorithm="online", k=2, execution="teleport"),
+        (dict(runs=(("eg", 2),)), "k is required for online and invalid otherwise, got k=2"),
+        (dict(runs=(("online", 2),), execution="teleport"),
          "teleport execution applies to centralized rules only"),
         (dict(root_seed=-1), "seed must be >= 0, got -1"),
-        (dict(algorithm="online", k=4), "k=4 outside [1, 3]"),
-        (dict(algorithm="bogus"),
+        (dict(runs=(("online", 4),)), "k=4 outside [1, 3]"),
+        (dict(runs=(("bogus", None),)),
          "unknown algorithm 'bogus', expected one of eg, hungarian, minmax, online"),
-        (dict(algorithm="online", k=2, generator=dict(map_size=2.7)),
+        (dict(runs=(("online", 2),), generator=dict(map_size=2.7)),
          "generator: missing a required argument: 'n_agents'"),
         (dict(generator=dict(n_agents=3, bogus=1)),
          "generator: got an unexpected keyword argument 'bogus'"),
-        (dict(algorithm="online", k=True), "k must be an integer, got True"),
+        (dict(runs=(("online", True),)), "k must be an integer, got True"),
         (dict(episodes=2.5), "episodes must be an integer, got 2.5"),
+        (dict(runs=(("eg", None), ("online", 2), ("online", 4))), "k=4 outside [1, 3]"),
     ],
     ids=["no-episodes", "parallel-0", "parallel-negative", "no-source", "both-sources",
          "unknown-execution", "eg-with-k", "online-teleport", "negative-seed", "k-above-n",
          "unknown-algorithm", "generator-without-n", "generator-unknown-key", "bool-k",
-         "float-episodes"],
+         "float-episodes", "third-run-k-above-n"],
 )
 def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, message):
     def no_episodes(*args, **kwargs):
@@ -703,7 +720,9 @@ def test_batch_rejects_a_misrun_before_any_episode(monkeypatch, overrides, messa
 
     monkeypatch.setattr(engine.Batch, "run_one", no_episodes)
     monkeypatch.setattr(world, "generate_scenario", no_scenarios)
-    kw = dict(algorithm="eg", episodes=2, root_seed=0, generator=dict(n_agents=3, map_size=2.5))
+    kw = dict(
+        runs=(("eg", None),), episodes=2, root_seed=0, generator=dict(n_agents=3, map_size=2.5)
+    )
     with pytest.raises(engine.ConfigError, match=re.escape(message)):
         engine.batch_run(engine.Batch(**{**kw, **overrides}))
 
@@ -763,7 +782,7 @@ def test_batches_and_both_episode_entry_points_apply_one_rule_set(algorithm, k, 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "centralized_optimum", reach_optimum)
         try:
-            batch = engine.Batch(algorithm, k, scenario=sc, execution=execution)
+            batch = engine.Batch(((algorithm, k),), scenario=sc, execution=execution)
         except engine.ConfigError:
             assert expected(algorithm, k, execution) == "rejected"
         else:

@@ -186,16 +186,14 @@ def test_regret_floor_across_policies():
     # Measured slacks on the N=7 family: centralized gaps bottom out around
     # -0.03 (realized straight lines can beat octile d*), online around -0.22
     # (agents wander closer to tasks before assignment commits).
-    for rule in ("eg", "hungarian", "minmax"):
-        batch = engine.batch_run(engine.Batch(
-            rule, episodes=20, root_seed=7, generator=dict(n_agents=7, map_size=2.7),
-        ))
+    *centralized, online_batch = engine.batch_run(engine.Batch(
+        (("eg", None), ("hungarian", None), ("minmax", None), ("online", 3)),
+        episodes=20, root_seed=7, generator=dict(n_agents=7, map_size=2.7),
+    ))
+    for batch in centralized:
         for row in batch.rows:
             if not row.incomplete:
                 assert row.regret_gap >= -0.1
-    online_batch = engine.batch_run(engine.Batch(
-        "online", 3, episodes=20, root_seed=7, generator=dict(n_agents=7, map_size=2.7),
-    ))
     gaps = [r.regret_gap for r in online_batch.rows if not r.incomplete]
     assert min(gaps) >= -0.5
     assert float(np.mean(gaps)) >= 0.0
